@@ -120,7 +120,9 @@ COMMANDS:
                    [--shutdown-report FILE]
                  campaigns from different clients share every cached
                  cell; --max-cells rejects over-quota specs and a full
-                 queue rejects submissions (structured errors). SIGTERM
+                 queue rejects submissions (structured errors); a
+                 completed campaign someone has streamed is dropped
+                 once --max-queued newer ones complete. SIGTERM
                  or `stochdag shutdown` drains in-flight campaigns and
                  writes a resume report of unfinished ones
   submit         submit a campaign to a running daemon and stream the

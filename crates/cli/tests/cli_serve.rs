@@ -1,9 +1,10 @@
 //! End-to-end tests of the campaign service through the real binary:
 //! `serve` daemon lifecycle, `submit`/`status`/`cancel`/`shutdown`
-//! clients, served-output parity with a direct `sweep`, and on-disk
-//! cache reusability after the daemon is SIGKILLed mid-campaign.
+//! clients, served-output parity with a direct `sweep`, a SIGTERM
+//! drain, and on-disk cache reusability after the daemon is SIGKILLed
+//! mid-campaign.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -239,5 +240,44 @@ fn sigkilled_daemon_leaves_the_disk_cache_reusable() {
         out.join("ci-smoke.csv").exists() && out.join("ci-smoke.jsonl").exists(),
         "outputs written"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_the_daemon_and_writes_the_shutdown_report() {
+    let (dir, _spec) = scratch("sigterm");
+    let report = dir.join("report.json");
+    let (mut daemon, addr, mut daemon_out) =
+        start_daemon(&["--no-cache", "--shutdown-report", report.to_str().unwrap()]);
+    // One served request: the daemon is up, then idles in accept.
+    let (ok, stdout, stderr) = stochdag(&["status", "--addr", &addr]);
+    assert!(ok, "{stdout}\n{stderr}");
+
+    let sent = Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(sent.success());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().expect("wait works") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon did not exit within 5 s of SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "SIGTERM must drain to exit 0: {status}");
+
+    let mut rest = String::new();
+    daemon_out.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("shut down after"), "{rest}");
+    let raw = std::fs::read_to_string(&report).expect("shutdown report written");
+    let parsed: stochdag_serve::ShutdownReport =
+        serde::json::from_str(&raw).expect("shutdown report parses");
+    assert!(parsed.unfinished.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,7 +24,12 @@
 //! ```
 //!
 //! Lifecycle: the coordinator writes `spec.json`/`meta.json`, drops
-//! every planned [`WorkLease`] into `leases/open/`, and polls. Workers
+//! every planned [`WorkLease`] into `leases/open/`, and polls. Every
+//! poll loop here (the coordinator's, and a worker's wait for
+//! `spec.json` and for open leases) backs off: it sleeps 1 ms at first,
+//! doubles up to 50 ms, and starts over at 1 ms after progress, so a
+//! busy spool hands work over within milliseconds while an idle one
+//! costs at most one directory scan per 50 ms per loop. Workers
 //! (launched by hand, a job scheduler, anything) register themselves,
 //! claim leases by renaming `open/ → claimed/` (the rename race picks
 //! exactly one winner), execute them against the shared cache with the
@@ -68,7 +73,38 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Longest sleep of a spool poll loop.
 const POLL: Duration = Duration::from_millis(50);
+/// First sleep of a spool poll loop, and its sleep after progress.
+const FIRST_POLL: Duration = Duration::from_millis(1);
+
+/// Capped exponential backoff for the spool's poll loops: sleeps
+/// [`FIRST_POLL`] first, doubles each time up to [`POLL`], and
+/// [`reset`](Backoff::reset) after progress starts over.
+struct Backoff {
+    next: Duration,
+}
+
+impl Backoff {
+    fn new() -> Backoff {
+        Backoff { next: FIRST_POLL }
+    }
+
+    fn reset(&mut self) {
+        self.next = FIRST_POLL;
+    }
+
+    /// The delay to sleep now; the one after it doubles.
+    fn next_delay(&mut self) -> Duration {
+        let delay = self.next;
+        self.next = (delay * 2).min(POLL);
+        delay
+    }
+
+    fn sleep(&mut self) {
+        std::thread::sleep(self.next_delay());
+    }
+}
 
 /// Write `payload` to `path` atomically (tmp in the same directory,
 /// then rename) so spool readers never observe a torn file.
@@ -255,6 +291,7 @@ impl ExecBackend for SharedFs {
             let mut worker_slots: BTreeMap<String, usize> = BTreeMap::new();
             let mut processed_events: HashSet<PathBuf> = HashSet::new();
             let mut last_progress = Instant::now();
+            let mut backoff = Backoff::new();
             let stall_after = self.lease_timeout + self.worker_timeout;
             loop {
                 if ctx.cancel.is_cancelled() {
@@ -277,6 +314,7 @@ impl ExecBackend for SharedFs {
                     let slot = worker_slots.len();
                     worker_slots.insert(name.to_string(), slot);
                     last_progress = Instant::now();
+                    backoff.reset();
                     deliver(
                         slot,
                         CampaignEvent::Hello {
@@ -305,6 +343,7 @@ impl ExecBackend for SharedFs {
                     };
                     processed_events.insert(ev_path.clone());
                     last_progress = Instant::now();
+                    backoff.reset();
                     if leases.is_completed(lease_id) {
                         continue; // duplicate attempt (reclaimed slow worker)
                     }
@@ -397,6 +436,7 @@ impl ExecBackend for SharedFs {
                         ctx.telemetry.count("spool_reclaims", 1);
                         self.publish_ready(leases)?;
                         last_progress = Instant::now();
+                        backoff.reset();
                     }
                 }
                 self.harvest_worker_stats(ctx.telemetry, &mut worker_stats);
@@ -428,7 +468,7 @@ impl ExecBackend for SharedFs {
                         ),
                     ));
                 }
-                std::thread::sleep(POLL);
+                backoff.sleep();
             }
         })();
         match &result {
@@ -442,13 +482,14 @@ impl ExecBackend for SharedFs {
             // the final fold into the counters.
             let total = leases.completed_count() as u64;
             let grace = Instant::now();
+            let mut backoff = Backoff::new();
             loop {
                 self.harvest_worker_stats(ctx.telemetry, &mut worker_stats);
                 let harvested: u64 = worker_stats.values().map(|(l, _)| *l).sum();
                 if harvested >= total || grace.elapsed() > Duration::from_secs(2) {
                     break;
                 }
-                std::thread::sleep(POLL);
+                backoff.sleep();
             }
         }
         result?;
@@ -554,6 +595,7 @@ impl SpoolWorker {
         // so meta.json is readable once it exists).
         let spec_path = self.spool.join("spec.json");
         let waited = Instant::now();
+        let mut backoff = Backoff::new();
         while !spec_path.exists() {
             if self.stopped() {
                 return Ok(SpoolSummary {
@@ -571,7 +613,7 @@ impl SpoolWorker {
                     ),
                 ));
             }
-            std::thread::sleep(POLL);
+            backoff.sleep();
         }
         let spec_text = std::fs::read_to_string(&spec_path)
             .map_err(|e| EngineError::io(format!("reading {}", spec_path.display()), e))?;
@@ -642,11 +684,13 @@ impl SpoolWorker {
                 let done_cells = &done_cells;
                 let stats_lock = &stats_lock;
                 scope.spawn(move || {
+                    let mut backoff = Backoff::new();
                     while !this.stopped() && abort.lock().expect("abort slot").is_none() {
                         let Some((lease, attempt_stem)) = this.claim_next() else {
-                            std::thread::sleep(POLL);
+                            backoff.sleep();
                             continue;
                         };
+                        backoff.reset();
                         match this.run_claim(executor, &lease, &attempt_stem) {
                             Ok(()) => {
                                 done_leases.fetch_add(1, Ordering::Relaxed);
@@ -764,5 +808,20 @@ impl SpoolWorker {
                 .join(format!("{stem}.json")),
         );
         run
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_doubles_from_one_ms_up_to_the_poll_cap_and_resets() {
+        let mut backoff = Backoff::new();
+        let delays: Vec<u128> = (0..8).map(|_| backoff.next_delay().as_millis()).collect();
+        assert_eq!(delays, [1, 2, 4, 8, 16, 32, 50, 50]);
+        backoff.reset();
+        assert_eq!(backoff.next_delay(), FIRST_POLL);
+        assert_eq!(backoff.next_delay(), Duration::from_millis(2));
     }
 }

@@ -192,8 +192,9 @@ impl ServeClient {
 
     /// Subscribe to a campaign's event stream as typed
     /// [`CampaignEvent`]s — the full stream from the beginning,
-    /// however late the subscription; the iterator ends when the
-    /// campaign finishes. A campaign that failed (or was cancelled)
+    /// however late the subscription (until the daemon retires the
+    /// completed campaign: then a `state` error); the iterator ends
+    /// when the campaign finishes. A campaign that failed (or was cancelled)
     /// ends its stream with a [`CampaignEvent::Error`] item; transport
     /// or decode problems surface as `Err` items and end the stream.
     pub fn events(&self, id: u64) -> Result<EventStream, ServeError> {

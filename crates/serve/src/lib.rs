@@ -14,8 +14,12 @@
 //!   admits campaigns through a per-campaign cell quota and a bounded
 //!   queue, runs them on a fixed-size worker pool over one shared
 //!   [`ResultCache`](stochdag_engine::ResultCache), and buffers each
-//!   campaign's full event stream for subscribers. Shutdown (request
-//!   or signal) drains in-flight work and persists a resume report.
+//!   campaign's event stream for subscribers. A completed campaign's
+//!   buffer is kept until a subscriber has read it in full and
+//!   [`max_queued`](ServeConfig::max_queued) newer campaigns have
+//!   completed; failed, cancelled and unread campaigns are kept.
+//!   Shutdown (request or signal) drains in-flight work and persists
+//!   a resume report.
 //! * [`protocol`] — the line-delimited JSON request/response
 //!   vocabulary ([`Request`]/[`Response`]), sharing the engine's
 //!   [`CampaignEvent`](stochdag_engine::CampaignEvent) wire format for

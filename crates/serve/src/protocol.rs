@@ -119,7 +119,7 @@ pub enum Request {
     /// Subscribe to a campaign's event stream. Events already emitted
     /// are replayed first (a subscriber never misses the prefix), then
     /// live events follow; the server closes the connection after the
-    /// final event.
+    /// final event. A retired campaign answers with a `state` error.
     Events {
         /// Campaign to subscribe to.
         id: u64,
@@ -183,7 +183,9 @@ pub enum CampaignState {
     Queued,
     /// Executing on the shared worker pool.
     Running,
-    /// Finished successfully; the full event stream is replayable.
+    /// Finished successfully; the full event stream is replayable
+    /// until the daemon retires the campaign (see
+    /// [`ServeConfig::max_queued`](crate::ServeConfig::max_queued)).
     Done,
     /// Failed with an engine error (carried in the status row and as
     /// the final `error` event of the stream).

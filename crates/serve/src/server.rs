@@ -18,10 +18,22 @@
 //! through [`merge_event_streams`](stochdag_engine::merge_event_streams)
 //! — producing files byte-identical to an in-process
 //! [`Campaign::run`] over the same cache.
+//!
+//! Buffering is bounded: a completed campaign is retired (entry, spec
+//! and event log dropped) once its whole stream has reached at least
+//! one subscriber and [`max_queued`](ServeConfig::max_queued) newer
+//! campaigns have completed. Campaigns nobody has read yet, and failed
+//! or cancelled ones (which `resume` and the shutdown report need),
+//! stay. A retired id answers `events`, `status` and `resume` with a
+//! `state` error; resubmitting its spec replays it from the cache.
+//!
+//! The accept loop blocks in `accept()`. Whatever can end the loop —
+//! a shutdown request and each pool worker's exit — wakes it with a
+//! throwaway loopback connection to the daemon's own address.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,7 +63,9 @@ pub struct ServeConfig {
     /// Worker pool size: campaigns executing concurrently.
     pub max_running: usize,
     /// Queue capacity; submissions beyond it are rejected with
-    /// `kind = "admission"`.
+    /// `kind = "admission"`. Also the retention window for completed
+    /// campaigns: one whose stream has reached a subscriber is retired
+    /// once this many newer campaigns have completed.
     pub max_queued: usize,
     /// Per-campaign cell quota; bigger specs are rejected with
     /// `kind = "quota"`. `None` = unlimited.
@@ -194,29 +208,35 @@ impl EventLog {
     }
 
     /// Mark the stream complete and hang up on subscribers (they see
-    /// EOF after the final event).
-    fn close(&self) {
+    /// EOF after the final event). Returns whether any subscriber
+    /// received the whole stream.
+    fn close(&self) -> bool {
         let mut inner = self.inner.lock().unwrap();
         inner.closed = true;
+        let delivered = !inner.subscribers.is_empty();
         for s in inner.subscribers.drain(..) {
             let _ = s.shutdown(Shutdown::Both);
         }
+        delivered
     }
 
     /// Replay the buffered prefix to `stream`, then keep it for live
-    /// events (or hang up immediately if the stream already closed).
-    fn subscribe(&self, stream: TcpStream) {
+    /// events. If the stream already closed and the replay got through,
+    /// hand `stream` back: the caller hangs up once it has acted on
+    /// the delivery, so the subscriber's EOF comes after that.
+    fn subscribe(&self, stream: TcpStream) -> Option<TcpStream> {
         let mut inner = self.inner.lock().unwrap();
         let mut stream = stream;
         for line in &inner.lines {
             if write_line(&mut stream, line).is_err() {
-                return;
+                return None;
             }
         }
         if inner.closed {
-            let _ = stream.shutdown(Shutdown::Both);
+            Some(stream)
         } else {
             inner.subscribers.push(stream);
+            None
         }
     }
 }
@@ -255,6 +275,11 @@ struct Entry {
     error: Option<String>,
     cancel: CancelToken,
     log: Arc<EventLog>,
+    /// Completion ordinal (the `completed` count before this one), set
+    /// when the campaign finishes successfully.
+    completed_at: Option<u64>,
+    /// Some subscriber received the whole stream, up to its close.
+    delivered: bool,
 }
 
 /// Mutable server state behind one mutex: the campaign table and the
@@ -267,6 +292,8 @@ struct State {
 
 struct Inner {
     config: ServeConfig,
+    /// Loopback address of the listener, for [`Inner::wake`].
+    wake_addr: SocketAddr,
     cache: Arc<ResultCache>,
     telemetry: Telemetry,
     state: Mutex<State>,
@@ -323,15 +350,22 @@ impl Server {
     pub fn bind(config: ServeConfig) -> Result<Server, EngineError> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| EngineError::io(format!("bind {}", config.addr), e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| EngineError::io("set listener non-blocking", e))?;
+        let mut wake_addr = listener
+            .local_addr()
+            .map_err(|e| EngineError::io("read local addr", e))?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let cache = Arc::new(match &config.cache {
             Some(dir) => ResultCache::on_disk(dir),
             None => ResultCache::in_memory(),
         });
         let inner = Arc::new(Inner {
             config,
+            wake_addr,
             cache,
             telemetry: Telemetry::enabled(),
             state: Mutex::new(State {
@@ -387,6 +421,7 @@ impl Server {
                     .spawn(move || {
                         worker_loop(&inner);
                         active.fetch_sub(1, Ordering::Relaxed);
+                        inner.wake();
                     })
                     .map_err(|e| EngineError::io("spawn serve worker", e))
             })
@@ -406,9 +441,6 @@ impl Server {
                     let _ = thread::Builder::new()
                         .name("serve-conn".into())
                         .spawn(move || handle_connection(&inner, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(25));
                 }
                 Err(e) => return Err(EngineError::io("accept connection", e)),
             }
@@ -515,6 +547,8 @@ impl Inner {
                 error: None,
                 cancel: CancelToken::new(),
                 log: Arc::new(EventLog::new()),
+                completed_at: None,
+                delivered: false,
             },
         );
         state.queue.push_back(id);
@@ -538,7 +572,7 @@ impl Inner {
         let state = self.state.lock().unwrap();
         if let Some(id) = id {
             if !state.campaigns.contains_key(&id) {
-                return unknown_id(id);
+                return self.missing(id);
             }
         }
         let campaigns: Vec<CampaignStatus> = state
@@ -585,6 +619,11 @@ impl Inner {
     fn cancel(&self, id: u64) -> Response {
         let mut state = self.state.lock().unwrap();
         let Some(entry) = state.campaigns.get_mut(&id) else {
+            if self.is_retired(id) {
+                return Response::Ack {
+                    message: format!("campaign {id} already done"),
+                };
+            }
             return unknown_id(id);
         };
         match entry.state {
@@ -617,7 +656,7 @@ impl Inner {
     fn resume(&self, id: u64) -> Response {
         let state = self.state.lock().unwrap();
         let Some(entry) = state.campaigns.get(&id) else {
-            return unknown_id(id);
+            return self.missing(id);
         };
         match entry.state {
             CampaignState::Failed | CampaignState::Cancelled => {
@@ -650,8 +689,55 @@ impl Inner {
         let state = self.state.lock().unwrap();
         match state.campaigns.get(&id) {
             Some(entry) => Ok(entry.log.clone()),
-            None => Err(Box::new(unknown_id(id))),
+            None => Err(Box::new(self.missing(id))),
         }
+    }
+
+    /// Whether `id` was issued and its campaign has since been retired.
+    /// Call with the state lock held: ids are issued under it.
+    fn is_retired(&self, id: u64) -> bool {
+        (1..self.next_id.load(Ordering::Relaxed)).contains(&id)
+    }
+
+    /// The error for an id missing from the campaign table: retired,
+    /// or never issued.
+    fn missing(&self, id: u64) -> Response {
+        if !self.is_retired(id) {
+            return unknown_id(id);
+        }
+        Response::Error {
+            kind: "state".into(),
+            message: format!(
+                "campaign {id} completed and was retired after its results were \
+                 delivered; resubmit its spec to replay it (every cell is a cache hit)"
+            ),
+        }
+    }
+
+    /// Drop completed campaigns that some subscriber has read in full
+    /// and that are older than the last `max_queued` completions.
+    fn retire(&self, state: &mut State) {
+        let completed = self.completed.load(Ordering::Relaxed);
+        let window = self.config.max_queued as u64;
+        state.campaigns.retain(|_, e| {
+            !(e.delivered && e.completed_at.is_some_and(|at| completed - at > window))
+        });
+    }
+
+    /// Record that a subscriber replayed campaign `id`'s closed stream
+    /// in full.
+    fn mark_delivered(&self, id: u64) {
+        let mut state = self.state.lock().expect("serve state lock poisoned");
+        if let Some(entry) = state.campaigns.get_mut(&id) {
+            entry.delivered = true;
+        }
+        self.retire(&mut state);
+    }
+
+    /// Unblock the accept loop in [`Server::run`] so it re-checks
+    /// whether to stop: connect to the listener and hang up at once.
+    fn wake(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
 
     /// Apply a shutdown request: flip the flag, cancel what the mode
@@ -690,6 +776,7 @@ impl Inner {
             .count();
         drop(state);
         self.work.notify_all();
+        self.wake();
         match mode {
             ShutdownMode::Drain => {
                 format!("shutting down after draining {running} running campaign(s)")
@@ -814,9 +901,12 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
     match result {
         Ok(outcome) => {
             entry.state = CampaignState::Done;
-            log.close();
+            // Completions are counted under the state lock: the count is
+            // the clock of the retention window.
+            entry.completed_at = Some(inner.completed.fetch_add(1, Ordering::Relaxed));
+            entry.delivered = log.close();
+            inner.retire(&mut state);
             drop(state);
-            inner.completed.fetch_add(1, Ordering::Relaxed);
             inner
                 .cells_computed
                 .fetch_add(outcome.cells_computed as u64, Ordering::Relaxed);
@@ -866,15 +956,20 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
         Err(_) => return,
     });
     let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
-        respond(
-            stream,
-            &Response::Error {
-                kind: "protocol".into(),
-                message: "expected one request line".into(),
-            },
-        );
-        return;
+    match reader.read_line(&mut line) {
+        // Hung up without a request: an accept-loop wake-up.
+        Ok(0) => return,
+        Ok(_) if !line.trim().is_empty() => {}
+        _ => {
+            respond(
+                stream,
+                &Response::Error {
+                    kind: "protocol".into(),
+                    message: "expected one request line".into(),
+                },
+            );
+            return;
+        }
     }
     let request = match decode_request(&line) {
         Ok(r) => r,
@@ -905,7 +1000,10 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
                     if write_line(&mut stream, &encode_response(&Response::Subscribed { id }))
                         .is_ok()
                     {
-                        log.subscribe(stream);
+                        if let Some(replayed) = log.subscribe(stream) {
+                            inner.mark_delivered(id);
+                            let _ = replayed.shutdown(Shutdown::Both);
+                        }
                     }
                 }
                 Err(error) => respond(stream, &error),

@@ -7,15 +7,17 @@
 //! cache tier, and both producing CSV/JSONL byte-identical to a
 //! direct in-process `Campaign::run` over the same cache.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use stochdag_engine::{
     Campaign, CsvSink, JsonlSink, ProgressMode, ResultCache, ResultSink, SweepOutcome, SweepSpec,
+    VecSink,
 };
 use stochdag_serve::{
-    CampaignState, ServeClient, ServeConfig, Server, ShutdownMode, ShutdownReport,
+    BackendChoice, CampaignState, ServeClient, ServeConfig, ServeHandle, Server, ShutdownMode,
+    ShutdownReport,
 };
 
 /// 18 cells: 3 cholesky sizes × 3 estimators × 2 pfails.
@@ -75,6 +77,34 @@ fn start(config: ServeConfig) -> (String, thread::JoinHandle<ShutdownReport>) {
     let addr = server.local_addr().unwrap().to_string();
     let daemon = thread::spawn(move || server.run().unwrap());
     (addr, daemon)
+}
+
+/// Like [`start`], but `run`'s return arrives on a channel, so a test
+/// can bound how long it takes instead of hanging on a join.
+fn start_watched(
+    config: ServeConfig,
+) -> (
+    std::net::SocketAddr,
+    ServeHandle,
+    mpsc::Receiver<ShutdownReport>,
+) {
+    let server = Server::bind(config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle();
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(server.run().unwrap());
+    });
+    (addr, handle, rx)
+}
+
+/// Stream campaign `id` into memory; returns its outcome.
+fn stream(client: &ServeClient, id: u64) -> SweepOutcome {
+    let mut rows = VecSink::default();
+    let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut rows];
+    client
+        .run_to_sinks(id, &mut sinks, ProgressMode::None)
+        .unwrap()
 }
 
 fn wait_for_state(client: &ServeClient, id: u64, want: CampaignState) -> CampaignState {
@@ -508,5 +538,180 @@ fn shutdown_drain_cancels_the_queue_and_persists_a_resume_report() {
         .unwrap();
     assert_eq!(entry.spec.name, "never-ran");
     assert_eq!(entry.cells, 18);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A campaign that takes a while (a 1M-trial reference, ~0.1 s in a
+/// release build): long enough to still be running when a test shuts
+/// the daemon down around it.
+fn medium_spec(name: &str) -> SweepSpec {
+    SweepSpec::from_str_auto(&format!(
+        r#"
+        name = "{name}"
+        seed = 5
+        pfails = [0.01]
+        estimators = ["first-order"]
+        reference_trials = 1000000
+        [[dags]]
+        kind = "cholesky"
+        ks = [3]
+        "#
+    ))
+    .unwrap()
+}
+
+#[test]
+fn idle_daemon_stops_on_a_handle_shutdown_from_another_thread() {
+    let (addr, handle, stopped) = start_watched(ServeConfig::default());
+    // One round trip: the accept loop is up, and then idles in accept.
+    ServeClient::connect_to(addr.to_string())
+        .status(None)
+        .unwrap();
+    thread::spawn(move || handle.shutdown(ShutdownMode::Now))
+        .join()
+        .unwrap();
+    let report = stopped
+        .recv_timeout(Duration::from_secs(1))
+        .expect("an idle daemon must return from run within 1 s of shutdown");
+    assert_eq!(report.server.submissions, 0);
+}
+
+#[test]
+fn drain_ends_within_a_second_of_the_last_campaign_without_another_connection() {
+    let (addr, handle, stopped) = start_watched(ServeConfig {
+        max_running: 1,
+        ..ServeConfig::default()
+    });
+    let client = ServeClient::connect_to(addr.to_string());
+    let ticket = client.submit(&medium_spec("drained")).unwrap();
+    assert_eq!(
+        wait_for_state(&client, ticket.id, CampaignState::Running),
+        CampaignState::Running,
+        "the campaign must still be running when the drain starts"
+    );
+    // Subscribed before the drain: the stream ends when the campaign
+    // does, and no connection reaches the daemon after that.
+    let events = client.events(ticket.id).unwrap();
+    handle.shutdown(ShutdownMode::Drain);
+    for event in events {
+        event.unwrap();
+    }
+    let report = stopped
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run must return within 1 s of the drained campaign's end");
+    assert_eq!(
+        report.server.completed, 1,
+        "the campaign drains, not cancels"
+    );
+    assert!(report.unfinished.is_empty());
+}
+
+#[test]
+fn a_daemon_bound_to_the_wildcard_address_also_shuts_down() {
+    let (addr, handle, stopped) = start_watched(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..ServeConfig::default()
+    });
+    assert!(addr.ip().is_unspecified());
+    ServeClient::connect_to(format!("127.0.0.1:{}", addr.port()))
+        .status(None)
+        .unwrap();
+    handle.shutdown(ShutdownMode::Now);
+    stopped
+        .recv_timeout(Duration::from_secs(1))
+        .expect("a wildcard-bound daemon must wake itself on loopback");
+}
+
+#[test]
+fn streamed_campaigns_are_retired_after_the_window_and_unread_ones_are_kept() {
+    const WINDOW: usize = 2;
+    let dir = scratch("retention");
+    let (addr, daemon) = start(ServeConfig {
+        max_running: 1,
+        max_queued: WINDOW,
+        ..ServeConfig::default()
+    });
+    let client = ServeClient::connect_to(&addr);
+
+    // Kept whatever completes after them: a detached campaign nobody
+    // has read, and a failed one (its spool already hosts a campaign).
+    let detached = client.submit(&spec_18("detached")).unwrap();
+    assert_eq!(
+        wait_for_state(&client, detached.id, CampaignState::Done),
+        CampaignState::Done
+    );
+    let used_spool = dir.join("used-spool");
+    std::fs::create_dir_all(&used_spool).unwrap();
+    std::fs::write(used_spool.join("spec.json"), "{}").unwrap();
+    let failed = client
+        .submit_on(
+            &spec_for_quota("failed", 0.01),
+            BackendChoice::SharedFs {
+                spool: used_spool.display().to_string(),
+            },
+        )
+        .unwrap();
+    assert_eq!(
+        wait_for_state(&client, failed.id, CampaignState::Failed),
+        CampaignState::Failed
+    );
+
+    let mut streamed = Vec::new();
+    let mut listed = Vec::new();
+    for i in 0..8 {
+        let spec = spec_for_quota(&format!("streamed-{i}"), [0.01, 0.02, 0.03][i % 3]);
+        let ticket = client.submit(&spec).unwrap();
+        assert_eq!(stream(&client, ticket.id).rows.len(), 1);
+        streamed.push(ticket.id);
+        listed = client
+            .status(None)
+            .unwrap()
+            .campaigns
+            .iter()
+            .filter(|c| c.state == CampaignState::Done && streamed.contains(&c.id))
+            .map(|c| c.id)
+            .collect::<Vec<u64>>();
+        assert!(
+            listed.len() <= WINDOW,
+            "at most {WINDOW} streamed campaigns stay listed, got {listed:?}"
+        );
+    }
+    assert_eq!(listed, streamed[streamed.len() - WINDOW..]);
+
+    // The oldest retired id is a state error, not an unknown one.
+    let retired = streamed[0];
+    let err = client.status(Some(retired)).unwrap_err();
+    assert_eq!(err.kind, "state", "{err}");
+    assert!(err.message.contains("resubmit"), "{err}");
+    assert_eq!(client.events(retired).err().unwrap().kind, "state");
+    assert_eq!(client.resume(retired).unwrap_err().kind, "state");
+    let ack = client.cancel(retired).unwrap();
+    assert!(ack.contains("already done"), "{ack}");
+
+    // Ids never issued are still unknown.
+    for never in [0, 9999] {
+        assert_eq!(client.status(Some(never)).unwrap_err().kind, "unknown-id");
+        assert_eq!(client.events(never).err().unwrap().kind, "unknown-id");
+        assert_eq!(client.resume(never).unwrap_err().kind, "unknown-id");
+        assert_eq!(client.cancel(never).unwrap_err().kind, "unknown-id");
+    }
+
+    // The unread campaign replays in full, then retires: it is long
+    // out of the window, and now it has been read.
+    let replay = stream(&client, detached.id);
+    assert_eq!(replay.cells, 18);
+    assert_eq!(replay.rows.len(), 18);
+    assert_eq!(client.status(Some(detached.id)).unwrap_err().kind, "state");
+
+    // The failed campaign is still there to resume.
+    let report = client.status(Some(failed.id)).unwrap();
+    assert_eq!(report.campaigns[0].state, CampaignState::Failed);
+    let resumed = client.resume(failed.id).unwrap();
+    assert_eq!(stream(&client, resumed.id).rows.len(), 1);
+
+    client.shutdown(ShutdownMode::Drain).unwrap();
+    let report = daemon.join().unwrap();
+    assert_eq!(report.server.completed, 10);
+    assert!(report.unfinished.iter().any(|u| u.id == failed.id));
     let _ = std::fs::remove_dir_all(&dir);
 }
