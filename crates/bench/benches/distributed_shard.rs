@@ -1,18 +1,19 @@
-//! Distributed-executor primitives: the per-cell cost of deterministic
-//! shard assignment, the wire-protocol encode/decode round trip, a
-//! full in-process shard execution vs the in-process campaign backend
-//! on the same campaign (both cold — the shard path's overhead is the
-//! partition scan plus event emission), and the overhead of the
-//! telemetry layer (disabled vs enabled on an identical campaign; the
-//! disabled case is the acceptance gate — it must be indistinguishable
-//! from a build without telemetry).
+//! Distributed-executor primitives: the wire-protocol encode/decode
+//! round trip, the worker half (every planned lease served through
+//! `Campaign::serve_leases`) vs the in-process campaign backend on the
+//! same campaign (both cold — the worker half's overhead is lease
+//! decoding plus event emission), and the overhead of the telemetry
+//! layer (disabled vs enabled on an identical campaign; the disabled
+//! case is the acceptance gate — it must be indistinguishable from a
+//! build without telemetry).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::io::Cursor;
 use std::sync::Arc;
 use stochdag::prelude::*;
 use stochdag_engine::{
-    decode_event, encode_event, Campaign, CampaignEvent, DagSpec, EstimatorSpec, FnObserver,
-    SweepRow, Telemetry,
+    decode_event, encode_event, encode_lease, Campaign, CampaignEvent, CampaignPlan, DagSpec,
+    EstimatorRegistry, EstimatorSpec, FnObserver, SweepRow, Telemetry,
 };
 
 fn campaign() -> SweepSpec {
@@ -35,21 +36,6 @@ fn campaign() -> SweepSpec {
             ks: vec![4, 6, 8],
         }],
     }
-}
-
-fn bench_shard_assignment(c: &mut Criterion) {
-    let keys: Vec<String> = (0..4096).map(|i| format!("{i:032x}")).collect();
-    let mut group = c.benchmark_group("shard_assignment");
-    group.bench_function("shard_of_4096_keys_mod8", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for k in &keys {
-                acc += stochdag_engine::shard_of(black_box(k), 8);
-            }
-            acc
-        })
-    });
-    group.finish();
 }
 
 fn bench_protocol(c: &mut Criterion) {
@@ -83,8 +69,14 @@ fn bench_protocol(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_shard_vs_single(c: &mut Criterion) {
+fn bench_worker_vs_single(c: &mut Criterion) {
     let spec = campaign();
+    let leases: String = CampaignPlan::new(&spec, &EstimatorRegistry::standard())
+        .expect("valid campaign")
+        .leases()
+        .iter()
+        .map(|l| encode_lease(l) + "\n")
+        .collect();
     let mut group = c.benchmark_group("sweep_18cells_cold");
     group.sample_size(3);
     group.bench_function("single_process", |b| {
@@ -98,7 +90,7 @@ fn bench_shard_vs_single(c: &mut Criterion) {
                 .cells
         })
     });
-    group.bench_function("one_shard_of_one", |b| {
+    group.bench_function("leased_worker", |b| {
         b.iter(|| {
             Campaign::builder(spec.clone())
                 .cache(Arc::new(ResultCache::in_memory()))
@@ -107,9 +99,8 @@ fn bench_shard_vs_single(c: &mut Criterion) {
                 }))
                 .build()
                 .expect("valid campaign")
-                .run_shard(0, 1)
-                .expect("shard runs")
-                .cells
+                .serve_leases(0, Cursor::new(leases.as_bytes()))
+                .expect("worker drains every lease")
         })
     });
     group.finish();
@@ -136,9 +127,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_shard_assignment,
     bench_protocol,
-    bench_shard_vs_single,
+    bench_worker_vs_single,
     bench_telemetry_overhead
 );
 criterion_main!(benches);

@@ -144,7 +144,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         if cache_budget.is_some() {
             eprintln!("note: --cache-max-bytes has no effect with --resume-report (nothing runs)");
         }
-        return print_resume_report(builder.build()?, workers.is_some());
+        return print_resume_report(builder.build()?);
     }
 
     let csv_path = out_dir.join(format!("{}.csv", spec.name));
@@ -236,8 +236,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 }
 
 /// `sweep --dry-run`: print the campaign's expansion — instances,
-/// estimators, cell/reference counts, per-shard loads — without
-/// executing or probing anything.
+/// estimators, cell/reference counts — without executing or probing
+/// anything.
 fn print_dry_run(campaign: Campaign) -> Result<(), String> {
     let dry = campaign.dry_run()?;
     println!(
@@ -258,18 +258,12 @@ fn print_dry_run(campaign: Campaign) -> Result<(), String> {
         dry.models,
         dry.estimators.join(", ")
     );
-    if dry.shard_cells.len() > 1 {
-        for (shard, cells) in dry.shard_cells.iter().enumerate() {
-            println!("shard {shard}/{}: {cells} cell(s)", dry.shard_cells.len());
-        }
-    }
     Ok(())
 }
 
 /// `sweep --resume-report`: diff the spec against the cache and print
-/// hit/miss counts per estimator — plus per-shard counts under
-/// `--workers N` — without running anything.
-fn print_resume_report(campaign: Campaign, sharded: bool) -> Result<(), String> {
+/// hit/miss counts per estimator without running anything.
+fn print_resume_report(campaign: Campaign) -> Result<(), String> {
     let report = campaign.resume_report()?;
     println!(
         "# resume report for {:?}: {} of {} work units cached",
@@ -291,17 +285,6 @@ fn print_resume_report(campaign: Campaign, sharded: bool) -> Result<(), String> 
         ]);
     }
     print!("{}", table.to_text());
-    if sharded {
-        let mut shards = Table::new(&["shard", "cached", "to compute"]);
-        for s in &report.shards {
-            shards.row(vec![
-                format!("{}/{}", s.shard, report.shards.len()),
-                s.hits.to_string(),
-                s.misses.to_string(),
-            ]);
-        }
-        print!("{}", shards.to_text());
-    }
     if report.fully_cached() {
         println!("a run would complete entirely from cache");
     } else {

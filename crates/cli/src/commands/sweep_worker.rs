@@ -1,4 +1,4 @@
-//! `sweep-worker` — the worker half of distributed sweeps, in three
+//! `sweep-worker` — the worker half of distributed sweeps, in two
 //! modes:
 //!
 //! * `--leases` (spawned by the engine's [`MultiProcess`] backend):
@@ -14,21 +14,15 @@
 //!   runs a [`SpoolWorker`] session that claims leases from the spool
 //!   directory until the coordinator stops the campaign. See the
 //!   README's "Cross-host campaigns" section.
-//! * `--shard I --of N` (legacy v1 protocol): executes a static
-//!   partition via [`Campaign::run_shard`]. Kept for one deprecation
-//!   window alongside [`V1Backend`](stochdag_engine::V1Backend).
 //!
 //! Not listed in `stochdag help`: the piped protocol is an internal
-//! contract with the coordinator, not a user interface — though a
-//! captured event log is valid input to the coordinator's merge, which
-//! is what makes campaigns debuggable post-hoc. The `--spool` mode IS
-//! user-facing (it is how remote hosts join a campaign) and is
+//! contract with the coordinator, not a user interface. The `--spool`
+//! mode IS user-facing (it is how remote hosts join a campaign) and is
 //! documented in the README.
 //!
 //! [`MultiProcess`]: stochdag_engine::MultiProcess
 //! [`WorkLease`]: stochdag_engine::WorkLease
 //! [`Campaign::serve_leases`]: stochdag_engine::Campaign::serve_leases
-//! [`Campaign::run_shard`]: stochdag_engine::Campaign::run_shard
 //! [`SpoolWorker`]: stochdag_engine::SpoolWorker
 
 use crate::args::Options;
@@ -90,26 +84,21 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     if let Some(spool) = opts.get("spool") {
         return run_spool(&opts, spool);
     }
+    if !opts.flag("leases") {
+        return Err("sweep-worker needs --leases (leases on stdin) or --spool DIR".into());
+    }
     let spec_path = opts.require("spec-json")?;
-    let leases = opts.flag("leases");
-    let slot: usize = if leases {
-        opts.require("worker")?
-            .parse()
-            .map_err(|_| "bad --worker".to_string())?
-    } else {
-        opts.require("shard")?
-            .parse()
-            .map_err(|_| "bad --shard".to_string())?
-    };
+    let slot: usize = opts
+        .require("worker")?
+        .parse()
+        .map_err(|_| "bad --worker".to_string())?;
     let result: Result<(), EngineError> = (|| {
         let mut spec = SweepSpec::from_file(spec_path)?;
-        if leases {
-            // The coordinator sizes this worker's thread pool
-            // explicitly (satellite of the lease redesign: no more
-            // cores/N guessing inside the worker).
-            if let Some(jobs) = opts.get("jobs") {
-                spec.jobs = Some(jobs.parse().map_err(|_| EngineError::spec("bad --jobs"))?);
-            }
+        // The coordinator sizes this worker's thread pool explicitly:
+        // a worker does not know its peer count, so it never guesses
+        // cores / N.
+        if let Some(jobs) = opts.get("jobs") {
+            spec.jobs = Some(jobs.parse().map_err(|_| EngineError::spec("bad --jobs"))?);
         }
         let cache = Arc::new(if opts.flag("no-cache") {
             ResultCache::in_memory()
@@ -133,18 +122,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         if crash_armed(slot) {
             builder = builder.observer(CrashAfterEvents { remaining: 3 });
         }
-        let campaign = builder.build()?;
-        if leases {
-            campaign.serve_leases(slot, std::io::stdin().lock())?;
-        } else {
-            let of: usize = opts
-                .require("of")
-                .map_err(EngineError::spec)?
-                .parse()
-                .map_err(|_| EngineError::spec("bad --of"))?;
-            campaign.run_shard(slot, of)?;
-        }
-        Ok(())
+        builder.build()?.serve_leases(slot, std::io::stdin().lock())
     })();
     if let Err(e) = &result {
         // Best effort, covering every failure from spec loading through

@@ -35,8 +35,8 @@ fn run(argv: &[String]) -> Result<(), String> {
         "sweep" => commands::sweep::run(rest),
         // Internal worker half of distributed sweeps (hidden from
         // help): drains leases over stdin/stdout for `sweep --workers
-        // N`, polls a spool directory with `--spool DIR` (cross-host),
-        // or executes one static shard via the legacy `--shard/--of`.
+        // N`, or polls a spool directory with `--spool DIR`
+        // (cross-host).
         "sweep-worker" => commands::sweep_worker::run(rest),
         "serve" => commands::serve::run_daemon(rest),
         "submit" => commands::serve::run_submit(rest),
@@ -90,9 +90,9 @@ COMMANDS:
                  and shared across all models x estimators. --jobs caps
                  worker threads (results identical at any setting);
                  --resume-report prints per-estimator cache hit/miss
-                 counts without running (per-shard with --workers);
-                 --dry-run prints the expansion (instances, cells,
-                 per-shard loads) without executing anything;
+                 counts without running; --dry-run prints the
+                 expansion (instances, cells) without executing
+                 anything;
                  --cache-max-bytes LRU-prunes the on-disk cache after
                  the campaign. --workers N distributes cells over N
                  processes sharing the cache: workers pull batches of

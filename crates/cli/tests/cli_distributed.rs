@@ -1,11 +1,14 @@
 //! End-to-end tests of distributed sweeps: the `sweep --workers N`
-//! coordinator, the hidden `sweep-worker` protocol, and the acceptance
-//! guarantee that a distributed campaign's merged CSV/JSONL is
-//! byte-identical to the single-process path over the same cache.
+//! coordinator, the hidden `sweep-worker --leases` protocol, and the
+//! acceptance guarantee that a distributed campaign's merged CSV/JSONL
+//! is byte-identical to the single-process path over the same cache.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::Command;
-use stochdag_engine::{decode_event, CampaignEvent};
+use std::process::{Command, Stdio};
+use stochdag_engine::{
+    decode_event, encode_lease, CampaignEvent, CampaignPlan, EstimatorRegistry, SweepSpec,
+};
 
 fn stochdag(args: &[&str]) -> (bool, String, String) {
     stochdag_env(args, &[])
@@ -18,6 +21,29 @@ fn stochdag_env(args: &[&str], env: &[(&str, &str)]) -> (bool, String, String) {
         cmd.env(k, v);
     }
     let out = cmd.output().expect("binary runs");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Run the binary with `input` on stdin.
+fn stochdag_stdin(args: &[&str], input: String) -> (bool, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_stochdag"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("binary runs");
     (
         out.status.success(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -253,8 +279,8 @@ fn campaign_replays_byte_identically_from_a_pre_redesign_cache() {
         let (ok, stdout, stderr) = stochdag(&args);
         assert!(ok, "{stdout}\n{stderr}");
         // Single-process probes each of the 36 work units once; with
-        // workers, a reference needed by both shards is (cache-)hit by
-        // each. Either way nothing may be recomputed.
+        // workers, a reference needed by leases on both workers is
+        // (cache-)hit by each. Either way nothing may be recomputed.
         assert!(
             stdout.contains("(fully cached)"),
             "every cell and reference must hit the PR-4 cache (workers={workers:?}): {stdout}"
@@ -277,84 +303,102 @@ fn campaign_replays_byte_identically_from_a_pre_redesign_cache() {
 }
 
 #[test]
-fn sweep_worker_speaks_the_shard_protocol() {
+fn sweep_worker_speaks_the_lease_protocol() {
     let (dir, spec_toml) = scratch("proto");
     // Workers take the spec as JSON (what the coordinator hands them);
     // TOML also parses, but exercise the real handshake format.
-    let spec = stochdag_engine::SweepSpec::from_file(spec_toml.to_str().unwrap()).unwrap();
+    let spec = SweepSpec::from_file(spec_toml.to_str().unwrap()).unwrap();
     let spec_json = dir.join("campaign.json");
     std::fs::write(&spec_json, serde::json::to_string(&spec)).unwrap();
     let cache = dir.join("cache");
+    let lease_lines: Vec<String> = CampaignPlan::new(&spec, &EstimatorRegistry::standard())
+        .unwrap()
+        .leases()
+        .iter()
+        .map(encode_lease)
+        .collect();
+    let worker = |input: String| {
+        stochdag_stdin(
+            &[
+                "sweep-worker",
+                "--spec-json",
+                spec_json.to_str().unwrap(),
+                "--leases",
+                "--worker",
+                "1",
+                "--jobs",
+                "2",
+                "--cache",
+                cache.to_str().unwrap(),
+            ],
+            input,
+        )
+    };
 
-    let mut all_cells = std::collections::BTreeSet::new();
-    let mut total = 0usize;
-    for shard in ["0", "1"] {
-        let (ok, stdout, stderr) = stochdag(&[
-            "sweep-worker",
-            "--spec-json",
-            spec_json.to_str().unwrap(),
-            "--shard",
+    // Every planned lease on stdin, then EOF: the worker drains them
+    // and reports each cell once, framed by hello and done.
+    let (ok, stdout, stderr) = worker(lease_lines.join("\n") + "\n");
+    assert!(ok, "{stderr}");
+    let events: Vec<CampaignEvent> = stdout
+        .lines()
+        .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
+        .collect();
+    match events.first() {
+        Some(CampaignEvent::Hello {
             shard,
-            "--of",
-            "2",
-            "--cache",
-            cache.to_str().unwrap(),
-        ]);
-        assert!(ok, "{stderr}");
-        let events: Vec<CampaignEvent> = stdout
-            .lines()
-            .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
-            .collect();
-        match events.first() {
-            Some(CampaignEvent::Hello {
-                shard_count, cells, ..
-            }) => {
-                assert_eq!(*shard_count, 2);
-                total += cells;
-            }
-            other => panic!("expected hello first, got {other:?}"),
+            version,
+            jobs,
+            ..
+        }) => {
+            assert_eq!(*shard, 1, "hello carries the worker slot");
+            assert_eq!(*version, Some(2));
+            assert_eq!(*jobs, Some(2), "the coordinator's --jobs handshake");
         }
-        assert!(
-            matches!(events.last(), Some(CampaignEvent::Done { .. })),
-            "done last"
-        );
-        for ev in &events {
-            if let CampaignEvent::Cell { index, row, .. } = ev {
-                assert!(all_cells.insert(*index), "cell {index} on both shards");
-                assert!(row.value > 0.0 && row.rel_error.abs() < 0.5);
-            }
+        other => panic!("expected hello first, got {other:?}"),
+    }
+    assert!(
+        matches!(events.last(), Some(CampaignEvent::Done { .. })),
+        "done last"
+    );
+    let mut cells = std::collections::BTreeSet::new();
+    for ev in &events {
+        if let CampaignEvent::Cell { index, row, .. } = ev {
+            assert!(cells.insert(*index), "cell {index} reported twice");
+            assert!(row.value > 0.0 && row.rel_error.abs() < 0.5);
         }
     }
-    assert_eq!(total, 24, "hello totals cover the campaign");
-    assert_eq!(all_cells.len(), 24, "shards partition the 24 cells");
+    assert_eq!(cells.len(), 24, "the leases cover the 24 cells");
 
-    // A worker asked for an impossible shard fails cleanly, and its
-    // final stdout line is a protocol `error` event.
-    let (ok, stdout, stderr) = stochdag(&[
+    // A torn lease line fails the worker cleanly: its final stdout line
+    // is a protocol `error` event with the structured failure kind, so
+    // a coordinator's metrics report can tally failures by kind.
+    let (ok, stdout, _) = worker(format!("{}\n{{\"lease_id\":", lease_lines[0]));
+    assert!(!ok);
+    match decode_event(stdout.lines().last().unwrap()) {
+        Ok(CampaignEvent::Error { kind, .. }) => {
+            assert_eq!(kind.as_deref(), Some("worker"), "{stdout}")
+        }
+        other => panic!("expected error event, got {other:?}: {stdout}"),
+    }
+
+    // The static `--shard I --of N` mode is gone.
+    let (ok, _, stderr) = stochdag(&[
         "sweep-worker",
         "--spec-json",
         spec_json.to_str().unwrap(),
         "--shard",
-        "5",
+        "0",
         "--of",
         "2",
         "--no-cache",
     ]);
     assert!(!ok);
-    assert!(stderr.contains("out of range"), "{stderr}");
-    // The error event carries the structured failure kind, so a
-    // coordinator's metrics report can tally failures by kind.
-    match decode_event(stdout.lines().last().unwrap()) {
-        Ok(CampaignEvent::Error { kind, .. }) => {
-            assert_eq!(kind.as_deref(), Some("spec"), "{stdout}")
-        }
-        other => panic!("expected error event, got {other:?}: {stdout}"),
-    }
+    assert!(stderr.contains("--leases"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn resume_report_shows_per_shard_coverage() {
+fn resume_report_under_workers_prints_no_shard_rows() {
     let (dir, spec) = scratch("resume");
     let cache = dir.join("cache");
     let base = [
@@ -365,8 +409,9 @@ fn resume_report_shows_per_shard_coverage() {
         cache.to_str().unwrap(),
     ];
 
-    // Run the campaign once (single process), then ask how the cached
-    // cells would split over 2 workers.
+    // Run the campaign once (single process), then ask for the report
+    // under 2 workers: leases assign cells at run time, so the report
+    // is the same as in-process, with no per-shard rows.
     let out = dir.join("out");
     let mut run_args = base.to_vec();
     run_args.extend(["--out", out.to_str().unwrap()]);
@@ -379,9 +424,7 @@ fn resume_report_shows_per_shard_coverage() {
     assert!(ok, "{stdout}");
     // 24 cells + 12 reference scenarios.
     assert!(stdout.contains("36 of 36 work units cached"), "{stdout}");
-    assert!(stdout.contains("shard"), "{stdout}");
-    assert!(stdout.contains("0/2"), "{stdout}");
-    assert!(stdout.contains("1/2"), "{stdout}");
+    assert!(!stdout.contains("shard"), "{stdout}");
     assert!(stdout.contains("entirely from cache"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

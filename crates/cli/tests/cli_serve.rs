@@ -1,8 +1,8 @@
 //! End-to-end tests of the campaign service through the real binary:
 //! `serve` daemon lifecycle, `submit`/`status`/`cancel`/`shutdown`
 //! clients, served-output parity with a direct `sweep`, a SIGTERM
-//! drain, and on-disk cache reusability after the daemon is SIGKILLed
-//! mid-campaign.
+//! drain, a `shutdown` ack that outlives the worker pool, and on-disk
+//! cache reusability after the daemon is SIGKILLed mid-campaign.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
@@ -186,6 +186,20 @@ fn detach_cancel_and_unknown_id_round_trip() {
     wait_exit(&mut daemon);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = spec;
+}
+
+#[test]
+fn idle_daemon_acks_shutdown_now_before_exiting() {
+    // With no campaign running, the worker pool exits the moment the
+    // flag flips; the daemon must still write the `shutdown` ack before
+    // its process ends. Repeated because the race is a timing window.
+    for _ in 0..20 {
+        let (mut daemon, addr, _daemon_out) = start_daemon(&["--no-cache"]);
+        let (ok, stdout, stderr) = stochdag(&["shutdown", "--addr", &addr, "--now"]);
+        assert!(ok, "{stdout}\n{stderr}");
+        assert!(stdout.contains("shutting down now"), "{stdout}");
+        wait_exit(&mut daemon);
+    }
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Correlated failure scenarios layered over the i.i.d. [`FailureModel`].
+//! Correlated failure scenarios layered over the i.i.d.
+//! [`FailureModel`](crate::FailureModel).
 //!
 //! The paper (and every estimator family in this crate) assumes task
 //! failures are independent with per-task probability `pfail(a_i) =
@@ -10,7 +11,8 @@
 //! were specified (that lives in `stochdag-workload`):
 //!
 //! - [`ScenarioModel::Iid`] — the paper's baseline; estimators treat it
-//!   exactly like a plain [`FailureModel`] (bit-identical results).
+//!   exactly like a plain [`FailureModel`](crate::FailureModel)
+//!   (bit-identical results).
 //! - [`ScenarioModel::GroupHazard`] — every node belongs to one group;
 //!   per trial each group is independently "hot" with probability `q`,
 //!   and a hot member's failure hazard is multiplied by `m` (its

@@ -7,8 +7,8 @@
 //!
 //! The string form is not gone: [`Display`](std::fmt::Display) renders
 //! the **canonical id** (`"dodin:128"`, `"first-order"`, `"mc:10000"`,
-//! …) and [`FromStr`](std::str::FromStr) parses any legacy spelling
-//! (`"dodin"`, `"dodin:128"`) back, filling defaults. The canonical id
+//! …) and [`FromStr`] parses any legacy spelling (`"dodin"`,
+//! `"dodin:128"`) back, filling defaults. The canonical id
 //! is byte-identical to what the stringly-typed registry produced
 //! before this type existed, so cache keys, CSV/JSONL columns, and
 //! seed derivations are stable across the migration (the engine's

@@ -26,7 +26,7 @@
 //! output bytes are identical no matter which backend produced the
 //! events or how the leases interleaved.
 
-use crate::cache::{cell_key, ResultCache};
+use crate::cache::ResultCache;
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::lease::{
@@ -37,19 +37,17 @@ use crate::progress::{ProgressMode, ProgressReporter};
 use crate::protocol::{decode_event, CampaignEvent};
 use crate::registry::EstimatorRegistry;
 use crate::runner::{
-    apply_jobs_cap, derive_seed, expand, resume_report_impl, Expansion, ResumeReport, SweepOutcome,
+    apply_jobs_cap, expand, resume_report_impl, Expansion, ResumeReport, SweepOutcome,
 };
-use crate::shard::{execute_shard, shard_of, ShardOutcome};
 use crate::sink::{summarize, Reorderer, ResultSink, SweepRow};
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-use stochdag_dag::structural_hash;
 
 /// Event source tag of the coordinator itself (the [`Plan`] event);
 /// backends tag events with their worker slot instead.
@@ -87,7 +85,7 @@ pub struct BackendContext<'a> {
 /// Must be callable from any backend thread.
 pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> + Sync + 'a;
 
-/// An execution strategy for a campaign's cells (**v2, work-leasing**).
+/// An execution strategy for a campaign's cells (**work-leasing**).
 ///
 /// This trait is the **extension seam of the engine**: a backend owns
 /// *where and how* cells run. The coordinator owns the schedule — a
@@ -111,20 +109,6 @@ pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> +
 /// * [`SharedFs`](crate::SharedFs) — remote `sweep-worker` processes
 ///   on other hosts, coordinated through a shared-filesystem spool
 ///   directory.
-///
-/// # Migrating from v1
-///
-/// The v1 trait (static "run shard *i* of *n*" partitioning) is
-/// re-published as [`ExecBackendV1`] for a deprecation window; wrap an
-/// existing implementation in [`V1Backend`] to keep using it.
-///
-/// | v1 ([`ExecBackendV1`]) | v2 ([`ExecBackend`]) |
-/// |---|---|
-/// | `worker_count()` fixes the shard partition | [`workers`](ExecBackend::workers) is a slot-count hint (default 1); the partition is the coordinator's lease queue |
-/// | `execute(ctx, deliver)` runs every shard itself | [`execute`](ExecBackend::execute) pulls [`WorkLease`] batches from the [`LeaseQueue`] until it drains |
-/// | each shard announces totals via `Hello { cells, references }` | the coordinator announces exact totals once via [`Plan`](CampaignEvent::Plan); `Hello` carries `version: Some(2)` and the `jobs` thread-cap handshake |
-/// | a crashed worker's whole shard is retried once | a crashed worker's leases are re-queued individually ([`LeaseQueue::requeue`], two grants per lease) |
-/// | cache totals on `Done { hits, misses }` | cache totals per batch on [`LeaseDone`](CampaignEvent::LeaseDone), deduplicated by `lease_id`; v2 `Done` carries zeros |
 pub trait ExecBackend: Send + Sync {
     /// Human-readable backend name (diagnostics, dry runs).
     fn name(&self) -> String;
@@ -149,57 +133,6 @@ pub trait ExecBackend: Send + Sync {
     ) -> Result<(), EngineError>;
 }
 
-/// The **v1** execution-backend trait (static shard partitioning),
-/// kept for a deprecation window so external implementations survive
-/// the v2 redesign: change the `impl ExecBackend for …` line to
-/// `impl ExecBackendV1 for …` and pass the backend through
-/// [`V1Backend`]. See the [`ExecBackend`] migration table; this trait
-/// will be removed once shipped consumers have migrated.
-pub trait ExecBackendV1: Send + Sync {
-    /// Human-readable backend name (diagnostics, dry runs).
-    fn name(&self) -> String;
-
-    /// How many shards the campaign's cells are partitioned into.
-    fn worker_count(&self) -> usize;
-
-    /// Execute every cell, delivering each event (tagged with its
-    /// source shard) as it happens. Must deliver a `Hello` and a
-    /// `Done` for every shard in `0..worker_count()`.
-    fn execute(&self, ctx: &BackendContext<'_>, deliver: &Deliver<'_>) -> Result<(), EngineError>;
-}
-
-/// Adapter running a v1 backend ([`ExecBackendV1`]) under the v2
-/// campaign core: the wrapped backend executes every cell itself
-/// (static shards, v1 events), so the adapter retires the entire lease
-/// queue up front and lets the planned-mode merge reconcile the v1
-/// event stream — cells dedup by global index, totals come from the
-/// coordinator's `Plan`.
-pub struct V1Backend<B: ExecBackendV1>(pub B);
-
-impl<B: ExecBackendV1> ExecBackend for V1Backend<B> {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn workers(&self) -> usize {
-        self.0.worker_count()
-    }
-
-    fn execute(
-        &self,
-        ctx: &BackendContext<'_>,
-        leases: &LeaseQueue,
-        deliver: &Deliver<'_>,
-    ) -> Result<(), EngineError> {
-        // The v1 backend owns its own partition and retry story; the
-        // queue only exists so the core sees the campaign as leased.
-        while let Some(lease) = leases.next() {
-            leases.complete(lease.lease_id);
-        }
-        self.0.execute(ctx, deliver)
-    }
-}
-
 /// Execute the campaign on worker threads in this process: up to
 /// `--jobs` (default: every core) threads drain the lease queue
 /// through one shared [`LeaseExecutor`], so each DAG instance freezes
@@ -222,7 +155,6 @@ impl ExecBackend for InProcess {
             return Err(EngineError::cancelled());
         }
         let _jobs_cap = apply_jobs_cap(ctx.spec.jobs)?;
-        ctx.cache.reset_counters();
         let executor = LeaseExecutor::new(ctx);
         deliver(
             0,
@@ -277,7 +209,7 @@ impl ExecBackend for InProcess {
                 },
             )?;
         }
-        // v2 `Done` carries zero cache totals: the per-batch tallies
+        // `Done` carries zero cache totals: the per-batch tallies
         // already arrived on `LeaseDone` events and would double-count.
         deliver(
             0,
@@ -716,38 +648,27 @@ impl ExecBackend for MultiProcess {
     }
 }
 
-/// Merges a campaign's event stream: per-source bookkeeping, row
-/// re-sequencing into the sinks, first-error capture, and the
-/// completeness checks that make backend outputs interchangeable.
+/// Merges a campaign's event stream: row re-sequencing into the sinks,
+/// cache tallies, first-error capture, and the completeness check that
+/// makes backend outputs interchangeable.
 ///
-/// `dedup` mode (the [`Campaign`] core) tolerates duplicate
-/// deliveries — what a re-queued lease (or a v1 shard retry) produces
-/// — by keeping the first copy of every cell/reference/lease total.
-/// Strict mode ([`crate::merge_event_streams`], which replays logged
-/// streams with no retry semantics) treats any repeat as a protocol
-/// violation.
-///
-/// A [`Plan`](CampaignEvent::Plan) event switches the merge to
-/// **planned** totals (v2): expected cell/reference counts come from
-/// the coordinator's plan instead of summing per-shard `Hello`
-/// announcements, and per-worker completeness is subsumed by the lease
-/// queue (workers under leasing cannot announce their share up front).
+/// Totals come only from the coordinator's [`Plan`](CampaignEvent::Plan)
+/// event, so a stream without one fails [`finish`](Merge::finish), and
+/// a cell delivered twice is an error. The live [`Campaign`] core drops
+/// a re-queued lease's re-deliveries with
+/// [`is_duplicate`](Merge::is_duplicate) before observers see them;
+/// [`merge_event_streams`] replays a log without that gate.
+#[derive(Default)]
 pub(crate) struct Merge {
-    dedup: bool,
-    planned: bool,
+    /// `(cells, references)` announced by the plan.
+    plan: Option<(usize, usize)>,
     reorder: Reorderer,
     rows: Vec<SweepRow>,
-    hellos: usize,
-    dones: usize,
-    hello_shards: BTreeMap<usize, (usize, usize)>,
-    done_shards: BTreeSet<usize>,
     seen_cells: HashSet<usize>,
-    seen_scenarios: HashSet<usize>,
-    lease_done: BTreeSet<usize>,
-    refs_seen: BTreeMap<usize, usize>,
-    telemetry_shards: BTreeSet<usize>,
-    total_cells: usize,
-    total_refs: usize,
+    lease_done: HashSet<usize>,
+    /// Other events [`is_duplicate`](Merge::is_duplicate) let through,
+    /// keyed by event tag and id.
+    delivered: HashSet<(&'static str, usize)>,
     cache_hits: usize,
     cache_misses: usize,
     cells_computed: usize,
@@ -756,45 +677,14 @@ pub(crate) struct Merge {
     first_error: Option<EngineError>,
 }
 
-/// What [`Merge::finalize`] produces on success: the re-sequenced rows
-/// plus the campaign totals, with the cell cache-tier tallies
-/// deduplicated by global index (backend-invariant).
-pub(crate) struct Merged {
-    pub(crate) rows: Vec<SweepRow>,
-    pub(crate) cells: usize,
-    pub(crate) references: usize,
-    pub(crate) cache_hits: usize,
-    pub(crate) cache_misses: usize,
-    pub(crate) cells_computed: usize,
-    pub(crate) cells_memory_hits: usize,
-    pub(crate) cells_disk_hits: usize,
-}
-
 impl Merge {
-    pub(crate) fn new(dedup: bool) -> Merge {
-        Merge {
-            dedup,
-            planned: false,
-            reorder: Reorderer::new(),
-            rows: Vec::new(),
-            hellos: 0,
-            dones: 0,
-            hello_shards: BTreeMap::new(),
-            done_shards: BTreeSet::new(),
-            seen_cells: HashSet::new(),
-            seen_scenarios: HashSet::new(),
-            lease_done: BTreeSet::new(),
-            refs_seen: BTreeMap::new(),
-            telemetry_shards: BTreeSet::new(),
-            total_cells: 0,
-            total_refs: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cells_computed: 0,
-            cells_memory_hits: 0,
-            cells_disk_hits: 0,
-            first_error: None,
+    /// Begin every sink and start an empty merge.
+    pub(crate) fn begin(sinks: &mut [&mut dyn ResultSink]) -> Result<Merge, EngineError> {
+        for sink in sinks.iter_mut() {
+            sink.begin()
+                .map_err(|e| EngineError::sink(None, format!("sink begin: {e}")))?;
         }
+        Ok(Merge::default())
     }
 
     pub(crate) fn record_error(&mut self, e: EngineError) {
@@ -805,45 +695,27 @@ impl Merge {
         self.first_error.is_some()
     }
 
-    /// Dedup gate (dedup mode only): returns `true` when this event
-    /// re-delivers something already merged — a re-queued lease's
-    /// duplicate — so neither observers (progress counters!) nor the
-    /// row pipeline see it twice. v2 references carry their global
-    /// scenario index and dedup across workers; v1 references carry no
-    /// index and are capped at the count the shard's `Hello` announced.
+    /// Returns `true` when this event re-delivers something already
+    /// merged — a re-queued lease's duplicate, a re-spawned worker's
+    /// `hello`/`telemetry`/`done` — so neither observers (progress
+    /// counters!) nor the row pipeline see it twice.
     pub(crate) fn is_duplicate(&mut self, source: usize, event: &CampaignEvent) -> bool {
-        if !self.dedup {
-            return false;
-        }
-        match event {
-            CampaignEvent::Plan { .. } => self.planned,
-            CampaignEvent::Hello { shard, .. } => self.hello_shards.contains_key(shard),
-            CampaignEvent::LeaseStart { .. } => false,
+        let key = match event {
+            CampaignEvent::Cell { index, .. } => return self.seen_cells.contains(index),
+            CampaignEvent::LeaseDone { lease_id, .. } => return self.lease_done.contains(lease_id),
+            CampaignEvent::Plan { .. } => ("plan", 0),
+            CampaignEvent::Hello { shard, .. } => ("hello", *shard),
             CampaignEvent::Reference {
                 scenario: Some(g), ..
-            } => !self.seen_scenarios.insert(*g),
-            CampaignEvent::Reference { scenario: None, .. } => {
-                let cap = self
-                    .hello_shards
-                    .get(&source)
-                    .map_or(usize::MAX, |&(_, refs)| refs);
-                let seen = self.refs_seen.entry(source).or_insert(0);
-                if *seen >= cap {
-                    true
-                } else {
-                    *seen += 1;
-                    false
-                }
-            }
-            CampaignEvent::Cell { index, .. } => self.seen_cells.contains(index),
-            CampaignEvent::LeaseDone { lease_id, .. } => self.lease_done.contains(lease_id),
-            CampaignEvent::Done { .. } => self.done_shards.contains(&source),
-            CampaignEvent::Error { .. } => false,
-            // A re-spawned worker re-sends its snapshot; merge each
-            // source's telemetry exactly once.
-            CampaignEvent::Telemetry { shard, .. } => !self.telemetry_shards.insert(*shard),
-            CampaignEvent::Unknown { .. } => false,
-        }
+            } => ("reference", *g),
+            CampaignEvent::Done { .. } => ("done", source),
+            CampaignEvent::Telemetry { shard, .. } => ("telemetry", *shard),
+            CampaignEvent::Reference { scenario: None, .. }
+            | CampaignEvent::LeaseStart { .. }
+            | CampaignEvent::Error { .. }
+            | CampaignEvent::Unknown { .. } => return false,
+        };
+        !self.delivered.insert(key)
     }
 
     pub(crate) fn observe(
@@ -855,37 +727,15 @@ impl Merge {
         match event {
             CampaignEvent::Plan {
                 cells, references, ..
-            } => {
-                // Authoritative totals from the coordinator's plan (in
-                // strict replay mode too: a logged v2 stream opens with
-                // the plan it executed).
-                self.planned = true;
-                self.total_cells = cells;
-                self.total_refs = references;
-            }
-            CampaignEvent::Hello {
-                shard,
-                cells,
-                references,
-                ..
-            } => {
-                self.hellos += 1;
-                if self.dedup {
-                    // A re-spawned worker re-announces the same slot;
-                    // count each slot once.
-                    self.hello_shards
-                        .entry(shard)
-                        .or_insert((cells, references));
-                } else if !self.planned {
-                    self.total_cells += cells;
-                    self.total_refs += references;
-                }
-            }
-            CampaignEvent::Reference { .. } | CampaignEvent::LeaseStart { .. } => {}
+            } => self.plan = Some((cells, references)),
             CampaignEvent::Cell {
                 index, tier, row, ..
             } => {
-                if self.dedup && !self.seen_cells.insert(index) {
+                if !self.seen_cells.insert(index) {
+                    self.record_error(EngineError::worker(
+                        source,
+                        format!("cell {index} delivered twice"),
+                    ));
                     return;
                 }
                 match tier {
@@ -926,77 +776,114 @@ impl Merge {
                     self.cache_misses += misses;
                 }
             }
-            CampaignEvent::Done { hits, misses, .. } => {
-                self.dones += 1;
-                if !self.dedup || self.done_shards.insert(source) {
-                    self.cache_hits += hits;
-                    self.cache_misses += misses;
-                }
-            }
             CampaignEvent::Error { message, .. } => {
-                self.first_error
-                    .get_or_insert(EngineError::worker(source, message));
+                self.record_error(EngineError::worker(source, message));
             }
             // Snapshot merging is the campaign core's business (it
             // owns the Telemetry handle); unknown events are a newer
-            // writer's vocabulary — neither affects row bookkeeping.
-            CampaignEvent::Telemetry { .. } | CampaignEvent::Unknown { .. } => {}
+            // writer's vocabulary — none of these affect row
+            // bookkeeping.
+            CampaignEvent::Hello { .. }
+            | CampaignEvent::LeaseStart { .. }
+            | CampaignEvent::Reference { .. }
+            | CampaignEvent::Done { .. }
+            | CampaignEvent::Telemetry { .. }
+            | CampaignEvent::Unknown { .. } => {}
         }
     }
 
-    /// Final completeness checks; on success returns the re-sequenced
-    /// rows and campaign totals.
-    pub(crate) fn finalize(mut self, expected_workers: usize) -> Result<Merged, EngineError> {
+    /// Check the merged rows against the plan, write the summary into
+    /// every sink, and return the campaign outcome (`wall` measured
+    /// from `start`).
+    pub(crate) fn finish(
+        mut self,
+        sinks: &mut [&mut dyn ResultSink],
+        telemetry: &Telemetry,
+        start: Instant,
+    ) -> Result<SweepOutcome, EngineError> {
         if let Some(e) = self.first_error.take() {
             return Err(e);
         }
-        // Under leasing the per-worker started/completed census is
-        // meaningless (slots may retire early, re-spawn, or never win a
-        // lease); completeness is the lease queue draining plus the
-        // planned row total below.
-        if !self.planned {
-            let (started, completed) = if self.dedup {
-                (self.hello_shards.len(), self.done_shards.len())
-            } else {
-                (self.hellos, self.dones)
-            };
-            if started != expected_workers || completed != expected_workers {
-                return Err(EngineError::worker(
-                    None,
-                    format!(
-                        "only {completed} of {expected_workers} worker(s) completed their shard \
-                         ({started} started) — a worker crashed or was killed"
-                    ),
-                ));
-            }
-        }
-        if self.dedup && !self.planned {
-            self.total_cells = self.hello_shards.values().map(|&(c, _)| c).sum();
-            self.total_refs = self.hello_shards.values().map(|&(_, r)| r).sum();
-        }
-        if self.reorder.pending() != 0 || self.rows.len() != self.total_cells {
+        let Some((cells, references)) = self.plan else {
+            return Err(EngineError::worker(
+                None,
+                "event stream has no plan event, so its cells cannot be checked",
+            ));
+        };
+        if self.reorder.pending() != 0 || self.rows.len() != cells {
             return Err(EngineError::worker(
                 None,
                 format!(
-                    "merged {} of {} announced cells ({} out-of-sequence) — \
-                     shards overlapped or dropped cells",
+                    "merged {} of {cells} planned cells ({} out-of-sequence) — \
+                     the stream dropped cells",
                     self.rows.len(),
-                    self.total_cells,
                     self.reorder.pending()
                 ),
             ));
         }
-        Ok(Merged {
-            rows: self.rows,
-            cells: self.total_cells,
-            references: self.total_refs,
+        let summary = summarize(&self.rows);
+        {
+            let _flush = telemetry.span("sink_flush");
+            for sink in sinks.iter_mut() {
+                sink.summary(&summary)
+                    .and_then(|()| sink.finish())
+                    .map_err(|e| EngineError::sink(None, format!("sink summary: {e}")))?;
+            }
+        }
+        Ok(SweepOutcome {
+            cells,
+            references,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             cells_computed: self.cells_computed,
             cells_memory_hits: self.cells_memory_hits,
             cells_disk_hits: self.cells_disk_hits,
+            wall: start.elapsed(),
+            rows: self.rows,
+            summary,
         })
     }
+}
+
+/// Replay a logged campaign event stream into ordered sink output.
+///
+/// A [`Campaign`] merges its backend's events itself; this entry point
+/// exists for *logged* streams: a served campaign's `events`
+/// subscription, an archived log, a spliced protocol fixture. The log
+/// is a whole campaign's stream, as a
+/// [`WireObserver`](crate::WireObserver) on [`Campaign::run`] writes
+/// it, and opens with the coordinator's [`Plan`](CampaignEvent::Plan),
+/// whose totals completeness is checked against. Rows arrive tagged
+/// with their global cell index and are re-sequenced, so the sinks
+/// write the exact same bytes as an in-process run over the same
+/// cache. Events feed `progress` as they arrive.
+///
+/// Fails if the log has no plan, reports [`CampaignEvent::Error`], is
+/// malformed, repeats a cell, or misses a planned cell.
+pub fn merge_event_streams<R: BufRead>(
+    log: R,
+    sinks: &mut [&mut dyn ResultSink],
+    progress: &mut ProgressReporter,
+) -> Result<SweepOutcome, EngineError> {
+    let start = Instant::now();
+    let mut merge = Merge::begin(sinks)?;
+    for line in log.lines() {
+        let event = line
+            .map_err(|e| format!("event stream broke mid-read: {e}"))
+            .and_then(|line| decode_event(&line));
+        match event {
+            Ok(ev) => {
+                progress.observe(&ev);
+                merge.observe(0, ev, sinks);
+            }
+            Err(e) => {
+                merge.record_error(EngineError::worker(None, e));
+                break;
+            }
+        }
+    }
+    progress.finish();
+    merge.finish(sinks, &Telemetry::disabled(), start)
 }
 
 /// One concrete DAG instance in a [`DryRun`] report.
@@ -1028,11 +915,6 @@ pub struct DryRun {
     pub cells: usize,
     /// Monte-Carlo reference scenarios.
     pub references: usize,
-    /// Cells each shard would own under the *v1 static partition* at
-    /// the backend's worker count — the load-balance baseline that
-    /// work leasing replaces (leases assign dynamically, so per-worker
-    /// loads are not knowable up front).
-    pub shard_cells: Vec<usize>,
 }
 
 /// A fully-configured campaign: the one handle behind `sweep`-style
@@ -1118,46 +1000,26 @@ impl Campaign {
         )
     }
 
-    /// Diff the spec against the cache — per-estimator and per-shard
-    /// hit/miss counts under the configured backend's worker count —
-    /// without computing anything or perturbing the cache.
+    /// Diff the spec against the cache — per-estimator hit/miss counts
+    /// — without computing anything or perturbing the cache.
     pub fn resume_report(&self) -> Result<ResumeReport, EngineError> {
-        resume_report_impl(
-            &self.spec,
-            &self.registry,
-            &self.cache,
-            self.backend.workers(),
-        )
+        resume_report_impl(&self.spec, &self.registry, &self.cache)
     }
 
     /// Expand the campaign — instances, models, estimators, cell and
-    /// reference counts, per-shard cell loads — without executing or
-    /// probing anything.
+    /// reference counts — without executing or probing anything.
     pub fn dry_run(&self) -> Result<DryRun, EngineError> {
         let Expansion {
             estimator_ids,
             instances,
-            models,
             ..
         } = expand(&self.spec, &self.registry)?;
-        let shard_count = self.backend.workers().max(1);
-        let e_count = estimator_ids.len();
-        let hashes: Vec<u128> = instances.iter().map(|i| structural_hash(&i.dag)).collect();
-        let mut shard_cells = vec![0usize; shard_count];
-        for (i, inst_models) in models.iter().enumerate() {
-            for entry in inst_models {
-                for (_, canonical) in &estimator_ids {
-                    let unit = entry.unit(canonical);
-                    let seed = derive_seed(self.spec.seed, hashes[i], entry.model.lambda, &unit);
-                    let key = cell_key(hashes[i], entry.model.lambda, &unit, seed);
-                    shard_cells[shard_of(&key, shard_count)] += 1;
-                }
-            }
-        }
         let m_count = self.spec.model_count();
         Ok(DryRun {
             name: self.spec.name.clone(),
             backend: self.backend.name(),
+            cells: instances.len() * m_count * estimator_ids.len(),
+            references: instances.len() * m_count,
             estimators: estimator_ids.into_iter().map(|(_, id)| id).collect(),
             instances: instances
                 .iter()
@@ -1168,47 +1030,10 @@ impl Campaign {
                 })
                 .collect(),
             models: m_count,
-            cells: instances.len() * m_count * e_count,
-            references: instances.len() * m_count,
-            shard_cells,
         })
     }
 
-    /// Execute one static shard of the campaign in this process (the
-    /// worker half of a **v1** distributed run, kept for the
-    /// `sweep-worker --shard I --of N` protocol): events go to the
-    /// configured observers — a worker process attaches a
-    /// [`WireObserver`](crate::WireObserver) on stdout — and rows
-    /// cross back to the coordinator as events, so sinks are not fed.
-    pub fn run_shard(
-        mut self,
-        shard: usize,
-        shard_count: usize,
-    ) -> Result<ShardOutcome, EngineError> {
-        let observers = Mutex::new(std::mem::take(&mut self.observers));
-        let result = execute_shard(
-            &self.spec,
-            &self.registry,
-            &self.cache,
-            &self.telemetry,
-            &self.cancel,
-            shard,
-            shard_count,
-            &|ev| {
-                let mut observers = observers.lock().expect("observer list");
-                for o in observers.iter_mut() {
-                    o.on_event(&ev)?;
-                }
-                Ok(())
-            },
-        );
-        for o in observers.into_inner().expect("observer list").iter_mut() {
-            let _ = o.on_finish();
-        }
-        result
-    }
-
-    /// Serve work leases from `input` — the worker half of a **v2**
+    /// Serve work leases from `input` — the worker half of a
     /// distributed run (`sweep-worker --leases`, spawned by
     /// [`MultiProcess`] or launched by hand against a
     /// [`SharedFs`](crate::SharedFs) spool's coordinator pipe).
@@ -1238,7 +1063,6 @@ impl Campaign {
         };
         let result = (|| {
             let _jobs_cap = apply_jobs_cap(self.spec.jobs)?;
-            self.cache.reset_counters();
             let plan = CampaignPlan::new(&self.spec, &self.registry)?;
             let ctx = BackendContext {
                 spec: &self.spec,
@@ -1362,17 +1186,12 @@ impl Campaign {
     ) -> Result<SweepOutcome, EngineError> {
         let start = Instant::now();
         spec.validate()?;
-        let workers = backend.workers();
-        if workers == 0 {
+        if backend.workers() == 0 {
             return Err(EngineError::spec("backend needs at least one worker"));
         }
         let plan = CampaignPlan::new(spec, registry)?;
         let leases = LeaseQueue::new(plan.leases().to_vec());
-        for sink in sinks.iter_mut() {
-            sink.begin()
-                .map_err(|e| EngineError::sink(None, format!("sink begin: {e}")))?;
-        }
-        let mut merge = Merge::new(true);
+        let mut merge = Merge::begin(sinks)?;
         // Bounded to one in-flight event: backends run at most two
         // events ahead of the observers, so an observer that flips the
         // campaign's [`CancelToken`] (the seam the service's `cancel`
@@ -1461,33 +1280,9 @@ impl Campaign {
             }
         }
         backend_result?;
-        let merged = merge.finalize(workers)?;
-        let summary = summarize(&merged.rows);
-        {
-            let _flush = telemetry.span("sink_flush");
-            for sink in sinks.iter_mut() {
-                sink.summary(&summary)
-                    .and_then(|()| sink.finish())
-                    .map_err(|e| EngineError::sink(None, format!("sink summary: {e}")))?;
-            }
-        }
-        let wall = start.elapsed();
-        telemetry.record_span_duration("campaign", wall);
-        Ok(SweepOutcome {
-            cells: merged.cells,
-            // Exact from the coordinator's plan (one reference
-            // scenario per instance × model, however many workers
-            // probed it).
-            references: merged.references,
-            cache_hits: merged.cache_hits,
-            cache_misses: merged.cache_misses,
-            cells_computed: merged.cells_computed,
-            cells_memory_hits: merged.cells_memory_hits,
-            cells_disk_hits: merged.cells_disk_hits,
-            wall,
-            rows: merged.rows,
-            summary,
-        })
+        let outcome = merge.finish(sinks, telemetry, start)?;
+        telemetry.record_span_duration("campaign", outcome.wall);
+        Ok(outcome)
     }
 }
 
@@ -1519,9 +1314,7 @@ impl CampaignBuilder {
         self
     }
 
-    /// Select the execution backend (default: [`InProcess`]). A v1
-    /// implementation goes through the [`V1Backend`] adapter:
-    /// `.backend(V1Backend(my_v1_backend))`.
+    /// Select the execution backend (default: [`InProcess`]).
     pub fn backend(mut self, backend: impl ExecBackend + 'static) -> Self {
         self.backend = Box::new(backend);
         self

@@ -32,9 +32,9 @@ pub enum EngineError {
         /// What was wrong.
         message: String,
     },
-    /// A worker process or shard failed.
+    /// A worker failed, or its event stream broke the protocol.
     Worker {
-        /// Shard index, when the failure is attributable to one.
+        /// Worker slot, when the failure is attributable to one.
         worker: Option<usize>,
         /// What was wrong.
         message: String,
@@ -77,7 +77,7 @@ impl EngineError {
         }
     }
 
-    /// Worker/shard error, optionally attributed to one shard.
+    /// Worker error, optionally attributed to one worker slot.
     pub fn worker(worker: impl Into<Option<usize>>, message: impl Into<String>) -> EngineError {
         EngineError::Worker {
             worker: worker.into(),

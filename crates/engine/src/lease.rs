@@ -1,23 +1,20 @@
 //! Work leasing: the coordinator-side ready queue, the campaign plan,
-//! and the shared lease executor behind `ExecBackend` v2.
+//! and the shared lease executor behind every [`ExecBackend`].
 //!
-//! PR 4's distribution partitioned cells **statically** by hashing
-//! their cache keys; heterogeneous cells (an `exact` cell costs orders
-//! of magnitude more than an analytic one) left workers idle while the
-//! unlucky shard dragged the tail. v2 inverts control: the coordinator
-//! owns a [`LeaseQueue`] of [`WorkLease`] cell batches — one lease per
+//! Cells differ wildly in cost (an `exact` cell costs orders of
+//! magnitude more than an analytic one), so the coordinator owns a
+//! [`LeaseQueue`] of [`WorkLease`] cell batches — one lease per
 //! (instance × estimator) group, so the per-group estimator
-//! preparation amortizes exactly as before — and workers *pull* the
-//! next batch whenever they finish one. A lease whose worker crashes
-//! is re-queued (bounded by [`LeaseQueue::with_max_attempts`]) and any
-//! worker may pick it up: results are deterministic and the campaign
-//! merge deduplicates by cell index, so duplicated attempts are
-//! harmless.
+//! preparation amortizes — and workers *pull* the next batch whenever
+//! they finish one. A lease whose worker crashes is re-queued (bounded
+//! by [`LeaseQueue::with_max_attempts`]) and any worker may pick it up:
+//! results are deterministic and the campaign merge deduplicates by
+//! cell index, so duplicated attempts are harmless.
 //!
 //! The three pieces:
 //!
 //! * [`CampaignPlan`] — the validated expansion plus the lease list
-//!   every v2 backend executes; its totals feed the
+//!   every backend executes; its totals feed the
 //!   [`Plan`](crate::CampaignEvent::Plan) event (under leasing, a
 //!   worker cannot announce its share up front).
 //! * [`LeaseQueue`] — the thread-safe ready queue: [`LeaseQueue::next`]
@@ -26,13 +23,13 @@
 //!   returns a crashed worker's batch for another attempt.
 //! * [`LeaseExecutor`] — the cache-first cell evaluator shared by every
 //!   consumer (in-process threads, `sweep-worker --leases` processes,
-//!   spool-directory workers), built on the same
-//!   [`evaluate_unit`]/[`make_row`] definitions as v1 sharding — which
-//!   is what keeps lease interleavings byte-identical to a
-//!   single-process run.
+//!   spool-directory workers) — which is what keeps lease
+//!   interleavings byte-identical to a single-process run.
 //!
 //! Leases cross process boundaries as one JSON line each
 //! ([`encode_lease`]/[`decode_lease`]), mirroring the event protocol.
+//!
+//! [`ExecBackend`]: crate::ExecBackend
 
 use crate::cache::{cell_key, CacheTier, ResultCache};
 use crate::campaign::BackendContext;
@@ -133,7 +130,7 @@ impl QueueInner {
 }
 
 /// The coordinator's ready queue of [`WorkLease`] batches — the heart
-/// of `ExecBackend` v2's pull scheduling.
+/// of the engine's pull scheduling.
 ///
 /// Consumers (in-process worker threads, the per-slot pipe pumps of
 /// [`MultiProcess`](crate::MultiProcess), the
@@ -143,8 +140,8 @@ impl QueueInner {
 /// `LeaseDone` arrives. When a consumer dies mid-lease,
 /// [`requeue`](LeaseQueue::requeue) puts the batch back for any other
 /// consumer — up to `max_attempts` grants per lease (default 2: the
-/// initial attempt plus one retry, generalizing PR 5's single
-/// shard-retry), after which `requeue` refuses and the campaign fails.
+/// initial attempt plus one retry), after which `requeue` refuses and
+/// the campaign fails.
 ///
 /// All methods take `&self`; the queue is fully thread-safe.
 pub struct LeaseQueue {
@@ -292,13 +289,12 @@ impl LeaseQueue {
 }
 
 /// The validated, fully-expanded campaign plus its lease list — what
-/// the coordinator plans before any backend starts, handed to v2
+/// the coordinator plans before any backend starts, handed to
 /// backends through [`BackendContext::plan`].
 ///
 /// One lease per (instance × estimator) group, cells in ascending
-/// scenario order: the same work units v1 parallelized over, so the
-/// one-preparation-per-group amortization (and its cost attribution to
-/// the group's first computed cell) is preserved under leasing.
+/// scenario order, so each group prepares its estimator once and the
+/// preparation cost is attributed to the group's first computed cell.
 pub struct CampaignPlan {
     pub(crate) expansion: Expansion,
     pub(crate) hashes: Vec<u128>,
@@ -377,7 +373,7 @@ impl CampaignPlan {
 /// [`Reference`](CampaignEvent::Reference) event (tagged with the
 /// global scenario index so the coordinator deduplicates across
 /// *sessions*); later leases reuse the in-memory estimate without
-/// another cache probe, exactly like v1's per-shard reference phase.
+/// another cache probe.
 ///
 /// [`run`](LeaseExecutor::run) is safe to call from many threads at
 /// once over one shared executor — that is precisely how the
@@ -461,7 +457,7 @@ impl<'a> LeaseExecutor<'a> {
         };
         // Lazy one-preparation-per-(instance × estimator) group, reset
         // when the lease crosses a group boundary — planned leases
-        // never do, so cost attribution matches v1 sharding exactly.
+        // never do.
         let mut prep: Option<Box<dyn PreparedEstimator>> = None;
         let mut prep_group: Option<(usize, usize)> = None;
         for &idx in &lease.cells {

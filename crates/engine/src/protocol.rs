@@ -1,24 +1,25 @@
 //! The coordinator ↔ worker wire protocol of distributed sweeps.
 //!
 //! A campaign distributed over N processes needs no network and no
-//! shared memory: the coordinator spawns N `sweep-worker` processes,
-//! each worker executes its shard (see [`crate::shard`]) and streams
-//! **line-delimited JSON events** on stdout, and the coordinator merges
-//! the streams. One event per line, one JSON object per event, tagged
-//! by an `"event"` field — trivially greppable, replayable from a log
-//! file, and append-safe (a crashed worker leaves a readable prefix).
+//! shared memory: the coordinator spawns N `sweep-worker --leases`
+//! processes, writes [`WorkLease`](crate::WorkLease) lines to their
+//! stdin, each worker streams **line-delimited JSON events** on stdout,
+//! and the coordinator merges the streams. One event per line, one JSON
+//! object per event, tagged by an `"event"` field — trivially
+//! greppable, replayable from a log file, and append-safe (a crashed
+//! worker leaves a readable prefix).
 //!
 //! The event vocabulary is small by design:
 //!
 //! | event | direction | meaning |
 //! |-------|-----------|---------|
 //! | `plan` | coordinator → observers | campaign totals + lease count |
-//! | `hello` | worker → coordinator | worker accepted; sizes follow |
+//! | `hello` | worker → coordinator | worker accepted the spec; ready for leases |
 //! | `lease_start` | worker → coordinator | a work lease began executing |
 //! | `reference` | worker → coordinator | one MC reference scenario done |
 //! | `cell` | worker → coordinator | one estimator cell done (full row) |
 //! | `lease_done` | worker → coordinator | lease complete; batch cache totals |
-//! | `done` | worker → coordinator | worker finished; cache totals |
+//! | `done` | worker → coordinator | worker session finished |
 //! | `error` | worker → coordinator | worker aborted with a message |
 //! | `telemetry` | worker → coordinator | worker's metrics snapshot |
 //!
@@ -28,9 +29,9 @@
 //! newer streams unharmed (malformed JSON and missing fields of known
 //! events are still hard errors). New optional fields on existing
 //! events (`cell.tier`, `error.kind`, `hello.version`, `hello.jobs`,
-//! `reference.scenario`) decode as `None` when absent — which is also
-//! how the leasing protocol of `ExecBackend` v2 coexists with v1
-//! streams: a v1 stream simply never carries the lease events.
+//! `reference.scenario`) decode as `None` when absent, and `hello`
+//! keeps its `shard_count`/`cells`/`references` keys, so logs written
+//! by older builds still decode.
 //!
 //! `cell` events carry the complete [`SweepRow`], so the coordinator
 //! can re-sequence rows into deterministic cell order and write the
@@ -49,19 +50,18 @@ use serde::{Deserialize, Serialize, Value};
 /// This is the **single event vocabulary** of the engine: every
 /// execution backend ([`ExecBackend`](crate::ExecBackend)) reports its
 /// work through these events, every
-/// [`CampaignObserver`](crate::CampaignObserver) subscribes to them,
+/// [`CampaignObserver`] subscribes to them,
 /// and the distributed wire protocol is nothing but their
 /// line-delimited JSON encoding ([`encode_event`]/[`decode_event`]) —
 /// a worker process is an observer whose subscription happens to cross
 /// a pipe (see [`WireObserver`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum CampaignEvent {
-    /// First event of a leased (`ExecBackend` v2) campaign, emitted by
-    /// the **coordinator** before any worker starts: the authoritative
-    /// totals of the campaign plan. Under work leasing a worker cannot
-    /// announce its share up front (it does not know how many leases it
-    /// will win), so totals come from the plan instead of from `hello`
-    /// events.
+    /// First event of a campaign, emitted by the **coordinator** before
+    /// any worker starts: the authoritative totals of the campaign
+    /// plan. A worker cannot announce its share up front (it does not
+    /// know how many leases it will win), so every total comes from
+    /// here.
     Plan {
         /// Total estimator cells the campaign will produce.
         cells: usize,
@@ -70,27 +70,23 @@ pub enum CampaignEvent {
         /// Number of work leases in the coordinator's ready queue.
         leases: usize,
     },
-    /// First event of a worker: it validated the spec and reports how
-    /// much work it owns (v1 sharding) or that it is ready to lease
-    /// (v2, with `cells`/`references` zero and `version: Some(2)`).
+    /// First event of a worker session: it validated the spec and is
+    /// ready for leases.
     Hello {
-        /// Shard index (v1) or worker slot (v2), 0-based.
+        /// Worker slot, 0-based.
         shard: usize,
-        /// Total shard count of the campaign (v1); `0` when the worker
-        /// leases work dynamically and peer count is unknown.
+        /// Worker slot count, when the worker knows it (`0` from a
+        /// `sweep-worker`, which does not).
         shard_count: usize,
-        /// Estimator cells assigned to this shard (v1; `0` under
-        /// leasing, where totals come from [`CampaignEvent::Plan`]).
+        /// Informational; totals come from [`CampaignEvent::Plan`].
         cells: usize,
-        /// Monte-Carlo reference scenarios this shard needs (v1; `0`
-        /// under leasing).
+        /// Informational, like `cells`.
         references: usize,
-        /// Protocol version the worker speaks (`None` from v1 workers,
-        /// `Some(2)` from lease-consuming workers).
+        /// Protocol version the worker speaks (`Some(2)`; `None` in logs
+        /// written before versioning).
         version: Option<u32>,
         /// The worker-thread cap this worker applied, from the
-        /// coordinator's `--jobs` handshake (`None` from v1 workers,
-        /// which derived `cores / worker_count` locally).
+        /// coordinator's `--jobs` handshake (`None`: uncapped).
         jobs: Option<usize>,
     },
     /// A worker started executing a leased cell batch.
@@ -105,9 +101,8 @@ pub enum CampaignEvent {
         /// Whether the result came from the shared cache.
         cached: bool,
         /// Global scenario index (instance-major), the coordinator's
-        /// cross-worker dedup key under leasing. `None` from v1
-        /// workers, which are deduplicated per-shard by announced
-        /// count instead.
+        /// cross-worker dedup key. `None` in logs written before
+        /// leasing.
         scenario: Option<usize>,
     },
     /// One estimator cell finished; carries the complete result row.
@@ -137,16 +132,19 @@ pub enum CampaignEvent {
         /// Cache misses (computed fresh).
         misses: usize,
     },
-    /// Last event of a successful shard.
+    /// Last event of a successful worker session.
     Done {
-        /// Cache hits across this shard's references + cells.
+        /// Zero: cache totals travel per lease on
+        /// [`LeaseDone`](CampaignEvent::LeaseDone).
         hits: usize,
-        /// Cache misses (computed fresh).
+        /// Zero, like `hits`.
         misses: usize,
-        /// Worker wall-clock seconds for the shard.
+        /// Worker wall-clock seconds for the session.
         wall_s: f64,
     },
-    /// The shard failed; the coordinator aborts the campaign.
+    /// A worker aborted. [`MultiProcess`](crate::MultiProcess)
+    /// re-queues that worker's leases; anywhere else the campaign
+    /// fails.
     Error {
         /// Human-readable failure description.
         message: String,
@@ -155,14 +153,14 @@ pub enum CampaignEvent {
         /// coordinator can tally failures by kind.
         kind: Option<String>,
     },
-    /// A shard's telemetry aggregate, emitted just before `done` when
-    /// the campaign runs with an enabled
+    /// A worker session's telemetry aggregate, emitted just before
+    /// `done` when the campaign runs with an enabled
     /// [`Telemetry`](crate::Telemetry) collector.
     Telemetry {
-        /// Shard index (0-based), the coordinator's dedup key across
-        /// retried shards.
+        /// Worker slot (0-based), the coordinator's dedup key across a
+        /// re-spawned worker's sessions.
         shard: usize,
-        /// The shard collector's final aggregates.
+        /// The session collector's final aggregates.
         snapshot: MetricsSnapshot,
     },
     /// An event this build does not understand — a newer writer's

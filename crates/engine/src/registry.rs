@@ -1,11 +1,11 @@
 //! Name-addressable estimator registry.
 //!
 //! Every estimator in `stochdag-core` behind an object-safe handle
-//! ([`BoxedEstimator`](stochdag_core::BoxedEstimator)), addressed by a
-//! typed [`EstimatorSpec`]. The registry is the factory seam between a
-//! campaign's declarative spec and concrete estimator instances: the
-//! runner calls [`EstimatorRegistry::build`] once per
-//! (DAG × estimator) group with the cell's deterministic seed.
+//! ([`BoxedEstimator`]), addressed by a typed [`EstimatorSpec`]. The
+//! registry is the factory seam between a campaign's declarative spec
+//! and concrete estimator instances: the runner calls
+//! [`EstimatorRegistry::build`] once per (DAG × estimator) group with
+//! the cell's deterministic seed.
 //!
 //! String spellings (`"first-order"`, `"dodin:64"`, `"mc:10000"`)
 //! parse through [`EstimatorRegistry::parse`]; the canonical id —

@@ -4,8 +4,8 @@
 //!
 //! * [`expand`] — validate a [`SweepSpec`] and expand it into DAG
 //!   instances, per-instance failure models, and canonical estimator
-//!   ids. Every entry point (in-process, sharded, resume reports,
-//!   dry runs) derives the identical cell universe from this one
+//!   ids. Every entry point (campaign plans, resume reports, dry
+//!   runs) derives the identical cell universe from this one
 //!   function.
 //! * [`derive_seed`] / [`cell_index`] / [`evaluate_unit`] /
 //!   [`make_row`] — the deterministic identities and cache-first
@@ -48,7 +48,7 @@ pub struct SweepOutcome {
     pub cache_misses: usize,
     /// Cells computed fresh (no cache tier had them). Cell-only and
     /// deduplicated by global index, so — unlike `cache_hits`, which
-    /// includes per-shard reference probes — this is invariant across
+    /// includes per-worker reference probes — this is invariant across
     /// backends and worker counts.
     pub cells_computed: usize,
     /// Cells served by the in-memory cache tier (deduplicated).
@@ -86,7 +86,7 @@ pub(crate) fn derive_seed(spec_seed: u64, dag_hash: u128, lambda: f64, unit: &st
 /// byte-identical, and `scenarios = ["iid"]` equals an absent axis —
 /// and `"|rack:4:0.05:2"`-style otherwise, appended to both the
 /// estimator's and the reference's unit string before
-/// [`derive_seed`]/[`cell_key`](crate::cache::cell_key).
+/// [`derive_seed`]/[`cell_key`].
 pub(crate) struct SweepModel {
     /// The base (marginal) failure model.
     pub(crate) model: FailureModel,
@@ -122,8 +122,8 @@ pub(crate) struct Expansion {
 }
 
 /// Deterministic global index of a cell: scenario-major, estimator
-/// fastest. The single source of truth shared by the in-process runner
-/// and the shard executor — the coordinator's re-sequencing key.
+/// fastest. The single source of truth shared by the campaign plan and
+/// the lease executor — the coordinator's re-sequencing key.
 pub(crate) fn cell_index(i: usize, m: usize, e: usize, m_count: usize, e_count: usize) -> usize {
     (i * m_count + m) * e_count + e
 }
@@ -286,8 +286,8 @@ impl Drop for CapRestore {
 static CAPPED_CAMPAIGNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Apply a worker-thread cap for the lifetime of the returned guard
-/// (`None` = leave the pool uncapped; shared by the in-process and
-/// shard executors).
+/// (`None` = leave the pool uncapped; shared by the in-process
+/// backend and leased workers).
 pub(crate) fn apply_jobs_cap(jobs: Option<usize>) -> Result<JobsCap, EngineError> {
     match jobs {
         None => Ok(JobsCap {
@@ -413,28 +413,12 @@ pub struct ResumeEstimatorReport {
     pub misses: usize,
 }
 
-/// Cache coverage of the cells one shard would own under a
-/// multi-process backend (see [`Campaign::resume_report`](crate::Campaign::resume_report)).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardCoverage {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Assigned cells already present in the cache.
-    pub hits: usize,
-    /// Assigned cells a run would have to compute.
-    pub misses: usize,
-}
-
 /// Outcome of [`Campaign::resume_report`](crate::Campaign::resume_report): what a sweep would find in
 /// the cache, without running anything.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResumeReport {
     /// Coverage per estimator, in spec order.
     pub estimators: Vec<ResumeEstimatorReport>,
-    /// Per-shard cell coverage under the backend's worker count
-    /// (one entry per shard; a single entry covering every cell for an
-    /// in-process report).
-    pub shards: Vec<ShardCoverage>,
     /// Monte-Carlo reference scenarios already cached.
     pub reference_hits: usize,
     /// Reference scenarios a run would have to compute.
@@ -461,21 +445,12 @@ impl ResumeReport {
 /// Diff a spec against the cache: for every cell and reference the
 /// sweep would execute, probe whether its content key is already
 /// present (memory or disk), **without computing anything** and without
-/// touching the cache's counters or LRU recency. Per-cell coverage is
-/// additionally split by the shard each cell would be assigned to
-/// under `shard_count` workers (the same deterministic
-/// [`crate::shard_of`] assignment the distributed executor uses).
-/// References stay global — every shard probes the references its
-/// cells need from the shared cache.
+/// touching the cache's counters or LRU recency.
 pub(crate) fn resume_report_impl(
     spec: &SweepSpec,
     registry: &EstimatorRegistry,
     cache: &ResultCache,
-    shard_count: usize,
 ) -> Result<ResumeReport, EngineError> {
-    if shard_count == 0 {
-        return Err(EngineError::spec("shard count must be positive"));
-    }
     let Expansion {
         estimator_ids,
         instances,
@@ -487,13 +462,6 @@ pub(crate) fn resume_report_impl(
         .iter()
         .map(|(_, canonical)| ResumeEstimatorReport {
             estimator: canonical.clone(),
-            hits: 0,
-            misses: 0,
-        })
-        .collect();
-    let mut shards: Vec<ShardCoverage> = (0..shard_count)
-        .map(|shard| ShardCoverage {
-            shard,
             hits: 0,
             misses: 0,
         })
@@ -513,21 +481,16 @@ pub(crate) fn resume_report_impl(
             for (e, (_, canonical)) in estimator_ids.iter().enumerate() {
                 let unit = entry.unit(canonical);
                 let seed = derive_seed(spec.seed, hashes[i], lambda, &unit);
-                let key = cell_key(hashes[i], lambda, &unit, seed);
-                let shard = crate::shard::shard_of(&key, shard_count);
-                if cache.probe(&key) {
+                if cache.probe(&cell_key(hashes[i], lambda, &unit, seed)) {
                     estimators[e].hits += 1;
-                    shards[shard].hits += 1;
                 } else {
                     estimators[e].misses += 1;
-                    shards[shard].misses += 1;
                 }
             }
         }
     }
     Ok(ResumeReport {
         estimators,
-        shards,
         reference_hits,
         reference_misses,
     })

@@ -5,8 +5,8 @@
 //! The transport is the filesystem every host already shares (NFS,
 //! Lustre, a bind mount): no sockets, no ssh, no new dependencies.
 //! All handoff is by **atomic rename** — the same tmp-then-rename
-//! discipline [`ResultCache`] uses for cell payloads — so a reader
-//! never observes a half-written file:
+//! discipline [`ResultCache`](crate::ResultCache) uses for cell
+//! payloads — so a reader never observes a half-written file:
 //!
 //! ```text
 //! spool/

@@ -14,8 +14,8 @@
 //! | span | where | meaning |
 //! |------|-------|---------|
 //! | `campaign` | coordinator | whole campaign, build of the report |
-//! | `worker_shard` | shard executor | one shard start-to-done |
-//! | `prepare_dag` | shard executor | freezing one `PreparedDag` |
+//! | `worker_shard` | lease executor | one worker session, hello to done |
+//! | `prepare_dag` | lease executor | freezing one `PreparedDag` |
 //! | `prepare_estimator` | cell evaluator | one lazy group preparation |
 //! | `estimate_cell` | cell evaluator | one estimate computation |
 //! | `cache_probe` | cell evaluator | one cache lookup (any tier) |
@@ -24,16 +24,16 @@
 //!
 //! ## How metrics flow
 //!
-//! Each shard executor collects into a [`Telemetry::child`] of the
-//! campaign handle and reports its aggregate as a
-//! [`CampaignEvent::Telemetry`](crate::CampaignEvent) just before its
-//! `done` event — in-process via the ordinary delivery callback, in a
-//! worker process as one wire line. The campaign core merges every
-//! shard snapshot (once per shard, retry-safe) into the campaign
-//! handle, which also records the coordinator-side spans. The merged
-//! result becomes a [`MetricsReport`] (`sweep --metrics-out`), split
-//! into a **stable** section (backend-invariant, timestamp-free —
-//! snapshot-testable bytes) and a **detail** section (timings,
+//! Each worker session's lease executor collects into a
+//! [`Telemetry::child`] of the campaign handle and reports its
+//! aggregate as a [`CampaignEvent::Telemetry`](crate::CampaignEvent)
+//! just before its `done` event — in-process via the ordinary delivery
+//! callback, in a worker process as one wire line. The campaign core
+//! merges every snapshot (once per worker slot, retry-safe) into the
+//! campaign handle, which also records the coordinator-side spans. The
+//! merged result becomes a [`MetricsReport`] (`sweep --metrics-out`),
+//! split into a **stable** section (backend-invariant, timestamp-free
+//! — snapshot-testable bytes) and a **detail** section (timings,
 //! per-phase aggregates, worker bookkeeping).
 
 use crate::cache::CacheTier;
@@ -361,10 +361,10 @@ impl Telemetry {
     }
 
     /// A child collector: enabled iff `self` is, with **fresh**
-    /// aggregates but the **shared** sink. Shard executors collect
-    /// into a child so each shard's totals can cross to the
+    /// aggregates but the **shared** sink. Lease executors collect
+    /// into a child so each worker session's totals can cross to the
     /// coordinator as one [`MetricsSnapshot`] and be merged exactly
-    /// once — identically for in-process and worker-process shards.
+    /// once — identically for in-process and worker-process sessions.
     pub fn child(&self) -> Telemetry {
         match &self.core {
             None => Telemetry::disabled(),
@@ -416,7 +416,7 @@ impl Telemetry {
         }
     }
 
-    /// Fold another collector's snapshot into this one (how shard
+    /// Fold another collector's snapshot into this one (how worker
     /// snapshots accumulate into the campaign total). No-op when
     /// disabled.
     pub fn merge(&self, snapshot: &MetricsSnapshot) {
@@ -499,10 +499,10 @@ impl std::fmt::Debug for Telemetry {
 /// * `stable` — backend-invariant and timestamp-free: identical bytes
 ///   for the same campaign over equivalent cache state, whether run
 ///   in-process or over any number of worker processes (cells are
-///   deduplicated by global index, so per-shard duplication of shared
+///   deduplicated by global index, so per-worker duplication of shared
 ///   references never leaks in). This is the snapshot-testable part.
 /// * `detail` — execution-dependent: merged span timings, per-phase
-///   counters (reference lookups are per-shard, so totals vary with
+///   counters (reference lookups are per worker, so totals vary with
 ///   the worker count), worker spawn/retry bookkeeping, wall time,
 ///   and failure tallies by [`EngineError`](crate::EngineError) kind.
 #[derive(Clone, Debug, PartialEq)]
@@ -519,8 +519,8 @@ pub struct MetricsReport {
     pub cells_disk_hits: usize,
     /// Rows delivered to the sinks.
     pub rows_emitted: usize,
-    /// Monte-Carlo reference probes, summed across shards. A reference
-    /// needed by several shards counts once per shard, so this varies
+    /// Monte-Carlo reference probes, summed across workers. A reference
+    /// needed by several workers counts once per worker, so this varies
     /// with the worker count — detail section, not stable.
     pub references_probed: usize,
     /// Cells per canonical estimator id.
@@ -528,8 +528,8 @@ pub struct MetricsReport {
     /// Campaign wall-clock seconds (detail section).
     pub wall_s: f64,
     /// Failure tallies by [`EngineError`](crate::EngineError) kind
-    /// (worker `error` events observed, including attempts whose shard
-    /// was successfully retried).
+    /// (worker `error` events observed, including attempts whose leases
+    /// a re-queue later completed).
     pub errors_by_kind: BTreeMap<String, u64>,
     /// Merged span/counter aggregates (detail section).
     pub snapshot: MetricsSnapshot,

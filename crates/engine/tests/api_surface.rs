@@ -25,7 +25,6 @@ const EXPECTED: &[&str] = &[
     "EstimatorRegistry",
     "EstimatorSpec",
     "ExecBackend",
-    "ExecBackendV1",
     "FnObserver",
     "InProcess",
     "JsonlSink",
@@ -45,8 +44,6 @@ const EXPECTED: &[&str] = &[
     "ScenarioModel",
     "ScenarioSpec",
     "SharedFs",
-    "ShardCoverage",
-    "ShardOutcome",
     "SpanGuard",
     "SpanStat",
     "SpoolSummary",
@@ -59,7 +56,6 @@ const EXPECTED: &[&str] = &[
     "Telemetry",
     "TelemetrySink",
     "UnsupportedScenario",
-    "V1Backend",
     "VecSink",
     "WireObserver",
     "WorkLease",
@@ -70,7 +66,6 @@ const EXPECTED: &[&str] = &[
     "encode_lease",
     "merge_event_streams",
     "parse_toml",
-    "shard_of",
     "summarize",
 ];
 
@@ -134,14 +129,14 @@ fn snapshot_names_actually_resolve() {
     #[allow(unused_imports)]
     use stochdag_engine::{
         cell_key, decode_event, decode_lease, encode_event, encode_lease, merge_event_streams,
-        parse_toml, shard_of, summarize, BackendContext, CacheGcStats, CacheTier, Campaign,
-        CampaignBuilder, CampaignEvent, CampaignObserver, CampaignPlan, CancelToken, CsvSink,
-        DagInstance, DagSpec, Deliver, DryRun, DryRunInstance, EngineError, EstimatorRegistry,
-        EstimatorSpec, ExecBackend, ExecBackendV1, FnObserver, InProcess, JsonlSink, LeaseExecutor,
-        LeasePoll, LeaseQueue, MetricsReport, MetricsSnapshot, MultiProcess, ProgressMode,
-        ProgressReporter, Reorderer, ResultCache, ResultSink, ResumeEstimatorReport, ResumeReport,
-        ScenarioModel, ScenarioSpec, ShardCoverage, ShardOutcome, SharedFs, SpanGuard, SpanStat,
-        SpoolSummary, SpoolWorker, StableHasher, SummaryRow, SweepOutcome, SweepRow, SweepSpec,
-        Telemetry, TelemetrySink, UnsupportedScenario, V1Backend, VecSink, WireObserver, WorkLease,
+        parse_toml, summarize, BackendContext, CacheGcStats, CacheTier, Campaign, CampaignBuilder,
+        CampaignEvent, CampaignObserver, CampaignPlan, CancelToken, CsvSink, DagInstance, DagSpec,
+        Deliver, DryRun, DryRunInstance, EngineError, EstimatorRegistry, EstimatorSpec,
+        ExecBackend, FnObserver, InProcess, JsonlSink, LeaseExecutor, LeasePoll, LeaseQueue,
+        MetricsReport, MetricsSnapshot, MultiProcess, ProgressMode, ProgressReporter, Reorderer,
+        ResultCache, ResultSink, ResumeEstimatorReport, ResumeReport, ScenarioModel, ScenarioSpec,
+        SharedFs, SpanGuard, SpanStat, SpoolSummary, SpoolWorker, StableHasher, SummaryRow,
+        SweepOutcome, SweepRow, SweepSpec, Telemetry, TelemetrySink, UnsupportedScenario, VecSink,
+        WireObserver, WorkLease,
     };
 }

@@ -1,11 +1,14 @@
 //! Integration coverage of the [`Campaign`] facade: builder wiring,
-//! cache-replay byte identity, dry runs, resume reports, observers,
-//! and the worker half.
+//! cache-replay byte identity, dry runs, shared cache counters,
+//! observers, and the worker half.
 
+use std::collections::BTreeSet;
+use std::io::Cursor;
 use std::sync::{Arc, Mutex};
 use stochdag_engine::{
-    decode_event, Campaign, CampaignEvent, CsvSink, EngineError, EstimatorSpec, FnObserver,
-    MultiProcess, ResultCache, SweepSpec, VecSink, WireObserver,
+    decode_event, encode_lease, Campaign, CampaignEvent, CampaignPlan, CsvSink, DryRun,
+    EngineError, EstimatorRegistry, EstimatorSpec, FnObserver, MultiProcess, ResultCache,
+    SweepSpec, VecSink, WireObserver,
 };
 
 fn campaign_spec() -> SweepSpec {
@@ -98,15 +101,22 @@ fn dry_run_expands_without_executing() {
     assert_eq!(dry.models, 2);
     assert_eq!(dry.cells, 18);
     assert_eq!(dry.references, 6);
-    assert_eq!(dry.shard_cells, vec![18], "one in-process shard");
 
-    let sharded = Campaign::builder(campaign_spec())
+    let multi = Campaign::builder(campaign_spec())
         .backend(MultiProcess::new(3))
         .build()
+        .unwrap()
+        .dry_run()
         .unwrap();
-    let dry = sharded.dry_run().unwrap();
-    assert_eq!(dry.shard_cells.len(), 3);
-    assert_eq!(dry.shard_cells.iter().sum::<usize>(), 18);
+    assert_eq!(multi.backend, "multi-process (3 workers)");
+    assert_eq!(
+        DryRun {
+            backend: dry.backend.clone(),
+            ..multi
+        },
+        dry,
+        "leases assign cells at run time, so the expansion is backend-free"
+    );
 
     // Nothing ran: a fresh resume report still sees zero cached cells.
     let report = campaign.resume_report().unwrap();
@@ -114,23 +124,24 @@ fn dry_run_expands_without_executing() {
 }
 
 #[test]
-fn resume_report_follows_the_backend_worker_count() {
+fn shared_cache_counters_count_every_campaign() {
+    // `hits()`/`misses()` count since construction: a campaign must not
+    // zero a cache that other campaigns share (the serve daemon shares
+    // one across every client).
     let cache = Arc::new(ResultCache::in_memory());
-    let run = Campaign::builder(campaign_spec())
-        .cache(cache.clone())
-        .build()
-        .unwrap();
-    run.run().unwrap();
-
-    let sharded = Campaign::builder(campaign_spec())
-        .cache(cache.clone())
-        .backend(MultiProcess::new(2))
-        .build()
-        .unwrap();
-    let report = sharded.resume_report().unwrap();
-    assert!(report.fully_cached());
-    assert_eq!(report.shards.len(), 2, "per-shard split under workers=2");
-    assert_eq!(report.shards.iter().map(|s| s.hits).sum::<usize>(), 18);
+    let run = || {
+        Campaign::builder(campaign_spec())
+            .cache(cache.clone())
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(
+        cache.hits() + cache.misses(),
+        first.cache_hits + first.cache_misses + second.cache_hits + second.cache_misses
+    );
 }
 
 #[test]
@@ -169,30 +180,54 @@ fn observers_see_the_full_event_stream() {
 }
 
 #[test]
-fn run_shard_streams_the_wire_protocol_through_observers() {
+fn serve_leases_streams_the_wire_protocol_through_observers() {
+    // A worker serves whatever the coordinator grants it: here every
+    // other planned lease, as stdin lines.
+    let spec = campaign_spec();
+    let plan = CampaignPlan::new(&spec, &EstimatorRegistry::standard()).unwrap();
+    let leased: Vec<_> = plan.leases().iter().step_by(2).cloned().collect();
+    let input: String = leased.iter().map(|l| encode_lease(l) + "\n").collect();
     let buf = SharedBuf::default();
-    let outcome = Campaign::builder(campaign_spec())
+    Campaign::builder(spec)
         .observer(WireObserver::new(buf.clone()))
         .build()
         .unwrap()
-        .run_shard(0, 2)
+        .serve_leases(3, Cursor::new(input))
         .unwrap();
-    assert_eq!(outcome.shard, 0);
-    assert_eq!(outcome.shard_count, 2);
-    assert!(outcome.cells > 0 && outcome.cells < 18, "a proper subset");
 
     let text = String::from_utf8(buf.bytes()).unwrap();
     let events: Vec<CampaignEvent> = text
         .lines()
         .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
         .collect();
-    assert!(matches!(events.first(), Some(CampaignEvent::Hello { .. })));
+    match events.first() {
+        Some(CampaignEvent::Hello { shard, version, .. }) => {
+            assert_eq!(*shard, 3, "hello carries the worker slot");
+            assert_eq!(*version, Some(2));
+        }
+        other => panic!("expected hello first, got {other:?}"),
+    }
     assert!(matches!(events.last(), Some(CampaignEvent::Done { .. })));
-    let cells = events
+    let cells: Vec<usize> = events
         .iter()
-        .filter(|e| matches!(e, CampaignEvent::Cell { .. }))
-        .count();
-    assert_eq!(cells, outcome.cells);
+        .filter_map(|e| match e {
+            CampaignEvent::Cell { index, .. } => Some(*index),
+            _ => None,
+        })
+        .collect();
+    let expected: BTreeSet<usize> = leased.iter().flat_map(|l| l.cells.clone()).collect();
+    assert_eq!(cells.len(), expected.len(), "no cell twice");
+    assert_eq!(cells.into_iter().collect::<BTreeSet<_>>(), expected);
+    let mut lease_done: Vec<usize> = events
+        .iter()
+        .filter_map(|e| match e {
+            CampaignEvent::LeaseDone { lease_id, .. } => Some(*lease_id),
+            _ => None,
+        })
+        .collect();
+    lease_done.sort_unstable();
+    let lease_ids: Vec<usize> = leased.iter().map(|l| l.lease_id).collect();
+    assert_eq!(lease_done, lease_ids, "one lease_done per lease");
 }
 
 #[test]

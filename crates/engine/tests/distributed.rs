@@ -1,19 +1,22 @@
-//! Distributed execution invariants, exercised in-process: the shard
-//! partition is deterministic and exhaustive, worker shards sharing a
-//! disk cache jointly compute exactly what a single-process run would,
-//! and the coordinator's merge of replayed event streams is
-//! byte-identical to the single-process sink output.
+//! Distributed execution invariants, exercised in-process: workers
+//! serving disjoint slices ("shards") of a campaign's leases over one
+//! disk cache report every cell exactly once and jointly compute
+//! exactly what a single-process run would, a logged campaign replays
+//! byte-identically, replay rejects broken logs, and the resume report
+//! does not depend on the worker count.
 //!
 //! Exercises the campaign-facade entry points end to end:
-//! [`Campaign::run_shard`] for the worker half and
-//! [`merge_event_streams`] for replayed coordinator merges.
+//! [`Campaign::serve_leases`] for the worker half and
+//! [`merge_event_streams`] for replayed logs.
 
+use std::collections::BTreeSet;
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use stochdag_engine::{
-    decode_event, encode_event, merge_event_streams, shard_of, Campaign, CampaignEvent, CsvSink,
-    FnObserver, MultiProcess, ProgressReporter, ResultCache, ResultSink, SweepSpec,
+    decode_event, encode_event, encode_lease, merge_event_streams, Campaign, CampaignEvent,
+    CampaignPlan, CsvSink, EstimatorRegistry, FnObserver, MultiProcess, ProgressReporter,
+    ResultCache, ResultSink, SweepOutcome, SweepSpec, WorkLease,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -66,11 +69,28 @@ impl std::io::Write for SharedBuf {
     }
 }
 
-/// Run one shard through the campaign facade, collecting its protocol
-/// lines (as a worker's stdout would carry them).
-fn shard_lines(spec: &SweepSpec, cache_dir: &PathBuf, shard: usize, of: usize) -> Vec<String> {
+/// The plan's leases dealt round-robin into `workers` disjoint slices.
+fn lease_slices(spec: &SweepSpec, workers: usize) -> Vec<Vec<WorkLease>> {
+    let plan = CampaignPlan::new(spec, &EstimatorRegistry::standard()).unwrap();
+    let mut slices = vec![Vec::new(); workers];
+    for lease in plan.leases() {
+        slices[lease.lease_id % workers].push(lease.clone());
+    }
+    slices
+}
+
+/// Serve `leases` as worker `slot` through the campaign facade — a
+/// fresh cache handle over the shared directory, leases fed as stdin
+/// lines — collecting the protocol lines its stdout would carry.
+fn worker_lines(
+    spec: &SweepSpec,
+    cache_dir: &Path,
+    slot: usize,
+    leases: &[WorkLease],
+) -> Vec<String> {
     let lines = Arc::new(Mutex::new(Vec::new()));
     let sink = lines.clone();
+    let input: String = leases.iter().map(|l| encode_lease(l) + "\n").collect();
     Campaign::builder(spec.clone())
         .cache(Arc::new(ResultCache::on_disk(cache_dir)))
         .observer(FnObserver(move |ev: &CampaignEvent| {
@@ -78,44 +98,35 @@ fn shard_lines(spec: &SweepSpec, cache_dir: &PathBuf, shard: usize, of: usize) -
         }))
         .build()
         .unwrap()
-        .run_shard(shard, of)
+        .serve_leases(slot, Cursor::new(input))
         .unwrap();
     let out = lines.lock().unwrap().clone();
     out
 }
 
-fn csv_of_merge(streams: Vec<Vec<String>>) -> (Vec<u8>, stochdag_engine::SweepOutcome) {
-    let readers: Vec<Cursor<Vec<u8>>> = streams
-        .into_iter()
-        .map(|lines| Cursor::new((lines.join("\n") + "\n").into_bytes()))
-        .collect();
-    let mut csv = CsvSink::new(Vec::new());
-    let outcome = {
-        let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut csv];
-        merge_event_streams(readers, &mut sinks, &mut ProgressReporter::disabled()).unwrap()
-    };
-    (csv.into_inner(), outcome)
+/// Run the whole campaign in-process over `cache_dir`, returning its
+/// outcome, its CSV bytes, and its event log.
+fn single_run(spec: &SweepSpec, cache_dir: &Path) -> (SweepOutcome, Vec<u8>, Vec<String>) {
+    let buf = SharedBuf::default();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = log.clone();
+    let outcome = Campaign::builder(spec.clone())
+        .cache(Arc::new(ResultCache::on_disk(cache_dir)))
+        .sink(CsvSink::new(buf.clone()))
+        .observer(FnObserver(move |ev: &CampaignEvent| {
+            sink.lock().unwrap().push(encode_event(ev));
+        }))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let log = log.lock().unwrap().clone();
+    (outcome, buf.bytes(), log)
 }
 
-#[test]
-fn shard_assignment_is_deterministic_and_partitions() {
-    let keys: Vec<String> = (0..97).map(|i| format!("{i:032x}")).collect();
-    for n in [1, 2, 4, 7] {
-        let mut counts = vec![0usize; n];
-        for k in &keys {
-            let s = shard_of(k, n);
-            assert_eq!(s, shard_of(k, n), "deterministic");
-            assert!(s < n);
-            counts[s] += 1;
-        }
-        assert_eq!(counts.iter().sum::<usize>(), keys.len(), "partition");
-        if n > 1 {
-            assert!(
-                counts.iter().all(|&c| c > 0),
-                "balanced enough that no shard starves: {counts:?}"
-            );
-        }
-    }
+fn replay(lines: &[String], sinks: &mut [&mut dyn ResultSink]) -> Result<SweepOutcome, String> {
+    let log = Cursor::new((lines.join("\n") + "\n").into_bytes());
+    merge_event_streams(log, sinks, &mut ProgressReporter::disabled()).map_err(String::from)
 }
 
 #[test]
@@ -127,30 +138,25 @@ fn shards_jointly_match_single_process_byte_for_byte() {
         let cache_dir = dir.join("cache");
 
         // Distributed fresh run: each "process" is a fresh ResultCache
-        // over the shared directory, executed shard by shard.
-        let streams: Vec<Vec<String>> = (0..workers)
-            .map(|s| shard_lines(&spec, &cache_dir, s, workers))
-            .collect();
-        let (merged_csv, merged) = csv_of_merge(streams);
-        assert_eq!(merged.cells, 18, "3 DAGs x 2 pfails x 3 estimators");
+        // over the shared directory, serving its slice of the leases.
+        for (slot, slice) in lease_slices(&spec, workers).iter().enumerate() {
+            worker_lines(&spec, &cache_dir, slot, slice);
+        }
 
         // Single-process run over the same cache: must be fully served
-        // from what the shards stored, with identical bytes.
-        let buf = SharedBuf::default();
-        let single = Campaign::builder(spec.clone())
-            .cache(Arc::new(ResultCache::on_disk(&cache_dir)))
-            .sink(CsvSink::new(buf.clone()))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
+        // from what the workers stored, and its log must replay into
+        // the identical bytes.
+        let (single, csv, log) = single_run(&spec, &cache_dir);
         assert!(
             single.fully_cached(),
-            "{workers} shard(s) must have computed every work unit ({} misses)",
+            "{workers} worker(s) must have computed every work unit ({} misses)",
             single.cache_misses
         );
-        assert_eq!(merged.rows, single.rows, "merged rows = single rows");
-        assert_eq!(merged_csv, buf.bytes(), "byte-identical CSV");
+        let mut replayed = CsvSink::new(Vec::new());
+        let merged = replay(&log, &mut [&mut replayed]).unwrap();
+        assert_eq!(merged.cells, 18);
+        assert_eq!(merged.rows, single.rows, "replayed rows = single rows");
+        assert_eq!(replayed.into_inner(), csv, "byte-identical CSV");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -160,32 +166,31 @@ fn shard_streams_cover_every_cell_exactly_once() {
     let spec = campaign();
     let dir = scratch("cover");
     let cache_dir = dir.join("cache");
-    let mut seen = std::collections::BTreeSet::new();
-    let mut hello_cells = 0usize;
-    for s in 0..3 {
-        let lines = shard_lines(&spec, &cache_dir, s, 3);
-        let events: Vec<CampaignEvent> = lines.iter().map(|l| decode_event(l).unwrap()).collect();
+    let mut seen = BTreeSet::new();
+    for (slot, slice) in lease_slices(&spec, 3).iter().enumerate() {
+        let events: Vec<CampaignEvent> = worker_lines(&spec, &cache_dir, slot, slice)
+            .iter()
+            .map(|l| decode_event(l).unwrap())
+            .collect();
         assert!(
-            matches!(events.first(), Some(CampaignEvent::Hello { .. })),
-            "hello first"
+            matches!(events.first(), Some(CampaignEvent::Hello { shard, .. }) if *shard == slot),
+            "hello first, carrying the worker slot"
         );
         assert!(
             matches!(events.last(), Some(CampaignEvent::Done { .. })),
             "done last"
         );
         for ev in events {
-            match ev {
-                CampaignEvent::Hello { cells, .. } => hello_cells += cells,
-                CampaignEvent::Cell { index, .. } => {
-                    assert!(seen.insert(index), "cell {index} owned by two shards");
-                }
-                _ => {}
+            if let CampaignEvent::Cell { index, .. } = ev {
+                assert!(seen.insert(index), "cell {index} served by two workers");
             }
         }
     }
-    assert_eq!(seen.len(), 18, "union of shards covers the campaign");
-    assert_eq!(hello_cells, 18);
-    assert_eq!(*seen.iter().next_back().unwrap(), 17, "contiguous indices");
+    assert_eq!(
+        seen,
+        (0..18).collect::<BTreeSet<_>>(),
+        "3 DAGs x 2 pfails x 3 estimators, each exactly once"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -193,84 +198,84 @@ fn shard_streams_cover_every_cell_exactly_once() {
 fn coordinator_rejects_broken_streams() {
     let spec = campaign();
     let dir = scratch("broken");
-    let cache_dir = dir.join("cache");
-    let good = shard_lines(&spec, &cache_dir, 0, 1);
+    let (_, _, good) = single_run(&spec, &dir.join("cache"));
+    let run = |lines: Vec<String>| replay(&lines, &mut []).unwrap_err();
 
-    let run = |streams: Vec<Vec<String>>| {
-        let readers: Vec<Cursor<Vec<u8>>> = streams
-            .into_iter()
-            .map(|l| Cursor::new((l.join("\n") + "\n").into_bytes()))
-            .collect();
-        let mut sinks: Vec<&mut dyn ResultSink> = vec![];
-        merge_event_streams(readers, &mut sinks, &mut ProgressReporter::disabled())
-    };
+    // A log cut before its last cell (its writer died mid-campaign).
+    let last_cell = good
+        .iter()
+        .rposition(|l| matches!(decode_event(l), Ok(CampaignEvent::Cell { .. })))
+        .unwrap();
+    let err = run(good[..last_cell].to_vec());
+    assert!(err.contains("of 18 planned cells"), "{err}");
 
-    // A stream that ends before its `done` event (crashed worker).
-    let truncated = good[..good.len() - 2].to_vec();
-    let err = run(vec![truncated]).unwrap_err();
-    assert!(err.to_string().contains("worker"), "{err}");
-
-    // An explicit worker error aborts the merge.
-    let failed = vec![
-        good[0].clone(),
+    // An explicit worker error aborts the replay.
+    let mut failed = good.clone();
+    failed.insert(
+        2,
         encode_event(&CampaignEvent::Error {
-            message: "shard exploded".into(),
+            message: "worker exploded".into(),
             kind: Some("worker".into()),
         }),
-    ];
-    let err = run(vec![failed]).unwrap_err();
-    assert!(err.to_string().contains("shard exploded"), "{err}");
+    );
+    let err = run(failed);
+    assert!(err.contains("worker exploded"), "{err}");
 
     // Garbage on the wire is a hard protocol error.
-    let garbage = vec![good[0].clone(), "{not an event".into()];
-    let err = run(vec![garbage]).unwrap_err();
-    assert!(err.to_string().contains("bad worker event"), "{err}");
+    let err = run(vec![good[0].clone(), "{not an event".into()]);
+    assert!(err.contains("bad worker event"), "{err}");
 
-    // No workers at all is refused.
-    let err = run(vec![]).unwrap_err();
-    assert!(err.to_string().contains("at least one worker"), "{err}");
+    // Without the coordinator's plan there is nothing to check the
+    // cells against.
+    let err = run(good[1..].to_vec());
+    assert!(err.contains("no plan"), "{err}");
+
+    // A repeated cell is an error even while its first copy still
+    // waits for earlier rows: move the last cell right behind the plan
+    // and repeat it there.
+    let mut repeated = good.clone();
+    let last = repeated
+        .iter()
+        .position(|l| matches!(decode_event(l), Ok(CampaignEvent::Cell { index: 17, .. })))
+        .unwrap();
+    let cell = repeated.remove(last);
+    repeated.insert(1, cell.clone());
+    repeated.insert(2, cell);
+    let err = run(repeated);
+    assert!(err.contains("delivered twice"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn sharded_resume_report_splits_cells_by_shard() {
+fn resume_report_is_the_same_for_any_worker_count() {
     let spec = campaign();
     let dir = scratch("resume");
     let cache = Arc::new(ResultCache::on_disk(dir.join("cache")));
-    let sharded = |spec: &SweepSpec| {
+    let report = |workers: usize| {
         Campaign::builder(spec.clone())
             .cache(cache.clone())
-            .backend(MultiProcess::new(2))
+            .backend(MultiProcess::new(workers))
             .build()
+            .unwrap()
+            .resume_report()
             .unwrap()
     };
 
-    let fresh = sharded(&spec).resume_report().unwrap();
-    assert_eq!(fresh.shards.len(), 2);
-    assert_eq!(
-        fresh.shards.iter().map(|s| s.misses).sum::<usize>(),
-        18,
-        "shard misses partition the cells"
-    );
-    assert!(fresh.shards.iter().all(|s| s.hits == 0));
+    let fresh = report(1);
+    assert_eq!(fresh.total_misses(), 18 + 6, "cells + references");
+    assert_eq!(report(3), fresh);
 
-    // Compute shard 0 only, then the report shows exactly that shard
-    // as cached and shard 1 as pending.
-    let shard0 = Campaign::builder(spec.clone())
-        .cache(cache.clone())
-        .build()
-        .unwrap()
-        .run_shard(0, 2)
-        .unwrap();
-    let after = sharded(&spec).resume_report().unwrap();
-    assert_eq!(after.shards[0].hits, shard0.cells);
-    assert_eq!(after.shards[0].misses, 0);
-    assert_eq!(after.shards[1].hits, 0);
-    assert_eq!(after.shards[1].misses, 18 - shard0.cells);
+    // Serve half the leases, then both reports show exactly that half
+    // as cached.
+    let half = &lease_slices(&spec, 2)[0];
+    worker_lines(&spec, &dir.join("cache"), 0, half);
+    let after = report(1);
+    let cached_cells: usize = after.estimators.iter().map(|e| e.hits).sum();
     assert_eq!(
-        after.reference_hits, shard0.references,
-        "shard 0 cached the references it needed"
+        cached_cells,
+        half.iter().map(|l| l.cells.len()).sum::<usize>()
     );
+    assert_eq!(report(3), after);
 
     // A zero-worker backend is rejected before any filesystem work.
     assert!(Campaign::builder(spec.clone())

@@ -126,7 +126,7 @@ fn second_run_over_a_shared_cache_is_all_memory_tier() {
 
 #[test]
 fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
-    let run_shard = |telemetry: Telemetry| {
+    let wire_events = |telemetry: Telemetry| {
         let buf = SharedBuf::default();
         Campaign::builder(campaign_spec())
             .cache(Arc::new(ResultCache::in_memory()))
@@ -134,7 +134,7 @@ fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
             .observer(WireObserver::new(buf.clone()))
             .build()
             .unwrap()
-            .run_shard(0, 1)
+            .run()
             .unwrap();
         buf.text()
             .lines()
@@ -142,9 +142,8 @@ fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
             .collect::<Vec<_>>()
     };
 
-    // Disabled (the default): the wire stream is exactly the PR-4
-    // protocol — no telemetry event at all.
-    let events = run_shard(Telemetry::disabled());
+    // Disabled (the default): no telemetry event at all.
+    let events = wire_events(Telemetry::disabled());
     assert!(
         !events
             .iter()
@@ -153,8 +152,8 @@ fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
     );
 
     // Enabled: exactly one snapshot, just before `done`, with the
-    // shard's collected spans and counters.
-    let events = run_shard(Telemetry::enabled());
+    // worker's collected spans and counters.
+    let events = wire_events(Telemetry::enabled());
     let telemetry_events: Vec<_> = events
         .iter()
         .filter(|e| matches!(e, CampaignEvent::Telemetry { .. }))
@@ -168,12 +167,12 @@ fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
         panic!("telemetry event rides immediately before done");
     };
     assert_eq!(*shard, 0);
-    assert!(!snapshot.is_empty(), "snapshot carries the shard's data");
+    assert!(!snapshot.is_empty(), "snapshot carries the worker's data");
 }
 
 #[test]
 fn stream_merge_replays_telemetry_and_unknown_events() {
-    // Capture a real shard stream with telemetry enabled…
+    // Capture a campaign's log with telemetry enabled…
     let buf = SharedBuf::default();
     Campaign::builder(campaign_spec())
         .cache(Arc::new(ResultCache::in_memory()))
@@ -181,7 +180,7 @@ fn stream_merge_replays_telemetry_and_unknown_events() {
         .observer(WireObserver::new(buf.clone()))
         .build()
         .unwrap()
-        .run_shard(0, 1)
+        .run()
         .unwrap();
     let mut lines: Vec<String> = buf.text().lines().map(str::to_string).collect();
     assert!(
@@ -197,18 +196,14 @@ fn stream_merge_replays_telemetry_and_unknown_events() {
     );
 
     // The stream-merge replay path must take it in stride: unknown
-    // event tags are skipped, not fatal, so older coordinators replay
-    // newer worker logs.
+    // event tags are skipped, not fatal, so older builds replay newer
+    // logs.
     let reader = Cursor::new((lines.join("\n") + "\n").into_bytes());
     let mut vec_sink = VecSink::default();
     let outcome = {
         let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut vec_sink];
-        stochdag_engine::merge_event_streams(
-            vec![reader],
-            &mut sinks,
-            &mut ProgressReporter::disabled(),
-        )
-        .unwrap()
+        stochdag_engine::merge_event_streams(reader, &mut sinks, &mut ProgressReporter::disabled())
+            .unwrap()
     };
     assert_eq!(outcome.cells, 24);
     assert_eq!(vec_sink.rows.len(), 24);

@@ -247,40 +247,30 @@ fn scenario_shards_match_in_process_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache_dir = dir.join("cache");
 
-    // Worker half: each shard is a fresh process-like cache handle
-    // over the shared directory, its event stream captured as a worker
-    // process's stdout would carry it.
-    let streams: Vec<Vec<String>> = (0..2)
-        .map(|shard| {
-            let lines = Arc::new(Mutex::new(Vec::new()));
-            let sink = lines.clone();
-            Campaign::builder(spec.clone())
-                .cache(Arc::new(ResultCache::on_disk(&cache_dir)))
-                .observer(FnObserver(move |ev: &CampaignEvent| {
-                    sink.lock().unwrap().push(encode_event(ev));
-                }))
-                .build()
-                .unwrap()
-                .run_shard(shard, 2)
-                .unwrap();
-            let out = lines.lock().unwrap().clone();
-            out
-        })
-        .collect();
-    let readers: Vec<Cursor<Vec<u8>>> = streams
-        .into_iter()
-        .map(|lines| Cursor::new((lines.join("\n") + "\n").into_bytes()))
-        .collect();
+    // Logged half: a campaign's event stream, captured as a served
+    // campaign's `events` subscription would carry it, then replayed.
+    let lines = Arc::new(Mutex::new(Vec::new()));
+    let sink = lines.clone();
+    Campaign::builder(spec.clone())
+        .cache(Arc::new(ResultCache::on_disk(&cache_dir)))
+        .observer(FnObserver(move |ev: &CampaignEvent| {
+            sink.lock().unwrap().push(encode_event(ev));
+        }))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let log = Cursor::new((lines.lock().unwrap().join("\n") + "\n").into_bytes());
     let mut csv = CsvSink::new(Vec::new());
     let merged = {
         let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut csv];
-        merge_event_streams(readers, &mut sinks, &mut ProgressReporter::disabled()).unwrap()
+        merge_event_streams(log, &mut sinks, &mut ProgressReporter::disabled()).unwrap()
     };
     let merged_csv = csv.into_inner();
     assert_eq!(merged.cells, 8);
 
-    // Coordinator half: a single-process run over the same cache must
-    // be fully served and byte-identical.
+    // In-process half: a second run over the same cache must be fully
+    // served and byte-identical to the replay.
     let buf = SharedBuf::default();
     let single = Campaign::builder(spec)
         .cache(Arc::new(ResultCache::on_disk(&cache_dir)))

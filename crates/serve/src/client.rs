@@ -3,10 +3,10 @@
 //! [`ServeClient`] speaks the [`protocol`](crate::protocol) over plain
 //! TCP: one connection per request, one JSON line each way. The
 //! high-level [`ServeClient::run_to_sinks`] subscribes to a campaign's
-//! event stream and replays it through the engine's
-//! [`merge_event_streams`] — the same code path a distributed
-//! `sweep --workers N` uses — so the files it writes are byte-identical
-//! to an in-process [`Campaign::run`] over the same cache.
+//! event stream — the whole campaign's log, opening with its `plan` —
+//! and replays it through the engine's [`merge_event_streams`], so the
+//! files it writes are byte-identical to an in-process
+//! [`Campaign::run`] over the same cache.
 //!
 //! [`Campaign::run`]: stochdag_engine::Campaign::run
 
@@ -224,10 +224,10 @@ impl ServeClient {
     /// Stream a campaign into local sinks and return its outcome.
     ///
     /// Subscribes to the event stream and replays it through the
-    /// engine's [`merge_event_streams`], exactly as a distributed
-    /// sweep merges its workers' stdout — so CSV/JSONL written here is
-    /// byte-identical to running the same spec in-process over the
-    /// same cache. A campaign that failed (or was cancelled) ends its
+    /// engine's [`merge_event_streams`] — the same merge
+    /// [`Campaign::run`](stochdag_engine::Campaign::run) applies to its
+    /// backend's events — so CSV/JSONL written here is byte-identical
+    /// to running the same spec in-process over the same cache. A campaign that failed (or was cancelled) ends its
     /// stream with a structured error event, which surfaces here as
     /// the corresponding [`EngineError`] wrapped in [`ServeError`].
     pub fn run_to_sinks(
@@ -238,7 +238,7 @@ impl ServeClient {
     ) -> Result<SweepOutcome, ServeError> {
         let reader = self.events_raw(id)?;
         let mut progress = ProgressReporter::stderr(progress);
-        let outcome = merge_event_streams(vec![reader], sinks, &mut progress)?;
+        let outcome = merge_event_streams(reader, sinks, &mut progress)?;
         Ok(outcome)
     }
 }

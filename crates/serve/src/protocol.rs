@@ -19,8 +19,11 @@
 //! | `resume` | `submitted` \| `error` | connection closes |
 //! | `shutdown` | `ack` | connection closes |
 //!
-//! The `events` stream is **exactly** what a `sweep-worker` process
-//! writes on stdout, so a client replays it through
+//! The `events` stream is the whole campaign's event log, opening with
+//! its `plan` — what a
+//! [`WireObserver`](stochdag_engine::WireObserver) on
+//! [`Campaign::run`](stochdag_engine::Campaign::run) writes — so a
+//! client replays it through
 //! [`merge_event_streams`](stochdag_engine::merge_event_streams) and
 //! gets CSV/JSONL byte-identical to an in-process
 //! [`Campaign::run`](stochdag_engine::Campaign::run) over the same

@@ -28,8 +28,10 @@
 //! `state` error; resubmitting its spec replays it from the cache.
 //!
 //! The accept loop blocks in `accept()`. Whatever can end the loop —
-//! a shutdown request and each pool worker's exit — wakes it with a
-//! throwaway loopback connection to the daemon's own address.
+//! a shutdown request, its written ack, and each pool worker's exit —
+//! wakes it with a throwaway loopback connection to the daemon's own
+//! address. The loop does not end before every `shutdown` ack is
+//! written.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -247,8 +249,8 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
 }
 
 /// Observer installed on every served campaign: mirrors the event
-/// stream into the campaign's [`EventLog`] (the exact lines a
-/// `sweep-worker` would write on stdout) and counts finished cells.
+/// stream into the campaign's [`EventLog`] (one encoded event per
+/// line, opening with the plan) and counts finished cells.
 struct LogObserver {
     log: Arc<EventLog>,
     rows: Arc<AtomicUsize>,
@@ -300,6 +302,9 @@ struct Inner {
     work: Condvar,
     next_id: AtomicU64,
     stop: AtomicU8,
+    /// `shutdown` requests whose ack is not written yet: the accept
+    /// loop keeps the daemon alive until they are.
+    unacked_shutdowns: AtomicUsize,
     submissions: AtomicU64,
     admission_rejected: AtomicU64,
     quota_rejected: AtomicU64,
@@ -375,6 +380,7 @@ impl Server {
             work: Condvar::new(),
             next_id: AtomicU64::new(1),
             stop: AtomicU8::new(RUN),
+            unacked_shutdowns: AtomicUsize::new(0),
             submissions: AtomicU64::new(0),
             admission_rejected: AtomicU64::new(0),
             quota_rejected: AtomicU64::new(0),
@@ -428,7 +434,9 @@ impl Server {
             .collect::<Result<_, _>>()?;
 
         loop {
-            if self.inner.stop.load(Ordering::Relaxed) != RUN && active.load(Ordering::Relaxed) == 0
+            if self.inner.stop.load(Ordering::SeqCst) != RUN
+                && active.load(Ordering::Relaxed) == 0
+                && self.inner.unacked_shutdowns.load(Ordering::SeqCst) == 0
             {
                 break;
             }
@@ -747,7 +755,7 @@ impl Inner {
             ShutdownMode::Drain => DRAIN,
             ShutdownMode::Now => NOW,
         };
-        self.stop.fetch_max(level, Ordering::Relaxed);
+        self.stop.fetch_max(level, Ordering::SeqCst);
         let mut state = self.state.lock().unwrap();
         // Queued campaigns never start under either mode.
         let queued: Vec<u64> = state.queue.drain(..).collect();
@@ -990,8 +998,13 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
         Request::Cancel { id } => respond(stream, &inner.cancel(id)),
         Request::Resume { id } => respond(stream, &inner.resume(id)),
         Request::Shutdown { mode } => {
+            // Without a running campaign the pool exits at once; the
+            // daemon must still write this ack before it stops.
+            inner.unacked_shutdowns.fetch_add(1, Ordering::SeqCst);
             let message = inner.shutdown(mode);
             respond(stream, &Response::Ack { message });
+            inner.unacked_shutdowns.fetch_sub(1, Ordering::SeqCst);
+            inner.wake();
         }
         Request::Events { id } => {
             let mut stream = stream;

@@ -1,4 +1,5 @@
-//! Graphviz DOT ingestion — the import dual of [`stochdag_dag::dot`].
+//! Graphviz DOT ingestion — the import dual of
+//! [`stochdag_dag::dot_string`].
 //!
 //! Parses the directed-graph subset of the DOT language that covers
 //! both this workspace's own exports and typical workflow-trace dumps:
