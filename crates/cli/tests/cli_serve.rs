@@ -1,11 +1,12 @@
 //! End-to-end tests of the campaign service through the real binary:
 //! `serve` daemon lifecycle, `submit`/`status`/`cancel`/`shutdown`
 //! clients, served-output parity with a direct `sweep`, a SIGTERM
-//! drain, a `shutdown` ack that outlives the worker pool, and on-disk
+//! drain, a `shutdown` ack that outlives the worker pool, a daemon that
+//! keeps serving when it runs out of file descriptors, and on-disk
 //! cache reusability after the daemon is SIGKILLed mid-campaign.
 
 use std::io::{BufRead, BufReader, Read};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -38,14 +39,18 @@ fn scratch(tag: &str) -> (PathBuf, PathBuf) {
 /// reader (dropping the pipe would make the daemon's own summary
 /// prints fail).
 fn start_daemon(extra: &[&str]) -> (Child, String, BufReader<std::process::ChildStdout>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_stochdag"))
-        .arg("serve")
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_stochdag"));
+    cmd.arg("serve")
         .args(["--listen", "127.0.0.1:0"])
         .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("daemon starts");
+        .stderr(Stdio::null());
+    spawn_daemon(cmd)
+}
+
+/// Spawn `cmd`, a daemon listening on an ephemeral port, and read its
+/// announced address (see [`start_daemon`]).
+fn spawn_daemon(mut cmd: Command) -> (Child, String, BufReader<std::process::ChildStdout>) {
+    let mut child = cmd.stdout(Stdio::piped()).spawn().expect("daemon starts");
     let stdout = child.stdout.take().expect("piped stdout");
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
@@ -58,6 +63,21 @@ fn start_daemon(extra: &[&str]) -> (Child, String, BufReader<std::process::Child
         .unwrap_or_else(|| panic!("unexpected announce line {line:?}"))
         .to_string();
     (child, addr, reader)
+}
+
+/// The daemon said goodbye on stdout and wrote a shutdown report
+/// that parses and lists no unfinished campaign.
+fn assert_clean_shutdown_report(
+    daemon_out: &mut BufReader<std::process::ChildStdout>,
+    report: &Path,
+) {
+    let mut rest = String::new();
+    daemon_out.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("shut down after"), "{rest}");
+    let raw = std::fs::read_to_string(report).expect("shutdown report written");
+    let parsed: stochdag_serve::ShutdownReport =
+        serde::json::from_str(&raw).expect("shutdown report parses");
+    assert!(parsed.unfinished.is_empty());
 }
 
 fn wait_exit(child: &mut Child) {
@@ -285,13 +305,55 @@ fn sigterm_drains_the_daemon_and_writes_the_shutdown_report() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(status.success(), "SIGTERM must drain to exit 0: {status}");
+    assert_clean_shutdown_report(&mut daemon_out, &report);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let mut rest = String::new();
-    daemon_out.read_to_string(&mut rest).unwrap();
-    assert!(rest.contains("shut down after"), "{rest}");
-    let raw = std::fs::read_to_string(&report).expect("shutdown report written");
-    let parsed: stochdag_serve::ShutdownReport =
-        serde::json::from_str(&raw).expect("shutdown report parses");
-    assert!(parsed.unfinished.is_empty());
+#[cfg(unix)]
+#[test]
+fn daemon_out_of_file_descriptors_keeps_serving() {
+    let (dir, _spec) = scratch("emfile");
+    let report = dir.join("report.json");
+    let mut cmd = Command::new("sh");
+    cmd.arg("-c")
+        .arg(r#"ulimit -n 24 && exec "$0" serve --listen 127.0.0.1:0 --no-cache --shutdown-report "$1""#)
+        .arg(env!("CARGO_BIN_EXE_stochdag"))
+        .arg(&report)
+        .stderr(Stdio::piped());
+    let (mut daemon, addr, mut daemon_out) = spawn_daemon(cmd);
+
+    // Idle connections that never send a request: each accepted one
+    // holds two descriptors, so the daemon's `accept` runs out of
+    // them and fails while the rest wait in the backlog.
+    let idle: Vec<std::net::TcpStream> = (0..30)
+        .filter_map(|_| std::net::TcpStream::connect(&addr).ok())
+        .collect();
+    let deadline = Instant::now() + Duration::from_millis(1500);
+    while Instant::now() < deadline {
+        if let Some(status) = daemon.try_wait().expect("wait works") {
+            let mut stderr = String::new();
+            daemon
+                .stderr
+                .take()
+                .unwrap()
+                .read_to_string(&mut stderr)
+                .unwrap();
+            panic!(
+                "daemon exited ({status}) with {} idle connections: {stderr}",
+                idle.len()
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // Once the descriptors come back, the daemon serves again.
+    drop(idle);
+    let (ok, stdout, stderr) = stochdag(&["status", "--addr", &addr]);
+    assert!(ok, "{stdout}\n{stderr}");
+    let (ok, stdout, stderr) = stochdag(&["shutdown", "--addr", &addr]);
+    assert!(ok, "{stdout}\n{stderr}");
+    wait_exit(&mut daemon);
+    assert!(daemon.wait().unwrap().success(), "daemon exits cleanly");
+    assert_clean_shutdown_report(&mut daemon_out, &report);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -82,7 +82,13 @@ pub struct BackendContext<'a> {
 }
 
 /// Event delivery callback handed to backends: `(source slot, event)`.
-/// Must be callable from any backend thread.
+///
+/// Callable from any backend thread. The campaign merges the event,
+/// runs its observers and writes any rows it completes to the sinks on
+/// the calling thread before `deliver` returns, one event at a time
+/// under one lock; concurrent callers wait for it. So an observer that
+/// flips the campaign's [`CancelToken`] has run before the executor
+/// checks the token again.
 pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> + Sync + 'a;
 
 /// An execution strategy for a campaign's cells (**work-leasing**).
@@ -100,10 +106,15 @@ pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> +
 /// implementation — which is what makes backend outputs byte-identical
 /// regardless of lease interleaving.
 ///
+/// [`execute`](ExecBackend::execute) runs on the thread that called
+/// [`Campaign::run`], and [`Deliver`] merges each event on the thread
+/// that delivers it: observers and sinks run one at a time on whatever
+/// thread the backend delivers from, which may be one of its own.
+///
 /// Shipped backends:
 ///
-/// * [`InProcess`] — worker threads in this process draining the
-///   queue through one shared [`LeaseExecutor`].
+/// * [`InProcess`] — the calling thread plus up to `--jobs − 1` helper
+///   threads draining the queue through one shared [`LeaseExecutor`].
 /// * [`MultiProcess`] — N `sweep-worker` processes on this machine
 ///   sharing the on-disk cache, leases streamed over stdin pipes.
 /// * [`SharedFs`](crate::SharedFs) — remote `sweep-worker` processes
@@ -134,9 +145,10 @@ pub trait ExecBackend: Send + Sync {
 }
 
 /// Execute the campaign on worker threads in this process: up to
-/// `--jobs` (default: every core) threads drain the lease queue
-/// through one shared [`LeaseExecutor`], so each DAG instance freezes
-/// once and each (instance × estimator) group prepares once.
+/// `--jobs` (default: every core) threads — the calling thread and
+/// `jobs − 1` scoped helpers — drain the lease queue through one
+/// shared [`LeaseExecutor`], so each DAG instance freezes once and
+/// each (instance × estimator) group prepares once.
 pub struct InProcess;
 
 impl ExecBackend for InProcess {
@@ -169,31 +181,32 @@ impl ExecBackend for InProcess {
         )?;
         let threads = rayon::current_num_threads().min(leases.total()).max(1);
         let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let executor = &executor;
-                let first_error = &first_error;
-                scope.spawn(move || {
-                    while first_error.lock().expect("first error slot").is_none() {
-                        let Some(lease) = leases.next() else { return };
-                        match executor.run(&lease, &|ev| deliver(0, ev)) {
-                            Ok(()) => leases.complete(lease.lease_id),
-                            Err(e) => {
-                                // In-process failures (cancellation, a
-                                // sink/observer error surfaced through
-                                // emit) are fatal — there is no crashed
-                                // process to retry around.
-                                first_error
-                                    .lock()
-                                    .expect("first error slot")
-                                    .get_or_insert(e);
-                                leases.close();
-                                return;
-                            }
-                        }
+        let drain = || {
+            while first_error.lock().expect("first error slot").is_none() {
+                let Some(lease) = leases.next() else { return };
+                match executor.run(&lease, &|ev| deliver(0, ev)) {
+                    Ok(()) => leases.complete(lease.lease_id),
+                    Err(e) => {
+                        // In-process failures (cancellation, a
+                        // sink/observer error surfaced through emit)
+                        // are fatal — there is no crashed process to
+                        // retry around.
+                        first_error
+                            .lock()
+                            .expect("first error slot")
+                            .get_or_insert(e);
+                        leases.close();
+                        return;
                     }
-                });
+                }
             }
+        };
+        // The calling thread drains too, so one thread spawns nothing.
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(drain);
+            }
+            drain();
         });
         if let Some(e) = first_error.into_inner().expect("first error slot") {
             return Err(e);
@@ -357,8 +370,8 @@ impl MultiProcess {
     /// Drive one worker process: feed it leases over stdin (keeping a
     /// window of `jobs` in flight), pump its event stream, retire
     /// completed leases. Returns how the session ended; `Err` is
-    /// reserved for campaign-fatal conditions (cancellation, a dead
-    /// event channel).
+    /// reserved for campaign-fatal conditions (cancellation, a failed
+    /// delivery).
     fn pump_worker(
         slot: usize,
         jobs: usize,
@@ -1170,9 +1183,10 @@ impl Campaign {
 
     /// The engine room shared by every full-campaign execution path:
     /// plans the campaign, announces the plan, runs the backend over
-    /// the lease queue, merges its event stream (dedup, re-sequencing,
-    /// completeness), feeds observers and sinks, and folds worker
-    /// telemetry snapshots into the campaign's collector.
+    /// the lease queue on the calling thread, merges its event stream
+    /// (dedup, re-sequencing, completeness) as it is delivered, feeds
+    /// observers and sinks, and folds worker telemetry snapshots into
+    /// the campaign's collector.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_core(
         spec: &SweepSpec,
@@ -1191,27 +1205,36 @@ impl Campaign {
         }
         let plan = CampaignPlan::new(spec, registry)?;
         let leases = LeaseQueue::new(plan.leases().to_vec());
-        let mut merge = Merge::begin(sinks)?;
-        // Bounded to one in-flight event: backends run at most two
-        // events ahead of the observers, so an observer that flips the
-        // campaign's [`CancelToken`] (the seam the service's `cancel`
-        // request is built on) is guaranteed visible to the executor
-        // before the next lease starts. Cell computation dominates the
-        // per-event handoff, so throughput is unaffected.
-        let (tx, rx) = mpsc::sync_channel::<(usize, CampaignEvent)>(1);
+        let core = Mutex::new(Delivery {
+            merge: Merge::begin(sinks)?,
+            observers,
+            sinks,
+        });
+        let deliver = |source: usize, event: CampaignEvent| -> Result<(), EngineError> {
+            // Only time the lock when telemetry is on: the disabled
+            // path stays clock-free.
+            let mut core = if telemetry.is_enabled() {
+                let t0 = Instant::now();
+                let core = core.lock().expect("campaign merge");
+                telemetry.record_span_duration("queue_wait", t0.elapsed());
+                core
+            } else {
+                core.lock().expect("campaign merge")
+            };
+            core.dispatch(source, event, telemetry);
+            Ok(())
+        };
         // The coordinator announces the authoritative totals before
         // any worker starts — under leasing no worker can (it does not
-        // know how many leases it will win). The one buffered slot
-        // makes this pre-loop send safe.
-        tx.send((
+        // know how many leases it will win).
+        deliver(
             COORDINATOR_SOURCE,
             CampaignEvent::Plan {
                 cells: plan.cells(),
                 references: plan.references(),
                 leases: leases.total(),
             },
-        ))
-        .expect("plan receiver alive");
+        )?;
         let ctx = BackendContext {
             spec,
             registry,
@@ -1220,60 +1243,12 @@ impl Campaign {
             cancel,
             plan: &plan,
         };
-        let backend_result = std::thread::scope(|scope| {
-            let ctx = &ctx;
-            let leases = &leases;
-            let handle = scope.spawn(move || {
-                let deliver = move |source: usize, ev: CampaignEvent| {
-                    tx.send((source, ev))
-                        .map_err(|_| EngineError::worker(None, "event channel closed"))
-                };
-                backend.execute(ctx, leases, &deliver)
-            });
-            loop {
-                // Only measure channel blocking when telemetry is on:
-                // the disabled path keeps the bare recv, clock-free.
-                let received = if telemetry.is_enabled() {
-                    let t0 = Instant::now();
-                    let r = rx.recv();
-                    telemetry.record_span_duration("queue_wait", t0.elapsed());
-                    r
-                } else {
-                    rx.recv()
-                };
-                let Ok((source, event)) = received else {
-                    break;
-                };
-                // After the first error (a sink or observer failure)
-                // the campaign's fate is sealed: stop dispatching to
-                // observers and sinks and just drain the channel. The
-                // backend cannot be cancelled mid-cell — completed
-                // cells still land in the shared cache — but no
-                // further downstream work happens.
-                if merge.has_error() {
-                    continue;
-                }
-                // A re-queued lease re-delivers events its crashed
-                // attempt already sent; drop them before observers so
-                // progress counters and custom monitors stay exact.
-                if merge.is_duplicate(source, &event) {
-                    continue;
-                }
-                // Fold each worker's aggregate into the campaign's
-                // collector — the same path whether the snapshot came
-                // from an in-process session or over a worker pipe.
-                if let CampaignEvent::Telemetry { snapshot, .. } = &event {
-                    telemetry.merge(snapshot);
-                }
-                for obs in observers.iter_mut() {
-                    if let Err(e) = obs.on_event(&event) {
-                        merge.record_error(e);
-                    }
-                }
-                merge.observe(source, event, sinks);
-            }
-            handle.join().expect("backend thread panicked")
-        });
+        let backend_result = backend.execute(&ctx, &leases, &deliver);
+        let Delivery {
+            mut merge,
+            observers,
+            sinks,
+        } = core.into_inner().expect("campaign merge");
         for obs in observers.iter_mut() {
             if let Err(e) = obs.on_finish() {
                 merge.record_error(e);
@@ -1283,6 +1258,46 @@ impl Campaign {
         let outcome = merge.finish(sinks, telemetry, start)?;
         telemetry.record_span_duration("campaign", outcome.wall);
         Ok(outcome)
+    }
+}
+
+/// What [`Campaign::run_core`]'s `deliver` locks: the merge plus the
+/// observers and sinks it feeds, so events are merged one at a time
+/// on whichever thread delivers them.
+struct Delivery<'o, 's, 'r> {
+    merge: Merge,
+    observers: &'o mut [Box<dyn CampaignObserver>],
+    sinks: &'s mut [&'r mut dyn ResultSink],
+}
+
+impl Delivery<'_, '_, '_> {
+    fn dispatch(&mut self, source: usize, event: CampaignEvent, telemetry: &Telemetry) {
+        // After the first error (a sink or observer failure) the
+        // campaign's fate is sealed: stop dispatching to observers and
+        // sinks and just drain. The backend cannot be cancelled
+        // mid-cell — completed cells still land in the shared cache —
+        // but no further downstream work happens.
+        if self.merge.has_error() {
+            return;
+        }
+        // A re-queued lease re-delivers events its crashed attempt
+        // already sent; drop them before observers so progress
+        // counters and custom monitors stay exact.
+        if self.merge.is_duplicate(source, &event) {
+            return;
+        }
+        // Fold each worker's aggregate into the campaign's collector —
+        // the same path whether the snapshot came from an in-process
+        // session or over a worker pipe.
+        if let CampaignEvent::Telemetry { snapshot, .. } = &event {
+            telemetry.merge(snapshot);
+        }
+        for obs in self.observers.iter_mut() {
+            if let Err(e) = obs.on_event(&event) {
+                self.merge.record_error(e);
+            }
+        }
+        self.merge.observe(source, event, self.sinks);
     }
 }
 

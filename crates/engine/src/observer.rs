@@ -25,6 +25,12 @@ use crate::protocol::CampaignEvent;
 /// A subscriber to a campaign's event stream (see the
 /// crate docs).
 ///
+/// Observers run one at a time, each event on the thread that
+/// delivered it — the thread that called `run`, or one of the
+/// backend's own threads — and that thread waits for them before it
+/// goes on. A slow observer therefore slows the campaign; hand heavy
+/// work to a thread of your own.
+///
 /// `on_event` errors fail the campaign: the first error wins, event
 /// dispatch to observers and sinks stops immediately, and the error is
 /// returned once the backend's in-flight work drains (cells already

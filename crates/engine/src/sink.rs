@@ -131,6 +131,10 @@ impl Serialize for SummaryRow {
 }
 
 /// A streaming consumer of sweep results.
+///
+/// Calls never overlap. `row` runs on the thread that delivered the
+/// event completing the row, which may be a backend thread rather than
+/// the one that called `run`; the other methods run on the caller's.
 pub trait ResultSink: Send {
     /// Called once before any row.
     fn begin(&mut self) -> io::Result<()>;

@@ -20,7 +20,7 @@
 //! | `estimate_cell` | cell evaluator | one estimate computation |
 //! | `cache_probe` | cell evaluator | one cache lookup (any tier) |
 //! | `sink_flush` | coordinator | summary + finish of every sink |
-//! | `queue_wait` | coordinator | time blocked on the event channel |
+//! | `queue_wait` | delivering thread | time one event waits for the merge lock |
 //!
 //! ## How metrics flow
 //!

@@ -139,7 +139,9 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
 
     // A saboteur that claims the first posted lease and then "dies":
     // the claim file sits in leases/claimed/ with no events behind it,
-    // exactly what a worker killed mid-lease leaves on disk.
+    // exactly what a worker killed mid-lease leaves on disk. Like a
+    // worker, it claims only `.json` lease files, never the
+    // coordinator's temporary files.
     let saboteur = {
         let spool = spool.clone();
         std::thread::spawn(move || {
@@ -148,6 +150,9 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
             for _ in 0..600 {
                 if let Ok(entries) = std::fs::read_dir(&open) {
                     for e in entries.flatten() {
+                        if e.path().extension().is_none_or(|x| x != "json") {
+                            continue;
+                        }
                         let target = claimed.join(e.file_name());
                         if std::fs::rename(e.path(), &target).is_ok() {
                             return true;
@@ -162,14 +167,19 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
 
     // One healthy worker drains everything else (and, after the
     // coordinator reclaims the stale claim, the re-queued lease too).
+    // It starts only once the saboteur holds its claim: a worker
+    // polling from the start can drain every lease before the
+    // saboteur's 10 ms poll finds one.
     let worker = {
         let spool = spool.clone();
         std::thread::spawn(move || {
-            SpoolWorker::new(&spool)
+            let sabotaged = saboteur.join().unwrap();
+            let summary = SpoolWorker::new(&spool)
                 .name("healthy")
                 .jobs(1)
                 .max_wait(Duration::from_secs(30))
-                .run()
+                .run();
+            (sabotaged, summary)
         })
     };
 
@@ -184,8 +194,9 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
         .unwrap();
     assert_eq!(outcome.cells, 8, "reclaim must not lose the stale lease");
 
-    assert!(saboteur.join().unwrap(), "saboteur claimed a lease");
-    let summary = worker.join().unwrap().unwrap();
+    let (sabotaged, summary) = worker.join().unwrap();
+    assert!(sabotaged, "saboteur claimed a lease");
+    let summary = summary.unwrap();
     assert_eq!(
         summary.cells, 8,
         "the healthy worker executed every cell, including the reclaimed lease"

@@ -227,9 +227,10 @@ impl ServeClient {
     /// engine's [`merge_event_streams`] — the same merge
     /// [`Campaign::run`](stochdag_engine::Campaign::run) applies to its
     /// backend's events — so CSV/JSONL written here is byte-identical
-    /// to running the same spec in-process over the same cache. A campaign that failed (or was cancelled) ends its
-    /// stream with a structured error event, which surfaces here as
-    /// the corresponding [`EngineError`] wrapped in [`ServeError`].
+    /// to running the same spec in-process over the same cache. A
+    /// campaign that failed (or was cancelled) ends its stream with a
+    /// structured error event, which surfaces here as the
+    /// corresponding [`EngineError`] wrapped in [`ServeError`].
     pub fn run_to_sinks(
         &self,
         id: u64,

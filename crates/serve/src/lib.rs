@@ -12,10 +12,11 @@
 //!
 //! * [`Server`] — binds a loopback TCP listener ([`ServeConfig`]),
 //!   admits campaigns through a per-campaign cell quota and a bounded
-//!   queue, runs them on a fixed-size worker pool over one shared
-//!   [`ResultCache`](stochdag_engine::ResultCache), and buffers each
-//!   campaign's event stream for subscribers. A completed campaign's
-//!   buffer is kept until a subscriber has read it in full and
+//!   queue, runs them on a bounded worker pool (workers start on
+//!   demand, up to [`max_running`](ServeConfig::max_running)) over
+//!   one shared [`ResultCache`](stochdag_engine::ResultCache), and
+//!   buffers each campaign's event stream for subscribers. A completed
+//!   campaign's buffer is kept until a subscriber has read it in full and
 //!   [`max_queued`](ServeConfig::max_queued) newer campaigns have
 //!   completed; failed, cancelled and unread campaigns are kept.
 //!   Shutdown (request or signal) drains in-flight work and persists

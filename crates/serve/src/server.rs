@@ -62,7 +62,9 @@ pub struct ServeConfig {
     /// Directory for the shared on-disk cache tier; `None` keeps the
     /// shared cache purely in memory.
     pub cache: Option<PathBuf>,
-    /// Worker pool size: campaigns executing concurrently.
+    /// Worker pool size: campaigns executing concurrently. Workers
+    /// start on demand, one per admitted campaign until this many
+    /// exist, and stay until shutdown.
     pub max_running: usize,
     /// Queue capacity; submissions beyond it are rejected with
     /// `kind = "admission"`. Also the retention window for completed
@@ -183,7 +185,8 @@ struct EventLog {
 }
 
 struct LogInner {
-    lines: Vec<String>,
+    /// Every event line so far, each ending in `\n`.
+    text: String,
     subscribers: Vec<TcpStream>,
     closed: bool,
 }
@@ -192,7 +195,7 @@ impl EventLog {
     fn new() -> EventLog {
         EventLog {
             inner: Mutex::new(LogInner {
-                lines: Vec::new(),
+                text: String::new(),
                 subscribers: Vec::new(),
                 closed: false,
             }),
@@ -201,12 +204,13 @@ impl EventLog {
 
     /// Append one event line: buffer it and push it to every live
     /// subscriber (dropping subscribers whose socket broke).
-    fn append(&self, line: String) {
+    fn append(&self, mut line: String) {
+        line.push('\n');
         let mut inner = self.inner.lock().unwrap();
         inner
             .subscribers
-            .retain_mut(|s| write_line(s, &line).is_ok());
-        inner.lines.push(line);
+            .retain_mut(|s| s.write_all(line.as_bytes()).is_ok());
+        inner.text.push_str(&line);
     }
 
     /// Mark the stream complete and hang up on subscribers (they see
@@ -226,13 +230,10 @@ impl EventLog {
     /// events. If the stream already closed and the replay got through,
     /// hand `stream` back: the caller hangs up once it has acted on
     /// the delivery, so the subscriber's EOF comes after that.
-    fn subscribe(&self, stream: TcpStream) -> Option<TcpStream> {
+    fn subscribe(&self, mut stream: TcpStream) -> Option<TcpStream> {
         let mut inner = self.inner.lock().unwrap();
-        let mut stream = stream;
-        for line in &inner.lines {
-            if write_line(&mut stream, line).is_err() {
-                return None;
-            }
+        if stream.write_all(inner.text.as_bytes()).is_err() {
+            return None;
         }
         if inner.closed {
             Some(stream)
@@ -243,9 +244,10 @@ impl EventLog {
     }
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+/// Write `line` and its newline in one `write_all`.
+fn write_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 /// Observer installed on every served campaign: mirrors the event
@@ -284,12 +286,13 @@ struct Entry {
     delivered: bool,
 }
 
-/// Mutable server state behind one mutex: the campaign table and the
-/// admission queue. Everything hot-path (counters, shutdown flag) is
-/// atomic and lives outside it.
+/// Mutable server state behind one mutex: the campaign table, the
+/// admission queue and the pool workers started so far. Everything
+/// hot-path (counters, shutdown flag) is atomic and lives outside it.
 struct State {
     campaigns: BTreeMap<u64, Entry>,
     queue: VecDeque<u64>,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
 struct Inner {
@@ -300,7 +303,11 @@ struct Inner {
     telemetry: Telemetry,
     state: Mutex<State>,
     work: Condvar,
+    /// Pool workers that have not exited yet.
+    active: AtomicUsize,
     next_id: AtomicU64,
+    /// Set under the state lock, so admission sees it before it
+    /// queues a campaign.
     stop: AtomicU8,
     /// `shutdown` requests whose ack is not written yet: the accept
     /// loop keeps the daemon alive until they are.
@@ -350,8 +357,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listener and set up the shared cache and pool. The
-    /// daemon does not accept connections until [`Server::run`].
+    /// Bind the listener and set up the shared cache. The daemon does
+    /// not accept connections until [`Server::run`]; pool workers
+    /// start as campaigns are admitted.
     pub fn bind(config: ServeConfig) -> Result<Server, EngineError> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| EngineError::io(format!("bind {}", config.addr), e))?;
@@ -376,8 +384,10 @@ impl Server {
             state: Mutex::new(State {
                 campaigns: BTreeMap::new(),
                 queue: VecDeque::new(),
+                workers: Vec::new(),
             }),
             work: Condvar::new(),
+            active: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             stop: AtomicU8::new(RUN),
             unacked_shutdowns: AtomicUsize::new(0),
@@ -408,34 +418,21 @@ impl Server {
         }
     }
 
-    /// Serve until shutdown: spawn the worker pool, accept and handle
-    /// connections, then drain, persist the shutdown report, and
-    /// return it.
+    /// Serve until shutdown: accept and handle connections, then
+    /// drain, persist the shutdown report, and return it. Pool workers
+    /// start on demand, one per admitted campaign until
+    /// [`max_running`](ServeConfig::max_running) exist.
     ///
     /// During a drain the daemon keeps answering `status`, `cancel`,
     /// and `events` connections (new submissions are refused) until
     /// the last in-flight campaign finishes; only then does it stop
-    /// accepting and exit.
+    /// accepting and exit. A failed `accept` (say, out of file
+    /// descriptors) is counted as `serve.accept_errors` and retried
+    /// after a short pause.
     pub fn run(self) -> Result<ShutdownReport, EngineError> {
-        let active = Arc::new(AtomicUsize::new(self.inner.config.max_running.max(1)));
-        let workers: Vec<_> = (0..self.inner.config.max_running.max(1))
-            .map(|w| {
-                let inner = self.inner.clone();
-                let active = active.clone();
-                thread::Builder::new()
-                    .name(format!("serve-worker-{w}"))
-                    .spawn(move || {
-                        worker_loop(&inner);
-                        active.fetch_sub(1, Ordering::Relaxed);
-                        inner.wake();
-                    })
-                    .map_err(|e| EngineError::io("spawn serve worker", e))
-            })
-            .collect::<Result<_, _>>()?;
-
         loop {
             if self.inner.stop.load(Ordering::SeqCst) != RUN
-                && active.load(Ordering::Relaxed) == 0
+                && self.inner.active.load(Ordering::SeqCst) == 0
                 && self.inner.unacked_shutdowns.load(Ordering::SeqCst) == 0
             {
                 break;
@@ -450,10 +447,18 @@ impl Server {
                         .name("serve-conn".into())
                         .spawn(move || handle_connection(&inner, stream));
                 }
-                Err(e) => return Err(EngineError::io("accept connection", e)),
+                Err(_) => {
+                    // The connection stays in the backlog, so retrying
+                    // at once would spin.
+                    self.inner.telemetry.count("serve.accept_errors", 1);
+                    thread::sleep(Duration::from_millis(10));
+                }
             }
         }
 
+        // No worker starts once the loop has seen the stop flag:
+        // admission checks it under the same lock.
+        let workers = std::mem::take(&mut self.inner.state.lock().unwrap().workers);
         for worker in workers {
             let _ = worker.join();
         }
@@ -470,14 +475,9 @@ impl Server {
 
 impl Inner {
     /// Admission path shared by `submit` and `resume`.
-    fn submit(&self, mut spec: SweepSpec, backend: BackendChoice) -> Response {
+    fn submit(self: &Arc<Self>, mut spec: SweepSpec, backend: BackendChoice) -> Response {
         if self.stop.load(Ordering::Relaxed) != RUN {
-            self.admission_rejected.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.count("serve.admission_rejected", 1);
-            return Response::Error {
-                kind: "admission".into(),
-                message: "server is shutting down".into(),
-            };
+            return self.shutting_down();
         }
         // A per-spec jobs cap serializes capped campaigns process-wide
         // (the engine guards them with a global mutex), which would
@@ -529,6 +529,9 @@ impl Inner {
             }
         }
         let mut state = self.state.lock().unwrap();
+        if self.stop.load(Ordering::SeqCst) != RUN {
+            return self.shutting_down();
+        }
         if state.queue.len() >= self.config.max_queued {
             self.admission_rejected.fetch_add(1, Ordering::Relaxed);
             self.telemetry.count("serve.admission_rejected", 1);
@@ -540,6 +543,21 @@ impl Inner {
                     self.config.max_queued
                 ),
             };
+        }
+        if state.workers.len() < self.config.max_running.max(1) {
+            // Started under the lock that queues the campaign, so a
+            // shutdown cannot slip in between and strand it.
+            match self.start_worker(state.workers.len()) {
+                Ok(worker) => state.workers.push(worker),
+                Err(e) if state.workers.is_empty() => {
+                    return Response::Error {
+                        kind: "io".into(),
+                        message: format!("starting a serve worker: {e}"),
+                    }
+                }
+                // The running workers pick the campaign up.
+                Err(_) => {}
+            }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let name = spec.name.clone();
@@ -661,7 +679,7 @@ impl Inner {
         }
     }
 
-    fn resume(&self, id: u64) -> Response {
+    fn resume(self: &Arc<Self>, id: u64) -> Response {
         let state = self.state.lock().unwrap();
         let Some(entry) = state.campaigns.get(&id) else {
             return self.missing(id);
@@ -742,6 +760,32 @@ impl Inner {
         self.retire(&mut state);
     }
 
+    /// Start pool worker `w`; it runs queued campaigns until a
+    /// shutdown empties the queue, then wakes the accept loop.
+    fn start_worker(self: &Arc<Self>, w: usize) -> std::io::Result<thread::JoinHandle<()>> {
+        let inner = self.clone();
+        self.active.fetch_add(1, Ordering::SeqCst);
+        thread::Builder::new()
+            .name(format!("serve-worker-{w}"))
+            .spawn(move || {
+                worker_loop(&inner);
+                inner.active.fetch_sub(1, Ordering::SeqCst);
+                inner.wake();
+            })
+            .inspect_err(|_| {
+                self.active.fetch_sub(1, Ordering::SeqCst);
+            })
+    }
+
+    fn shutting_down(&self) -> Response {
+        self.admission_rejected.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.count("serve.admission_rejected", 1);
+        Response::Error {
+            kind: "admission".into(),
+            message: "server is shutting down".into(),
+        }
+    }
+
     /// Unblock the accept loop in [`Server::run`] so it re-checks
     /// whether to stop: connect to the listener and hang up at once.
     fn wake(&self) {
@@ -755,8 +799,8 @@ impl Inner {
             ShutdownMode::Drain => DRAIN,
             ShutdownMode::Now => NOW,
         };
-        self.stop.fetch_max(level, Ordering::SeqCst);
         let mut state = self.state.lock().unwrap();
+        self.stop.fetch_max(level, Ordering::SeqCst);
         // Queued campaigns never start under either mode.
         let queued: Vec<u64> = state.queue.drain(..).collect();
         for id in queued {
@@ -1010,7 +1054,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
             let mut stream = stream;
             match inner.events_log(id) {
                 Ok(log) => {
-                    if write_line(&mut stream, &encode_response(&Response::Subscribed { id }))
+                    if write_line(&mut stream, encode_response(&Response::Subscribed { id }))
                         .is_ok()
                     {
                         if let Some(replayed) = log.subscribe(stream) {
@@ -1026,6 +1070,6 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
 }
 
 fn respond(mut stream: TcpStream, response: &Response) {
-    let _ = write_line(&mut stream, &encode_response(response));
+    let _ = write_line(&mut stream, encode_response(response));
     let _ = stream.shutdown(Shutdown::Both);
 }

@@ -345,6 +345,7 @@ pub mod json {
     /// Parse JSON text into a [`Value`].
     pub fn parse(s: &str) -> Result<Value, Error> {
         let mut p = Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
         };
@@ -361,6 +362,7 @@ pub mod json {
     }
 
     struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
     }
@@ -518,12 +520,15 @@ pub mod json {
                         }
                     }
                     Some(_) => {
-                        // Consume one UTF-8 character.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| Error::new("invalid UTF-8"))?;
-                        let c = rest.chars().next().expect("non-empty");
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        // Copy the run up to the next quote or escape.
+                        // Both are ASCII, so they never fall inside a
+                        // multi-byte character and the slice is valid.
+                        let run = self.bytes[self.pos..]
+                            .iter()
+                            .position(|b| matches!(b, b'"' | b'\\'))
+                            .unwrap_or(self.bytes.len() - self.pos);
+                        out.push_str(&self.text[self.pos..self.pos + run]);
+                        self.pos += run;
                     }
                 }
             }
@@ -590,6 +595,37 @@ pub mod json {
             let text = to_string(&s);
             let back: String = from_str(&text).unwrap();
             assert_eq!(back, s);
+        }
+
+        #[test]
+        fn multi_byte_text_mixed_with_escapes_round_trips() {
+            let s = "é\"ü\\€\n𝄞\t日本\u{1}語\"".to_string();
+            let text = to_string(&s);
+            assert_eq!(from_str::<String>(&text).unwrap(), s);
+            assert_eq!(
+                parse(r#"["a\u00e9é\n𝄞\"€", "\\日"]"#).unwrap(),
+                Value::Arr(vec![
+                    Value::Str("aéé\n𝄞\"€".into()),
+                    Value::Str("\\日".into())
+                ])
+            );
+            assert!(parse("\"€ unterminated").is_err());
+        }
+
+        #[test]
+        fn long_strings_parse_in_linear_time() {
+            let s = "ab€d\\\"".repeat(1 << 17); // 1 MiB of text
+            let mut text = String::new();
+            write_value(&Value::obj([("s", Value::Str(s.clone()))]), &mut text);
+            // Parse off-thread, so a quadratic parser fails at the
+            // budget instead of after minutes.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(parse(&text)));
+            let back = rx
+                .recv_timeout(std::time::Duration::from_secs(2))
+                .expect("parsing a 1 MiB string took over 2 s")
+                .unwrap();
+            assert_eq!(back.get("s").and_then(Value::as_str), Some(s.as_str()));
         }
     }
 }
