@@ -9,6 +9,11 @@
 //! * `grid_kernels/{family}` — the batched `estimate_grid` override of
 //!   each optimized estimator family against the sequential
 //!   per-model default it must match bit for bit.
+//! * `mc_reference/{graph}/pfail_{p}` — the Monte-Carlo reference
+//!   kernel as a jobs-1 campaign runs it: 4000 sequential trials
+//!   through `prepare(&PreparedDag)`, on cholesky and lu k=6 at the
+//!   paper's failure probabilities and at 0.1, where nearly every
+//!   trial fails early.
 //!
 //! These labels are pinned by the CI perf-regression gate
 //! (`bench-report --gate`): a >25% median regression on any of them
@@ -134,5 +139,32 @@ fn bench_grid_kernels(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_dist_ops, bench_grid_kernels);
+fn bench_mc_reference(c: &mut Criterion) {
+    let timings = KernelTimings::paper_default();
+    for (label, dag) in [
+        ("cholesky_k6", cholesky_dag(6, &timings)),
+        ("lu_k6", lu_dag(6, &timings)),
+    ] {
+        let prepared = PreparedDag::new(dag.clone());
+        let mut prep = MonteCarloEstimator::new(4000)
+            .sequential()
+            .prepare(&prepared);
+        let mut g = c.benchmark_group(format!("mc_reference/{label}"));
+        g.sample_size(10);
+        for pfail in [0.001, 0.01, 0.1] {
+            let model = FailureModel::from_pfail_for_dag(pfail, &dag);
+            g.bench_function(format!("pfail_{pfail}"), |b| {
+                b.iter(|| prep.estimate_for(black_box(&model)).value)
+            });
+        }
+        g.finish();
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_dist_ops,
+    bench_grid_kernels,
+    bench_mc_reference
+);
 criterion_main!(benches);

@@ -10,6 +10,39 @@
 //! are bit-reproducible regardless of thread count — the property the
 //! hpc-parallel guides call out for parallel iterators with independent
 //! work items.
+//!
+//! # The trial kernel
+//!
+//! At the paper's failure probabilities most trials fail no task, and
+//! every node before a trial's first failed task (in topological order)
+//! finishes exactly when it would without failures. So a run first
+//! computes the graph's *failure-free pass* once — each node's nominal
+//! completion time, its topological position, and the running maximum
+//! of completions in topological order — and a trial is that pass plus
+//! a recompute from its first failed task:
+//!
+//! 1. draw one uniform per task, in node order, from the trial's
+//!    stream; success is the integer compare
+//!    `m < ⌈psucc·2⁵³⌉` on the 53-bit draw `m` (exactly `u < psucc`
+//!    for `u = m·2⁻⁵³`, the value `Rng::gen::<f64>()` returns);
+//! 2. if no task failed, the makespan is the failure-free one;
+//! 3. otherwise recompute completions from the lowest topological
+//!    position of a failed task onward, seeded with the running
+//!    maximum there.
+//!
+//! Per-thread completion buffers are restored lazily: a failed trial
+//! resets only the completions between the previous failed trial's
+//! first position and its own, so trials that fail early (high failure
+//! rates) pay no restore cost.
+//!
+//! The bits cannot move against a full longest-path pass per trial:
+//! every node before the first failed position has its nominal weight,
+//! hence its nominal completion; `max` selects one of its operands, so
+//! the running maximum there is the full pass's; and each recomputed
+//! node adds the same operands in the same order. Every trial's
+//! makespan — and with it every statistic, row, and cache payload — is
+//! the full pass's, bit for bit. The tests keep that full pass as the
+//! oracle.
 
 use crate::estimator::{Estimate, Estimator, PreparedEstimator};
 use crate::model::FailureModel;
@@ -120,81 +153,25 @@ impl MonteCarloEstimator {
 
     /// Run the simulation and return full statistics.
     pub fn run(&self, dag: &Dag, model: &FailureModel) -> MonteCarloResult {
-        self.run_on(&dag.freeze(), model, &mut Vec::new())
+        self.run_scenario_on(&dag.freeze(), model, &ScenarioModel::Iid, &mut Vec::new())
     }
 
-    /// [`MonteCarloEstimator::run`] over an already-frozen view, with a
-    /// caller-owned success-probability buffer — the shared core of the
-    /// one-shot and prepared paths (a prepared estimator freezes once
-    /// and reuses `psucc` across every model it evaluates).
-    fn run_on(
-        &self,
-        frozen: &FrozenDag,
-        model: &FailureModel,
-        psucc: &mut Vec<f64>,
-    ) -> MonteCarloResult {
-        let n = frozen.node_count();
-        if n == 0 {
-            return MonteCarloResult {
-                mean: 0.0,
-                variance: 0.0,
-                std_error: 0.0,
-                min: 0.0,
-                max: 0.0,
-                trials: self.trials,
-            };
-        }
-        // Per-task success probabilities, hoisted out of the trial loop.
-        psucc.clear();
-        psucc.extend(frozen.weights.iter().map(|&a| model.psuccess_of_weight(a)));
-        self.run_trials_with(frozen, psucc)
-    }
-
-    /// Run the configured trial budget against an already-filled
-    /// per-task success-probability vector and summarize. This is the
-    /// i.i.d. kernel; inhomogeneous scenarios reuse it with effective
-    /// per-task probabilities (hazard-scaled), which leaves the
-    /// baseline path bit-identical.
-    fn run_trials_with(&self, frozen: &FrozenDag, psucc: &[f64]) -> MonteCarloResult {
-        let n = frozen.node_count();
-        let sampling = self.sampling;
-        let seed = self.seed;
-        let antithetic = self.antithetic;
-
-        // Per-trial makespans are collected *in trial order* and reduced
-        // sequentially, so the result is bit-identical regardless of
-        // thread count (a parallel tree reduction would reorder the
-        // floating-point sums). 8 bytes per trial is negligible next to
-        // the sampling work.
-        let makespans: Vec<f64> = if self.parallel {
-            (0..self.trials as u64)
-                .into_par_iter()
-                .map_init(
-                    || TrialScratch::new(n),
-                    |scratch, t| scratch.run_trial(frozen, psucc, sampling, seed, t, antithetic),
-                )
-                .collect()
-        } else {
-            let mut scratch = TrialScratch::new(n);
-            (0..self.trials as u64)
-                .map(|t| scratch.run_trial(frozen, psucc, sampling, seed, t, antithetic))
-                .collect()
-        };
-        self.summarize(&makespans)
-    }
-
-    /// Run the simulation under a correlated [`ScenarioModel`].
+    /// Run the simulation under a correlated [`ScenarioModel`] over an
+    /// already-frozen view, with a caller-owned success-probability
+    /// buffer — the shared core of the one-shot and prepared paths (a
+    /// prepared estimator freezes once and reuses `psucc` across every
+    /// model it evaluates).
     ///
-    /// `Iid` takes exactly the [`MonteCarloEstimator::run_on`] path.
+    /// `Iid` samples every task with `psucc_i = e^{−λ a_i}`.
     /// `NodeHazard` reduces to inhomogeneous i.i.d. sampling with
     /// per-task success probability `psucc_i^{h_i}` (a hazard
-    /// multiplier on λ, since `psucc_i = e^{−λ a_i}`). `GroupHazard`
-    /// draws the per-group hot/cold Bernoullis *first* from the same
-    /// per-trial RNG stream, then samples tasks with `psucc_i^m` when
-    /// their group is hot — so same-group tasks fail in a correlated
-    /// way while trials stay deterministic per (seed, trial). The
-    /// antithetic-variates knob is ignored on the group-correlated
-    /// path (mirroring the group draw would bias the mixture weights).
+    /// multiplier on λ). `GroupHazard` draws the per-group hot/cold
+    /// Bernoullis *first* from the same per-trial RNG stream, then
+    /// samples tasks with `psucc_i^m` when their group is hot — so
+    /// same-group tasks fail in a correlated way while trials stay
+    /// deterministic per (seed, trial). The antithetic-variates knob is
+    /// ignored on the group-correlated path (mirroring the group draw
+    /// would bias the mixture weights).
     ///
     /// Panics if the scenario's shape does not match the graph (the
     /// engine validates scenarios at spec-resolution time).
@@ -205,8 +182,7 @@ impl MonteCarloEstimator {
         scenario: &ScenarioModel,
         psucc: &mut Vec<f64>,
     ) -> MonteCarloResult {
-        let n = frozen.node_count();
-        if n == 0 {
+        if frozen.node_count() == 0 {
             return MonteCarloResult {
                 mean: 0.0,
                 variance: 0.0,
@@ -216,21 +192,37 @@ impl MonteCarloEstimator {
                 trials: self.trials,
             };
         }
-        if let Err(msg) = scenario.validate(n) {
+        self.summarize(&self.makespans(frozen, model, scenario, psucc))
+    }
+
+    /// Every trial's makespan, in trial order, for a non-empty graph.
+    ///
+    /// Makespans are collected *in trial order* and reduced
+    /// sequentially by [`Self::summarize`], so the result is
+    /// bit-identical regardless of thread count (a parallel tree
+    /// reduction would reorder the floating-point sums). 8 bytes per
+    /// trial is negligible next to the sampling work.
+    fn makespans(
+        &self,
+        frozen: &FrozenDag,
+        model: &FailureModel,
+        scenario: &ScenarioModel,
+        psucc: &mut Vec<f64>,
+    ) -> Vec<f64> {
+        if let Err(msg) = scenario.validate(frozen.node_count()) {
             panic!("invalid failure scenario: {msg}");
         }
+        // Per-task success probabilities, hoisted out of the trial loop.
+        psucc.clear();
+        psucc.extend(frozen.weights.iter().map(|&a| model.psuccess_of_weight(a)));
+        let pass = &FailureFreePass::new(frozen);
         match scenario {
-            ScenarioModel::Iid => self.run_on(frozen, model, psucc),
+            ScenarioModel::Iid => self.iid_makespans(pass, psucc),
             ScenarioModel::NodeHazard { hazard } => {
-                psucc.clear();
-                psucc.extend(
-                    frozen
-                        .weights
-                        .iter()
-                        .zip(hazard.iter())
-                        .map(|(&a, &h)| model.psuccess_of_weight(a).powf(h)),
-                );
-                self.run_trials_with(frozen, psucc)
+                for (p, &h) in psucc.iter_mut().zip(hazard) {
+                    *p = p.powf(h);
+                }
+                self.iid_makespans(pass, psucc)
             }
             ScenarioModel::GroupHazard {
                 group_of,
@@ -238,43 +230,70 @@ impl MonteCarloEstimator {
                 group_prob,
                 hazard,
             } => {
-                psucc.clear();
-                psucc.extend(frozen.weights.iter().map(|&a| model.psuccess_of_weight(a)));
                 // Hot-member per-attempt success probability, hoisted so
                 // the trial loop never calls powf.
                 let psucc_hot: Vec<f64> = psucc.iter().map(|p| p.powf(*hazard)).collect();
+                let (threshold, threshold_hot) =
+                    (success_thresholds(psucc), success_thresholds(&psucc_hot));
                 let psucc: &[f64] = psucc;
-                let psucc_hot: &[f64] = &psucc_hot;
-                let group_of: &[u32] = group_of;
                 let (n_groups, group_prob) = (*n_groups, *group_prob);
-                let sampling = self.sampling;
-                let seed = self.seed;
-                let makespans: Vec<f64> = if self.parallel {
-                    (0..self.trials as u64)
-                        .into_par_iter()
-                        .map_init(
-                            || TrialScratch::new(n),
-                            |scratch, t| {
-                                scratch.run_group_trial(
-                                    frozen, psucc, psucc_hot, group_of, n_groups, group_prob,
-                                    sampling, seed, t,
-                                )
-                            },
-                        )
-                        .collect()
-                } else {
-                    let mut scratch = TrialScratch::new(n);
-                    (0..self.trials as u64)
-                        .map(|t| {
-                            scratch.run_group_trial(
-                                frozen, psucc, psucc_hot, group_of, n_groups, group_prob, sampling,
-                                seed, t,
-                            )
+                let (seed, sampling) = (self.seed, self.sampling);
+                self.collect_trials(
+                    || (TrialScratch::new(pass), Vec::new()),
+                    |(scratch, hot), t| {
+                        let mut rng = trial_rng(seed, t);
+                        hot.clear();
+                        hot.extend((0..n_groups).map(|_| rng.gen::<f64>() < group_prob));
+                        scratch.run_trial(pass, rng, false, sampling, |i| {
+                            if hot[group_of[i] as usize] {
+                                (psucc_hot[i], threshold_hot[i])
+                            } else {
+                                (psucc[i], threshold[i])
+                            }
                         })
-                        .collect()
-                };
-                self.summarize(&makespans)
+                    },
+                )
             }
+        }
+    }
+
+    /// Trials with independent task failures at per-task success
+    /// probabilities `psucc`, plain or antithetic.
+    fn iid_makespans(&self, pass: &FailureFreePass, psucc: &[f64]) -> Vec<f64> {
+        let threshold = success_thresholds(psucc);
+        let (seed, sampling, antithetic) = (self.seed, self.sampling, self.antithetic);
+        self.collect_trials(
+            || TrialScratch::new(pass),
+            |scratch, t| {
+                let (stream, mirror) = if antithetic {
+                    (t >> 1, t & 1 == 1)
+                } else {
+                    (t, false)
+                };
+                scratch.run_trial(pass, trial_rng(seed, stream), mirror, sampling, |i| {
+                    (psucc[i], threshold[i])
+                })
+            },
+        )
+    }
+
+    /// Run `trial(scratch, t)` for every trial `t`, in parallel or
+    /// sequentially, collecting the makespans in trial order.
+    fn collect_trials<S>(
+        &self,
+        init: impl Fn() -> S + Sync,
+        trial: impl Fn(&mut S, u64) -> f64 + Sync,
+    ) -> Vec<f64> {
+        if self.parallel {
+            (0..self.trials as u64)
+                .into_par_iter()
+                .map_init(init, trial)
+                .collect()
+        } else {
+            let mut scratch = init();
+            (0..self.trials as u64)
+                .map(|t| trial(&mut scratch, t))
+                .collect()
         }
     }
 
@@ -323,9 +342,12 @@ impl PreparedEstimator for PreparedMonteCarlo {
     }
 
     fn expected_makespan_for(&mut self, model: &FailureModel) -> f64 {
-        let r = self
-            .est
-            .run_on(self.prepared.frozen(), model, &mut self.psucc);
+        let r = self.est.run_scenario_on(
+            self.prepared.frozen(),
+            model,
+            &ScenarioModel::Iid,
+            &mut self.psucc,
+        );
         self.last_std_error = Some(r.std_error);
         r.mean
     }
@@ -390,94 +412,177 @@ impl Estimator for MonteCarloEstimator {
     }
 }
 
-/// Per-thread reusable scratch buffers for one trial.
+/// `2⁵³`: a trial's draws are 53-bit integers `m`, each standing for
+/// the uniform `u = m·2⁻⁵³` in `[0, 1)` that `Rng::gen::<f64>()` makes
+/// of the same `next_u64() >> 11`.
+const DRAWS: u64 = 1 << 53;
+
+/// Integer success threshold of per-attempt success probability `p`:
+/// draw `m` succeeds iff `m < threshold`. For `p < 1` the threshold is
+/// `⌈p·2⁵³⌉` (the product is exact), so the compare is exactly
+/// `u < p`, also for a mirrored draw `2⁵³ − m` (`u = 1 − m·2⁻⁵³`,
+/// exact). `p ≥ 1` never fails — not even the mirrored `u = 1`.
+fn success_thresholds(psucc: &[f64]) -> Vec<u64> {
+    psucc
+        .iter()
+        .map(|&p| {
+            if p >= 1.0 {
+                u64::MAX
+            } else {
+                (p * DRAWS as f64).ceil() as u64
+            }
+        })
+        .collect()
+}
+
+/// The 53-bit draw of one task from the raw 64 bits `raw`: the high
+/// 53 bits, mirrored to `2⁵³ − m` (the uniform `1 − u`) on the
+/// antithetic member of a pair.
+#[inline]
+fn draw(raw: u64, mirror: bool) -> u64 {
+    let m = raw >> 11;
+    if mirror {
+        DRAWS - m
+    } else {
+        m
+    }
+}
+
+/// The RNG stream of one trial (antithetic pairs share a stream).
+fn trial_rng(seed: u64, stream: u64) -> StdRng {
+    StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(stream)))
+}
+
+/// The graph's failure-free pass, computed once per run and shared
+/// read-only by every trial (see the module doc).
+struct FailureFreePass<'a> {
+    frozen: &'a FrozenDag,
+    /// Failure-free completion time of each node.
+    completion: Vec<f64>,
+    /// Topological position of each node: `frozen.topo[position[i]] == i`.
+    position: Vec<u32>,
+    /// `best_before[k]`: the running maximum of completions over the
+    /// topological positions before `k`, accumulated as the full pass
+    /// does; `best_before[n]` is the failure-free makespan.
+    best_before: Vec<f64>,
+}
+
+impl<'a> FailureFreePass<'a> {
+    fn new(frozen: &'a FrozenDag) -> FailureFreePass<'a> {
+        let mut completion = Vec::new();
+        frozen.longest_path_with_weights(&frozen.weights, &mut completion);
+        let mut position = vec![0u32; frozen.node_count()];
+        let mut best_before = Vec::with_capacity(frozen.node_count() + 1);
+        let mut best = 0.0f64;
+        for (k, &v) in frozen.topo.iter().enumerate() {
+            position[v as usize] = k as u32;
+            best_before.push(best);
+            let c = completion[v as usize];
+            if c > best {
+                best = c;
+            }
+        }
+        best_before.push(best);
+        FailureFreePass {
+            frozen,
+            completion,
+            position,
+            best_before,
+        }
+    }
+}
+
+/// Per-thread reusable scratch buffers for a run's trials.
 struct TrialScratch {
     weights: Vec<f64>,
     completion: Vec<f64>,
-    /// Per-group hot flags (group-correlated scenarios only).
-    hot: Vec<bool>,
+    /// `completion` holds failure-free values at every topological
+    /// position below `clean`.
+    clean: usize,
 }
 
 impl TrialScratch {
-    fn new(n: usize) -> TrialScratch {
+    fn new(pass: &FailureFreePass) -> TrialScratch {
+        let n = pass.frozen.node_count();
         TrialScratch {
             weights: vec![0.0; n],
-            completion: Vec::with_capacity(n),
-            hot: Vec::new(),
+            completion: vec![0.0; n],
+            clean: 0,
         }
     }
 
-    /// Sample one failure scenario and return its makespan.
+    /// Sample one failure scenario and return its makespan — the one
+    /// kernel of every sampling path.
     ///
-    /// Each task consumes exactly one uniform `u`: the 2-state model
-    /// fails iff `u ≥ p`, the geometric model inverts the attempt-count
-    /// CDF (`N = 1 + ⌊ln(1−u)/ln(1−p)⌋`). One-uniform-per-task is what
-    /// makes antithetic mirroring (`u → 1−u`) well defined: mirrored
-    /// trials share the RNG stream of their pair.
+    /// Each task consumes exactly one 53-bit draw, in node order, and
+    /// `law(i)` gives task `i`'s success probability and
+    /// [threshold](success_thresholds). A failed task's attempt count
+    /// comes from [`attempts_for`] at the draw's uniform: the 2-state
+    /// model fails iff `u ≥ p`, the geometric model inverts the
+    /// attempt-count CDF (`N = 1 + ⌊ln(1−u)/ln(1−p)⌋`).
+    /// One-draw-per-task is what makes antithetic mirroring
+    /// (`u → 1−u`, i.e. `m → 2⁵³ − m`) well defined: mirrored trials
+    /// share the RNG stream of their pair.
     fn run_trial(
         &mut self,
-        frozen: &FrozenDag,
-        psucc: &[f64],
+        pass: &FailureFreePass,
+        mut rng: StdRng,
+        mirror: bool,
         sampling: SamplingModel,
-        seed: u64,
-        trial: u64,
-        antithetic: bool,
+        law: impl Fn(usize) -> (f64, u64),
     ) -> f64 {
-        let (stream, mirror) = if antithetic {
-            (trial >> 1, trial & 1 == 1)
-        } else {
-            (trial, false)
-        };
-        let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(stream)));
-        for (i, (&a, &p)) in frozen.weights.iter().zip(psucc.iter()).enumerate() {
-            let mut u: f64 = rng.gen(); // [0, 1)
-            if mirror {
-                u = 1.0 - u; // (0, 1]
-            }
-            self.weights[i] = attempts_for(sampling, p, u) as f64 * a;
-        }
-        frozen.longest_path_with_weights(&self.weights, &mut self.completion)
-    }
-
-    /// Sample one group-correlated trial and return its makespan.
-    ///
-    /// The per-group hot/cold Bernoullis are drawn *before* the task
-    /// uniforms from the same per-trial stream, so a trial's outcome is
-    /// a pure function of `(seed, trial)` exactly like the i.i.d.
-    /// kernel. Hot members use the precomputed `psucc_hot` vector
-    /// (`psucc^m`); cold members use the baseline `psucc`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_group_trial(
-        &mut self,
-        frozen: &FrozenDag,
-        psucc: &[f64],
-        psucc_hot: &[f64],
-        group_of: &[u32],
-        n_groups: usize,
-        group_prob: f64,
-        sampling: SamplingModel,
-        seed: u64,
-        trial: u64,
-    ) -> f64 {
-        let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(trial)));
-        self.hot.clear();
-        self.hot
-            .extend((0..n_groups).map(|_| rng.gen::<f64>() < group_prob));
-        for (i, &a) in frozen.weights.iter().enumerate() {
-            let p = if self.hot[group_of[i] as usize] {
-                psucc_hot[i]
+        let n = pass.frozen.node_count();
+        let mut first = n;
+        for (i, (w, &a)) in self
+            .weights
+            .iter_mut()
+            .zip(&pass.frozen.weights)
+            .enumerate()
+        {
+            let (p, threshold) = law(i);
+            let m = draw(rng.next_u64(), mirror);
+            if m < threshold {
+                *w = a;
             } else {
-                psucc[i]
-            };
-            let u: f64 = rng.gen();
-            self.weights[i] = attempts_for(sampling, p, u) as f64 * a;
+                *w = attempts_for(sampling, p, m as f64 / DRAWS as f64) as f64 * a;
+                first = first.min(pass.position[i] as usize);
+            }
         }
-        frozen.longest_path_with_weights(&self.weights, &mut self.completion)
+        if first == n {
+            return pass.best_before[n];
+        }
+        // Positions before `first` must hold failure-free completions;
+        // only those a previous trial overwrote need restoring.
+        let topo = &pass.frozen.topo;
+        if self.clean < first {
+            for &v in &topo[self.clean..first] {
+                self.completion[v as usize] = pass.completion[v as usize];
+            }
+        }
+        self.clean = first;
+        let mut best = pass.best_before[first];
+        for &v in &topo[first..] {
+            let i = v as usize;
+            let mut start = 0.0f64;
+            for &p in pass.frozen.preds(i) {
+                let c = self.completion[p as usize];
+                if c > start {
+                    start = c;
+                }
+            }
+            let c = start + self.weights[i];
+            self.completion[i] = c;
+            if c > best {
+                best = c;
+            }
+        }
+        best
     }
 }
 
 /// Number of execution attempts implied by success probability `p` and
-/// uniform draw `u` — the shared inner step of every trial kernel.
+/// uniform draw `u`. The trial kernel calls it for failed draws only;
+/// the full-pass oracle in the tests calls it for every draw.
 #[inline]
 fn attempts_for(sampling: SamplingModel, p: f64, u: f64) -> u32 {
     match sampling {
@@ -856,5 +961,239 @@ mod scenario_tests {
         assert!(est.value > 0.0);
         assert!(est.std_error.is_some());
         assert_eq!(est.name, "MonteCarlo");
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use stochdag_taskgraphs::{
+        cholesky_dag, fork_join_dag, layered_random_dag, lu_dag, qr_dag, KernelTimings,
+        LayeredConfig,
+    };
+
+    /// The full-pass kernel the failure-free pass replaced, kept as the
+    /// oracle: every trial draws every task as an `f64` uniform and
+    /// runs a whole longest-path pass.
+    fn oracle_makespans(
+        mc: &MonteCarloEstimator,
+        frozen: &FrozenDag,
+        model: &FailureModel,
+        scenario: &ScenarioModel,
+    ) -> Vec<f64> {
+        let n = frozen.node_count();
+        let psucc: Vec<f64> = frozen
+            .weights
+            .iter()
+            .map(|&a| model.psuccess_of_weight(a))
+            .collect();
+        let mut weights = vec![0.0; n];
+        let mut completion = Vec::new();
+        (0..mc.trials as u64)
+            .map(|trial| {
+                if let ScenarioModel::GroupHazard {
+                    group_of,
+                    n_groups,
+                    group_prob,
+                    hazard,
+                } = scenario
+                {
+                    let mut rng = StdRng::seed_from_u64(splitmix64(mc.seed ^ splitmix64(trial)));
+                    let hot: Vec<bool> = (0..*n_groups)
+                        .map(|_| rng.gen::<f64>() < *group_prob)
+                        .collect();
+                    for i in 0..n {
+                        let p = if hot[group_of[i] as usize] {
+                            psucc[i].powf(*hazard)
+                        } else {
+                            psucc[i]
+                        };
+                        let u: f64 = rng.gen();
+                        weights[i] = attempts_for(mc.sampling, p, u) as f64 * frozen.weights[i];
+                    }
+                } else {
+                    let (stream, mirror) = if mc.antithetic {
+                        (trial >> 1, trial & 1 == 1)
+                    } else {
+                        (trial, false)
+                    };
+                    let mut rng = StdRng::seed_from_u64(splitmix64(mc.seed ^ splitmix64(stream)));
+                    for i in 0..n {
+                        let p = match scenario {
+                            ScenarioModel::NodeHazard { hazard } => psucc[i].powf(hazard[i]),
+                            _ => psucc[i],
+                        };
+                        let mut u: f64 = rng.gen();
+                        if mirror {
+                            u = 1.0 - u;
+                        }
+                        weights[i] = attempts_for(mc.sampling, p, u) as f64 * frozen.weights[i];
+                    }
+                }
+                frozen.longest_path_with_weights(&weights, &mut completion)
+            })
+            .collect()
+    }
+
+    fn chain(weights: &[f64]) -> Dag {
+        let mut g = Dag::new();
+        let mut prev = None;
+        for &w in weights {
+            let v = g.add_node(w);
+            if let Some(p) = prev {
+                g.add_edge(p, v);
+            }
+            prev = Some(v);
+        }
+        g
+    }
+
+    /// Node ids run against the edges, so the topological order is not
+    /// the id order the draws follow.
+    fn reversed_ids() -> Dag {
+        let mut g = Dag::new();
+        let v: Vec<_> = [1.5, 0.5, 2.0, 1.0, 3.0, 0.25]
+            .iter()
+            .map(|&w| g.add_node(w))
+            .collect();
+        for (a, b) in [(5, 3), (5, 4), (4, 2), (3, 2), (3, 1), (2, 0), (1, 0)] {
+            g.add_edge(v[a], v[b]);
+        }
+        g
+    }
+
+    fn graphs() -> Vec<(&'static str, Dag)> {
+        let timings = KernelTimings::paper_default();
+        let mut single = Dag::new();
+        single.add_node(2.0);
+        vec![
+            ("single", single),
+            ("chain", chain(&[1.0, 0.5, 2.0, 1.25, 0.75])),
+            ("fork-join", fork_join_dag(3, 2, 1.0)),
+            ("layered", layered_random_dag(&LayeredConfig::default(), 7)),
+            ("reversed-ids", reversed_ids()),
+            ("cholesky4", cholesky_dag(4, &timings)),
+            ("lu4", lu_dag(4, &timings)),
+            ("qr4", qr_dag(4, &timings)),
+        ]
+    }
+
+    fn scenarios(n: usize) -> Vec<ScenarioModel> {
+        vec![
+            ScenarioModel::Iid,
+            ScenarioModel::NodeHazard {
+                hazard: (0..n).map(|i| 1.0 + 1.5 * (i % 3) as f64).collect(),
+            },
+            ScenarioModel::GroupHazard {
+                group_of: (0..n).map(|i| (i % 3) as u32).collect(),
+                n_groups: 3,
+                group_prob: 0.3,
+                hazard: 4.0,
+            },
+        ]
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn trials_match_the_full_pass_oracle_bit_for_bit() {
+        const LAMBDAS: [f64; 5] = [0.0, 0.01, 0.2, 2.0, 1e6];
+        let mut cases = 0;
+        for (name, dag) in graphs() {
+            let frozen = dag.freeze();
+            let n = frozen.node_count();
+            // The extremes really are the edge cases they stand for.
+            assert!(frozen
+                .weights
+                .iter()
+                .all(|&a| FailureModel::new(0.0).psuccess_of_weight(a) == 1.0));
+            assert!(frozen
+                .weights
+                .iter()
+                .all(|&a| FailureModel::new(1e6).psuccess_of_weight(a) == 0.0));
+            for lambda in LAMBDAS {
+                let model = FailureModel::new(lambda);
+                for sampling in [SamplingModel::Geometric, SamplingModel::TwoState] {
+                    for antithetic in [false, true] {
+                        for scenario in scenarios(n) {
+                            let mut mc = MonteCarloEstimator::new(301)
+                                .with_seed(lambda.to_bits() ^ n as u64)
+                                .with_sampling(sampling);
+                            if antithetic {
+                                mc = mc.antithetic();
+                            }
+                            let case = format!(
+                                "{name} λ={lambda} {sampling:?} antithetic={antithetic} {scenario:?}"
+                            );
+                            let want = oracle_makespans(&mc, &frozen, &model, &scenario);
+                            let got = mc.sequential().makespans(
+                                &frozen,
+                                &model,
+                                &scenario,
+                                &mut Vec::new(),
+                            );
+                            assert_eq!(bits(&got), bits(&want), "{case}");
+                            let par =
+                                mc.run_scenario_on(&frozen, &model, &scenario, &mut Vec::new());
+                            let seq = mc.sequential().summarize(&want);
+                            assert_eq!(
+                                bits(&[par.mean, par.variance, par.std_error, par.min, par.max]),
+                                bits(&[seq.mean, seq.variance, seq.std_error, seq.min, seq.max]),
+                                "parallel vs sequential: {case}"
+                            );
+                            assert_eq!(par.trials, seq.trials);
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 8 * 5 * 2 * 2 * 3);
+    }
+
+    #[test]
+    fn integer_success_test_matches_the_float_compare_at_every_boundary() {
+        // Random trials almost never land a draw exactly on a
+        // threshold, so the boundaries are checked draw by draw against
+        // the full-pass kernel's test `p ≥ 1 || u < p`.
+        let unit = 1.0 / DRAWS as f64;
+        let mut ps = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            2f64.powi(-60),
+            unit,
+            0.3,
+            0.5,
+            0.7,
+            1.0 - unit,
+            1.0,
+        ];
+        for lambda in [0.001, 0.01, 0.2, 2.0] {
+            for a in [0.37, 1.0, 2.9] {
+                ps.push(FailureModel::new(lambda).psuccess_of_weight(a));
+            }
+        }
+        for p in ps {
+            let threshold = success_thresholds(&[p])[0];
+            let x = (p * DRAWS as f64).floor() as u64;
+            let draws = [0, 1, x.saturating_sub(1), x, x + 1, x + 2, DRAWS - 1];
+            for m in draws {
+                let m = m.min(DRAWS - 1);
+                for mirror in [false, true] {
+                    let mut u = m as f64 * unit;
+                    if mirror {
+                        u = 1.0 - u;
+                    }
+                    let want = attempts_for(SamplingModel::TwoState, p, u) == 1;
+                    assert_eq!(
+                        draw(m << 11, mirror) < threshold,
+                        want,
+                        "p={p:e} m={m} mirror={mirror}"
+                    );
+                }
+            }
+        }
     }
 }

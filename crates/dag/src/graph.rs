@@ -351,11 +351,12 @@ impl Dag {
 /// A compressed-sparse-row snapshot of a [`Dag`]'s adjacency, weights,
 /// and a precomputed topological order.
 ///
-/// The Monte-Carlo estimator evaluates hundreds of thousands of longest
-/// paths over the same structure with varying weights; `FrozenDag` keeps
-/// that inner loop free of pointer chasing through per-node `Vec`s and of
-/// repeated topological sorting. Per the Rust Performance Book, flat
-/// index arrays beat nested `Vec<Vec<_>>` for this access pattern.
+/// The Monte-Carlo estimator and exact enumeration evaluate many
+/// longest paths over the same structure with varying weights;
+/// `FrozenDag` keeps those loops free of pointer chasing through
+/// per-node `Vec`s and of repeated topological sorting. Per the Rust
+/// Performance Book, flat index arrays beat nested `Vec<Vec<_>>` for
+/// this access pattern.
 #[derive(Clone, Debug)]
 pub struct FrozenDag {
     /// Node weights, indexed by `NodeId::index()`.
@@ -429,8 +430,11 @@ impl FrozenDag {
     /// given per-node weights, which must have the same length as
     /// [`FrozenDag::node_count`].
     ///
-    /// This is the Monte-Carlo hot loop: one pass over nodes in
-    /// topological order, `completion(i) = w(i) + max over preds`.
+    /// One pass over nodes in topological order,
+    /// `completion(i) = w(i) + max over preds`, leaving each node's
+    /// completion time in `completion`. Exact enumeration runs it once
+    /// per failure scenario; the Monte-Carlo estimator runs it once per
+    /// run, as the failure-free pass its trials recompute from.
     pub fn longest_path_with_weights(&self, weights: &[f64], completion: &mut Vec<f64>) -> f64 {
         assert_eq!(
             weights.len(),

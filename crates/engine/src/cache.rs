@@ -181,22 +181,41 @@ impl ResultCache {
 
     /// Store a result under a key (memory + disk when configured).
     ///
+    /// The first store of a key in this cache wins: a later store of
+    /// the same key leaves the memory entry and the disk file alone. A
+    /// disk entry this cache never stored in memory (a corrupt one,
+    /// another process's) is overwritten.
+    ///
     /// Concurrent-writer safe: the payload is written to a temp name
     /// unique per (process, store call) and atomically renamed into
     /// place, so two worker processes sharing the directory can race on
     /// the same key without a reader ever observing a torn file — the
     /// rename is last-writer-wins over complete payloads only.
     pub fn store(&self, key: &str, est: &Estimate) {
+        self.store_first(key, est);
+    }
+
+    /// [`ResultCache::store`], returning the earlier estimate when an
+    /// earlier store of `key` won.
+    ///
+    /// Two campaigns sharing one cache (a serve daemon) that both miss
+    /// a cell both compute it. The losing caller adopts the winner, so
+    /// every campaign's row for the cell — and the disk entry a later
+    /// run reads — carries the same estimate, `elapsed` included.
+    pub(crate) fn store_first(&self, key: &str, est: &Estimate) -> Option<Estimate> {
         static STORE_SEQ: AtomicUsize = AtomicUsize::new(0);
-        self.mem
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.to_string(), est.clone());
+        {
+            let mut mem = self.mem.lock().expect("cache poisoned");
+            if let Some(winner) = mem.get(key) {
+                return Some(winner.clone());
+            }
+            mem.insert(key.to_string(), est.clone());
+        }
         if let Some(path) = self.path_of(key) {
             let parent = path.parent().expect("sharded path has a parent");
             if let Err(e) = std::fs::create_dir_all(parent) {
                 eprintln!("warning: cannot create cache dir {parent:?}: {e}");
-                return;
+                return None;
             }
             let tmp = path.with_extension(format!(
                 "json.tmp.{}.{}",
@@ -210,6 +229,7 @@ impl ResultCache {
                 eprintln!("warning: cannot persist cache entry {path:?}: {e}");
             }
         }
+        None
     }
 
     /// Whether `key` is present (memory or disk) **without** touching

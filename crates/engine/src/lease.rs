@@ -495,6 +495,7 @@ impl<'a> LeaseExecutor<'a> {
                         let mut ref_prep: Option<Box<dyn PreparedEstimator>> = None;
                         let (est, tier) = evaluate_unit(
                             &self.tel,
+                            "reference_mc",
                             self.cache,
                             &key,
                             seed,
@@ -528,6 +529,7 @@ impl<'a> LeaseExecutor<'a> {
             }
             let (est, tier) = evaluate_unit(
                 &self.tel,
+                "estimate_cell",
                 self.cache,
                 &key,
                 seed,

@@ -321,13 +321,15 @@ pub(crate) fn apply_jobs_cap(jobs: Option<usize>) -> Result<JobsCap, EngineError
 /// Single source of truth shared by the in-process and multi-process
 /// backends: the distributed byte-identity guarantee depends on both
 /// paths computing and caching cells identically. The `cache_probe`,
-/// `prepare_estimator`, and `estimate_cell` telemetry spans are
-/// recorded here for the same reason — every backend's phase timings
-/// come from the same instrumentation points (all no-ops on a disabled
-/// handle).
+/// `prepare_estimator`, and compute telemetry spans are recorded here
+/// for the same reason — every backend's phase timings come from the
+/// same instrumentation points (all no-ops on a disabled handle). The
+/// compute span is named by the caller: `estimate_cell` for estimator
+/// cells, `reference_mc` for Monte-Carlo references.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_unit(
     tel: &Telemetry,
+    span: &'static str,
     cache: &ResultCache,
     key: &str,
     seed: u64,
@@ -354,21 +356,23 @@ pub(crate) fn evaluate_unit(
         // arena the estimator holds (completion buffers, merge arenas,
         // duration tables), so steady-state cells allocate nothing.
         // Counted so telemetry reports can show the amortization rate
-        // next to the `prepare_estimator`/`estimate_cell` spans.
+        // next to the `prepare_estimator` and compute spans.
         tel.count("prepared_reused", 1);
         Duration::ZERO
     };
     let p = prep.as_mut().expect("prepared above");
     p.reseed(seed);
     let mut est = {
-        let _estimate = tel.span("estimate_cell");
+        let _estimate = tel.span(span);
         // Spec validation already rejected unsupported (estimator,
         // scenario) pairs; this surfaces only for hand-built plans.
         p.estimate_scenario(model, scenario)
             .map_err(|e| EngineError::spec(e.to_string()))?
     };
     est.elapsed += prep_cost;
-    cache.store(key, &est);
+    // A concurrent campaign that stored the key first wins, so both
+    // report its estimate (see `ResultCache::store_first`).
+    let est = cache.store_first(key, &est).unwrap_or(est);
     Ok((est, None))
 }
 
@@ -503,6 +507,7 @@ mod tests {
     use crate::sink::ResultSink;
     use crate::spec::DagSpec;
     use std::sync::{Arc, Mutex};
+    use stochdag_core::{Estimator, FirstOrderEstimator};
     use stochdag_taskgraphs::FactorizationClass;
 
     fn tiny_spec() -> SweepSpec {
@@ -637,6 +642,54 @@ mod tests {
         spec.jobs = Some(0);
         let err = Campaign::builder(spec).build().unwrap_err();
         assert!(err.to_string().contains("jobs"), "{err}");
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_all_report_the_first_store() {
+        // Two campaigns sharing one cache both miss a cell: the barrier
+        // holds both past the lookup, and their different preparation
+        // sleeps make their elapsed times differ. Whichever stores
+        // first wins, and both must report it, elapsed time included,
+        // so their rows agree with each other and with the cache entry.
+        let cache = ResultCache::in_memory();
+        let key = cell_key(7, 0.01, "first-order", 1);
+        let pdag = PreparedDag::new(stochdag_taskgraphs::fork_join_dag(3, 2, 1.0));
+        let model = FailureModel::new(0.01);
+        let barrier = std::sync::Barrier::new(2);
+        let (cache, key, pdag, model, barrier) = (&cache, &key, &pdag, &model, &barrier);
+        let results = std::thread::scope(|scope| {
+            [5, 60]
+                .map(|sleep_ms| {
+                    scope.spawn(move || {
+                        let (est, tier) = evaluate_unit(
+                            &Telemetry::disabled(),
+                            "estimate_cell",
+                            cache,
+                            key,
+                            1,
+                            model,
+                            &ScenarioModel::Iid,
+                            &mut None,
+                            || {
+                                barrier.wait();
+                                std::thread::sleep(Duration::from_millis(sleep_ms));
+                                FirstOrderEstimator::fast().prepare(pdag)
+                            },
+                        )
+                        .unwrap();
+                        assert_eq!(tier, None, "both threads computed the cell");
+                        est
+                    })
+                })
+                .map(|t| t.join().unwrap())
+        });
+        let stored = cache.lookup(key).expect("stored");
+        for est in &results {
+            assert_eq!(est.elapsed, stored.elapsed);
+            assert_eq!(est.value.to_bits(), stored.value.to_bits());
+            assert_eq!(est.name, stored.name);
+            assert_eq!(est.std_error, stored.std_error);
+        }
     }
 
     #[test]

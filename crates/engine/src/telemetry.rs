@@ -17,7 +17,8 @@
 //! | `worker_shard` | lease executor | one worker session, hello to done |
 //! | `prepare_dag` | lease executor | freezing one `PreparedDag` |
 //! | `prepare_estimator` | cell evaluator | one lazy group preparation |
-//! | `estimate_cell` | cell evaluator | one estimate computation |
+//! | `estimate_cell` | cell evaluator | one estimator cell's computation |
+//! | `reference_mc` | cell evaluator | one Monte-Carlo reference's computation |
 //! | `cache_probe` | cell evaluator | one cache lookup (any tier) |
 //! | `sink_flush` | coordinator | summary + finish of every sink |
 //! | `queue_wait` | delivering thread | time one event waits for the merge lock |

@@ -77,6 +77,11 @@ fn cold_run_metrics_are_byte_stable_across_reruns() {
         .map(|_| {
             let telemetry = Telemetry::enabled();
             let outcome = run_with(&telemetry, &Arc::new(ResultCache::in_memory()));
+            // Estimator cells and Monte-Carlo references are timed
+            // apart: 24 cells, 12 references (6 DAGs × 2 pfails).
+            let spans = telemetry.snapshot().spans;
+            assert_eq!(spans["estimate_cell"].count, 24);
+            assert_eq!(spans["reference_mc"].count, 12);
             telemetry.report("telemetry-accept", &outcome)
         })
         .collect();
@@ -101,6 +106,7 @@ fn cold_run_metrics_are_byte_stable_across_reruns() {
         "prepare_dag",
         "prepare_estimator",
         "estimate_cell",
+        "reference_mc",
         "cache_probe",
         "sink_flush",
     ] {

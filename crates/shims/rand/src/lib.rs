@@ -205,6 +205,21 @@ mod tests {
     }
 
     #[test]
+    fn f64_draw_is_the_high_53_bits_times_two_to_the_minus_53() {
+        // stochdag-core's Monte-Carlo kernel tests success on the
+        // integer `next_u64() >> 11` against `⌈p·2⁵³⌉`, which equals
+        // `gen::<f64>() < p` only if the float is exactly that integer
+        // scaled by 2⁻⁵³.
+        let mut floats = StdRng::seed_from_u64(11);
+        let mut raw = floats.clone();
+        for _ in 0..10_000 {
+            let u: f64 = floats.gen();
+            let m = raw.next_u64() >> 11;
+            assert_eq!(u.to_bits(), (m as f64 * 2f64.powi(-53)).to_bits());
+        }
+    }
+
+    #[test]
     fn ranges_respect_bounds() {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..1000 {
