@@ -28,6 +28,12 @@ fn run(argv: &[String]) -> Result<(), String> {
         return Ok(());
     };
     let rest = &argv[1..];
+    // `-h`/`--help` anywhere after a command asks for the usage; the
+    // option parser would read it as an option missing its value.
+    if rest.iter().any(|a| a == "-h" || a == "--help") {
+        print_help();
+        return Ok(());
+    }
     match cmd.as_str() {
         "figure" => commands::figure::run(rest),
         "analyze" => commands::analyze::run(rest),

@@ -43,6 +43,20 @@ fn no_args_prints_help() {
 }
 
 #[test]
+fn help_after_a_command_prints_usage() {
+    for args in [
+        &["sweep", "--help"][..],
+        &["sweep-worker", "--help"],
+        &["submit", "-h"],
+        &["sweep", "--classes", "qr", "--help"],
+    ] {
+        let (ok, stdout, stderr) = stochdag(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("USAGE"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
 fn unknown_command_fails_cleanly() {
     let (ok, _, stderr) = stochdag(&["frobnicate"]);
     assert!(!ok);

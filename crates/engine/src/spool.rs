@@ -11,49 +11,60 @@
 //! ```text
 //! spool/
 //!   spec.json                    campaign spec (coordinator, at start)
-//!   meta.json                    campaign name + shared cache dir
+//!   meta.json                    campaign name, shared cache dir, spool layout
 //!   workers/{name}.json          worker registration {name, jobs, pid}
-//!   stats/{name}.json            cumulative worker progress {name, leases, cells}
 //!   leases/open/
 //!     lease-000007-a1.json       grantable lease, attempt 1
 //!   leases/claimed/
 //!     lease-000007-a1.json       renamed here by the claiming worker
 //!   events/
-//!     lease-000007-a1.jsonl      the attempt's CampaignEvent stream
+//!     lease-000007-a1.w1.jsonl   attempt 1's CampaignEvent stream, from worker w1
 //!   stop                         "done" or "abort"; workers exit
 //! ```
 //!
-//! Lifecycle: the coordinator writes `spec.json`/`meta.json`, drops
-//! every planned [`WorkLease`] into `leases/open/`, and polls. Every
-//! poll loop here (the coordinator's, and a worker's wait for
-//! `spec.json` and for open leases) backs off: it sleeps 1 ms at first,
-//! doubles up to 50 ms, and starts over at 1 ms after progress, so a
-//! busy spool hands work over within milliseconds while an idle one
-//! costs at most one directory scan per 50 ms per loop. Workers
-//! (launched by hand, a job scheduler, anything) register themselves,
-//! claim leases by renaming `open/ → claimed/` (the rename race picks
-//! exactly one winner), execute them against the shared cache with the
-//! standard [`LeaseExecutor`], and publish each attempt's event stream
-//! to `events/` — ending in
+//! Lifecycle: the coordinator writes `meta.json`/`spec.json`, drops
+//! every planned [`WorkLease`] into `leases/open/`, and polls. Workers
+//! (launched by hand, a job scheduler, anything) check that `meta.json`
+//! names the spool layout they speak, register themselves, claim leases
+//! by renaming `open/ → claimed/` (the rename race picks exactly one
+//! winner), execute them against the shared cache with the standard
+//! [`LeaseExecutor`], and publish each attempt's event stream as
+//! `events/{lease stem}.{worker name}.jsonl` — ending in
 //! [`LeaseDone`](crate::CampaignEvent::LeaseDone) on success or an
-//! [`Error`](crate::CampaignEvent::Error) tail on failure. The
-//! coordinator merges complete streams and **re-queues** failed or
-//! stale attempts (a claim older than the lease timeout with no event
-//! file is a dead worker) under the campaign's per-lease attempt cap,
-//! exactly like a local [`MultiProcess`](crate::MultiProcess) crash.
-//! Output stays byte-identical to a single-process run because every
-//! consumer shares the [`LeaseExecutor`] definitions and the campaign
-//! merge re-sequences rows by global cell index.
+//! [`Error`](crate::CampaignEvent::Error) tail on failure. That stream
+//! is the only file a worker writes per lease. The coordinator removes
+//! the attempt's claim as soon as it processes the stream, then merges
+//! a complete stream, skips a duplicate (a reclaimed slow worker's late
+//! attempt) and **re-queues** a failed one. A claim older than the
+//! lease timeout with no stream behind it is a dead worker: removing
+//! that claim (the reclaim lock) re-queues its lease. Re-queues run
+//! under the campaign's per-lease attempt cap, exactly like a local
+//! [`MultiProcess`](crate::MultiProcess) crash. Output stays
+//! byte-identical to a single-process run because every consumer
+//! shares the [`LeaseExecutor`] definitions and the campaign merge
+//! re-sequences rows by global cell index.
+//!
+//! Every poll loop here (the coordinator's, and a worker's wait for
+//! `spec.json` and for open leases) backs off: it sleeps 1 ms at first,
+//! makes each sleep a quarter longer than the last up to 50 ms, and
+//! starts over at 1 ms after progress. A sleep is never longer than a
+//! quarter of the time already slept plus 1 ms, so a loop that has
+//! waited W notices progress within W/4 + 1 ms, while an idle spool
+//! costs each loop at most one directory scan per 50 ms.
 //!
 //! Spool workers run with telemetry disabled (snapshots would need
 //! another spool channel for little insight — worker timings are in
 //! the event streams' wake); the coordinator's own spans and counters
-//! (`worker_retries`, per-event progress) work as usual. Workers do
-//! publish cumulative progress to `stats/{name}.json` after every
-//! completed lease; the coordinator folds the deltas into
-//! `spool_leases_{name}` / `spool_cells_{name}` telemetry counters and
-//! counts stale-claim reclaims as `spool_reclaims`, so `--metrics-out`
-//! shows who did the work and how often leases had to be re-granted.
+//! (`worker_retries`, per-event progress) work as usual. It counts the
+//! streams it merges as `spool_leases_{name}` / `spool_cells_{name}`,
+//! the name being everything after the stream's first `.` (lease stems
+//! contain none), so they sum to the campaign's leases and cells; a
+//! skipped duplicate counts for nobody (its worker's [`SpoolSummary`]
+//! still counts it). Reclaims count as `spool_reclaims`.
+//!
+//! `meta.json` names the spool layout (2). A worker refuses any other,
+//! and the coordinator fails on a stream without a worker name, so
+//! releases that disagree fail at once, not after the lease timeout.
 
 use crate::campaign::{BackendContext, Deliver, ExecBackend, COORDINATOR_SOURCE};
 use crate::error::EngineError;
@@ -77,9 +88,12 @@ use std::time::{Duration, Instant};
 const POLL: Duration = Duration::from_millis(50);
 /// First sleep of a spool poll loop, and its sleep after progress.
 const FIRST_POLL: Duration = Duration::from_millis(1);
+/// `meta.json`'s `layout`: worker-named streams, claims removed by the
+/// coordinator. Releases before the key wrote layout 1.
+const SPOOL_LAYOUT: u64 = 2;
 
-/// Capped exponential backoff for the spool's poll loops: sleeps
-/// [`FIRST_POLL`] first, doubles each time up to [`POLL`], and
+/// Capped geometric backoff for the spool's poll loops (module docs):
+/// [`FIRST_POLL`], then each sleep a quarter longer up to [`POLL`];
 /// [`reset`](Backoff::reset) after progress starts over.
 struct Backoff {
     next: Duration,
@@ -94,10 +108,10 @@ impl Backoff {
         self.next = FIRST_POLL;
     }
 
-    /// The delay to sleep now; the one after it doubles.
+    /// The delay to sleep now; the one after it is a quarter longer.
     fn next_delay(&mut self) -> Duration {
         let delay = self.next;
-        self.next = (delay * 2).min(POLL);
+        self.next = (delay * 5 / 4).min(POLL);
         delay
     }
 
@@ -198,37 +212,6 @@ impl SharedFs {
     fn stop(&self, verdict: &str) {
         let _ = write_atomic(&self.spool.join("stop"), verdict);
     }
-
-    /// Fold the workers' cumulative `stats/{name}.json` files into
-    /// per-worker telemetry counters, counting only the delta since
-    /// the previous harvest (the files are cumulative; counters are
-    /// monotonic sums).
-    fn harvest_worker_stats(&self, telemetry: &Telemetry, seen: &mut BTreeMap<String, (u64, u64)>) {
-        for path in sorted_dir(&self.spool.join("stats")) {
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Some(v) = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|s| serde::json::parse(&s).ok())
-            else {
-                continue; // torn or vanished file; next poll re-reads
-            };
-            let leases = v.get("leases").and_then(Value::as_u64).unwrap_or(0);
-            let cells = v.get("cells").and_then(Value::as_u64).unwrap_or(0);
-            let last = seen.entry(name.to_string()).or_insert((0, 0));
-            if leases > last.0 {
-                telemetry.count(&format!("spool_leases_{name}"), leases - last.0);
-            }
-            if cells > last.1 {
-                telemetry.count(&format!("spool_cells_{name}"), cells - last.1);
-            }
-            *last = (leases.max(last.0), cells.max(last.1));
-        }
-    }
 }
 
 impl ExecBackend for SharedFs {
@@ -246,13 +229,7 @@ impl ExecBackend for SharedFs {
         if ctx.cancel.is_cancelled() {
             return Err(EngineError::cancelled());
         }
-        for sub in [
-            "leases/open",
-            "leases/claimed",
-            "events",
-            "workers",
-            "stats",
-        ] {
+        for sub in ["leases/open", "leases/claimed", "events", "workers"] {
             std::fs::create_dir_all(self.spool.join(sub)).map_err(|e| {
                 EngineError::io(
                     format!("creating spool directory {}", self.spool.display()),
@@ -277,6 +254,7 @@ impl ExecBackend for SharedFs {
                     None => Value::Null,
                 },
             ),
+            ("layout", serde::Serialize::serialize(&SPOOL_LAYOUT)),
         ]);
         let mut meta_text = String::new();
         serde::json::write_value(&meta, &mut meta_text);
@@ -286,7 +264,6 @@ impl ExecBackend for SharedFs {
         write_atomic(&spec_path, &serde::json::to_string(ctx.spec))?;
         self.publish_ready(leases)?;
 
-        let mut worker_stats: BTreeMap<String, (u64, u64)> = BTreeMap::new();
         let result = (|| {
             let mut worker_slots: BTreeMap<String, usize> = BTreeMap::new();
             let mut processed_events: HashSet<PathBuf> = HashSet::new();
@@ -327,23 +304,44 @@ impl ExecBackend for SharedFs {
                         },
                     )?;
                 }
-                // Completed (or failed) attempt streams.
+                // Attempt streams, `{lease stem}.{worker name}.jsonl`:
+                // complete, failed or duplicate.
                 for ev_path in sorted_dir(&self.spool.join("events")) {
-                    if ev_path.extension().and_then(|e| e.to_str()) != Some("jsonl")
-                        || processed_events.contains(&ev_path)
-                    {
+                    if processed_events.contains(&ev_path) {
                         continue;
                     }
-                    let Some((lease_id, _attempt)) = ev_path
-                        .file_stem()
+                    let Some(file) = ev_path
+                        .file_name()
                         .and_then(|s| s.to_str())
-                        .and_then(parse_lease_stem)
+                        .and_then(|s| s.strip_suffix(".jsonl"))
                     else {
                         continue;
                     };
+                    let (stem, worker) = file.split_once('.').unwrap_or((file, ""));
+                    let Some((lease_id, _attempt)) = parse_lease_stem(stem) else {
+                        continue;
+                    };
+                    if worker.is_empty() {
+                        return Err(EngineError::worker(
+                            None,
+                            format!(
+                                "spool event stream {} carries no worker name, so its \
+                                 worker predates spool layout {SPOOL_LAYOUT}; run the \
+                                 coordinator and every worker from the same stochdag release",
+                                ev_path.display()
+                            ),
+                        ));
+                    }
                     processed_events.insert(ev_path.clone());
                     last_progress = Instant::now();
                     backoff.reset();
+                    // The stream settles its attempt, so the claim is
+                    // retired here, never by the worker.
+                    let _ = std::fs::remove_file(
+                        self.spool
+                            .join("leases/claimed")
+                            .join(format!("{stem}.json")),
+                    );
                     if leases.is_completed(lease_id) {
                         continue; // duplicate attempt (reclaimed slow worker)
                     }
@@ -367,16 +365,22 @@ impl ExecBackend for SharedFs {
                             }
                         }
                     }
-                    let complete = why.is_none()
-                        && matches!(
-                            events.last(),
-                            Some(CampaignEvent::LeaseDone { lease_id: id, .. }) if *id == lease_id
-                        );
-                    if complete {
+                    let done_cells = match events.last() {
+                        Some(CampaignEvent::LeaseDone {
+                            lease_id: id,
+                            cells,
+                            ..
+                        }) if why.is_none() && *id == lease_id => Some(*cells),
+                        _ => None,
+                    };
+                    if let Some(cells) = done_cells {
                         for ev in events {
                             deliver(0, ev)?;
                         }
                         leases.complete(lease_id);
+                        ctx.telemetry.count(&format!("spool_leases_{worker}"), 1);
+                        ctx.telemetry
+                            .count(&format!("spool_cells_{worker}"), cells as u64);
                     } else {
                         // Failed attempt: merge nothing (its finished
                         // cells are in the shared cache, so the retry
@@ -439,11 +443,7 @@ impl ExecBackend for SharedFs {
                         backoff.reset();
                     }
                 }
-                self.harvest_worker_stats(ctx.telemetry, &mut worker_stats);
                 if leases.is_drained() {
-                    // One last harvest after the final drain poll would
-                    // still race the workers' post-lease stats write;
-                    // the grace pass below (after `stop`) settles it.
                     return Ok(());
                 }
                 if worker_slots.is_empty() && start.elapsed() > self.worker_timeout {
@@ -471,27 +471,7 @@ impl ExecBackend for SharedFs {
                 backoff.sleep();
             }
         })();
-        match &result {
-            Ok(()) => self.stop("done"),
-            Err(_) => self.stop("abort"),
-        }
-        if result.is_ok() {
-            // Grace pass: a worker writes its stats file just *after*
-            // publishing the event stream that drained the queue, so
-            // give the last cumulative writes a moment to land before
-            // the final fold into the counters.
-            let total = leases.completed_count() as u64;
-            let grace = Instant::now();
-            let mut backoff = Backoff::new();
-            loop {
-                self.harvest_worker_stats(ctx.telemetry, &mut worker_stats);
-                let harvested: u64 = worker_stats.values().map(|(l, _)| *l).sum();
-                if harvested >= total || grace.elapsed() > Duration::from_secs(2) {
-                    break;
-                }
-                backoff.sleep();
-            }
-        }
+        self.stop(if result.is_ok() { "done" } else { "abort" });
         result?;
         deliver(
             COORDINATOR_SOURCE,
@@ -589,6 +569,33 @@ impl SpoolWorker {
         self.spool.join("stop").exists()
     }
 
+    /// Read `meta.json`, refusing a spool of another layout: a
+    /// coordinator that names streams or retires claims differently
+    /// would never merge this worker's streams.
+    fn read_meta(&self) -> Result<Value, EngineError> {
+        let meta = std::fs::read_to_string(self.spool.join("meta.json"))
+            .ok()
+            .and_then(|s| serde::json::parse(&s).ok())
+            .ok_or_else(|| {
+                EngineError::spec(format!(
+                    "spool {} has no readable meta.json, so its spool layout is unknown; \
+                     this worker reads layout {SPOOL_LAYOUT}",
+                    self.spool.display()
+                ))
+            })?;
+        // Releases before the `layout` key wrote layout 1.
+        let layout = meta.get("layout").map_or(Some(1), Value::as_u64);
+        if layout != Some(SPOOL_LAYOUT) {
+            return Err(EngineError::spec(format!(
+                "spool {} uses spool layout {}, but this worker reads layout {SPOOL_LAYOUT}; \
+                 run the coordinator and every worker from the same stochdag release",
+                self.spool.display(),
+                layout.map_or("unknown".to_string(), |l| l.to_string())
+            )));
+        }
+        Ok(meta)
+    }
+
     /// Serve the spool until the coordinator stops the campaign.
     pub fn run(self) -> Result<SpoolSummary, EngineError> {
         // Wait for the campaign to appear (spec.json is written last,
@@ -615,24 +622,18 @@ impl SpoolWorker {
             }
             backoff.sleep();
         }
+        let meta = self.read_meta()?;
         let spec_text = std::fs::read_to_string(&spec_path)
             .map_err(|e| EngineError::io(format!("reading {}", spec_path.display()), e))?;
         let spec: SweepSpec = serde::json::from_str(&spec_text)
             .map_err(|e| EngineError::spec(format!("bad spool spec.json: {e}")))?;
         spec.validate()?;
-        let meta = std::fs::read_to_string(self.spool.join("meta.json"))
-            .ok()
-            .and_then(|s| serde::json::parse(&s).ok());
         let cache = if self.no_cache {
             crate::cache::ResultCache::in_memory()
         } else if let Some(dir) = &self.cache_dir {
             crate::cache::ResultCache::on_disk(dir)
         } else {
-            match meta
-                .as_ref()
-                .and_then(|m| m.get("cache"))
-                .and_then(Value::as_str)
-            {
+            match meta.get("cache").and_then(Value::as_str) {
                 Some(dir) => crate::cache::ResultCache::on_disk(dir),
                 None => crate::cache::ResultCache::in_memory(),
             }
@@ -673,7 +674,6 @@ impl SpoolWorker {
         )?;
         let done_leases = AtomicUsize::new(0);
         let done_cells = AtomicUsize::new(0);
-        let stats_lock: Mutex<()> = Mutex::new(());
         let abort: Mutex<Option<EngineError>> = Mutex::new(None);
         std::thread::scope(|scope| {
             for _ in 0..jobs.min(plan.leases().len()).max(1) {
@@ -682,7 +682,6 @@ impl SpoolWorker {
                 let abort = &abort;
                 let done_leases = &done_leases;
                 let done_cells = &done_cells;
-                let stats_lock = &stats_lock;
                 scope.spawn(move || {
                     let mut backoff = Backoff::new();
                     while !this.stopped() && abort.lock().expect("abort slot").is_none() {
@@ -695,7 +694,6 @@ impl SpoolWorker {
                             Ok(()) => {
                                 done_leases.fetch_add(1, Ordering::Relaxed);
                                 done_cells.fetch_add(lease.cells.len(), Ordering::Relaxed);
-                                this.publish_stats(done_leases, done_cells, stats_lock);
                             }
                             Err(e) => {
                                 abort.lock().expect("abort slot").get_or_insert(e);
@@ -713,31 +711,6 @@ impl SpoolWorker {
             leases: done_leases.load(Ordering::Relaxed),
             cells: done_cells.load(Ordering::Relaxed),
         })
-    }
-
-    /// Publish this worker's cumulative progress to
-    /// `stats/{name}.json`. The counters are re-read under the lock so
-    /// concurrent completions always publish monotonically
-    /// non-decreasing totals; failures are ignored (stats are
-    /// observability, never correctness).
-    fn publish_stats(&self, done_leases: &AtomicUsize, done_cells: &AtomicUsize, lock: &Mutex<()>) {
-        let _guard = lock.lock().expect("stats lock");
-        let payload = Value::obj([
-            ("name", serde::Serialize::serialize(&self.name)),
-            (
-                "leases",
-                serde::Serialize::serialize(&(done_leases.load(Ordering::Relaxed) as u64)),
-            ),
-            (
-                "cells",
-                serde::Serialize::serialize(&(done_cells.load(Ordering::Relaxed) as u64)),
-            ),
-        ]);
-        let mut text = String::new();
-        serde::json::write_value(&payload, &mut text);
-        let stats_dir = self.spool.join("stats");
-        let _ = std::fs::create_dir_all(&stats_dir);
-        let _ = write_atomic(&stats_dir.join(format!("{}.json", self.name)), &text);
     }
 
     /// Claim the first open lease by renaming it into `claimed/`; the
@@ -769,16 +742,21 @@ impl SpoolWorker {
     }
 
     /// Execute one claimed lease, streaming its events to a tmp file
-    /// published atomically at the end — with an `Error` tail when the
+    /// published atomically at the end as
+    /// `events/{stem}.{name}.jsonl` — with an `Error` tail when the
     /// attempt failed, so the coordinator re-queues promptly instead of
-    /// waiting out the stale-claim timeout.
+    /// waiting out the stale-claim timeout. The claim stays for the
+    /// coordinator to remove once it has read the stream.
     fn run_claim(
         &self,
         executor: &LeaseExecutor<'_>,
         lease: &WorkLease,
         stem: &str,
     ) -> Result<(), EngineError> {
-        let final_path = self.spool.join("events").join(format!("{stem}.jsonl"));
+        let final_path = self
+            .spool
+            .join("events")
+            .join(format!("{stem}.{}.jsonl", self.name));
         let tmp = final_path.with_extension(format!("jsonl.tmp.{}", std::process::id()));
         let file = std::fs::File::create(&tmp)
             .map_err(|e| EngineError::io(format!("creating {}", tmp.display()), e))?;
@@ -802,11 +780,6 @@ impl SpoolWorker {
         }
         std::fs::rename(&tmp, &final_path)
             .map_err(|e| EngineError::io(format!("publishing {}", final_path.display()), e))?;
-        let _ = std::fs::remove_file(
-            self.spool
-                .join("leases/claimed")
-                .join(format!("{stem}.json")),
-        );
         run
     }
 }
@@ -816,12 +789,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_doubles_from_one_ms_up_to_the_poll_cap_and_resets() {
+    fn backoff_grows_by_a_quarter_up_to_the_poll_cap_and_resets() {
         let mut backoff = Backoff::new();
-        let delays: Vec<u128> = (0..8).map(|_| backoff.next_delay().as_millis()).collect();
-        assert_eq!(delays, [1, 2, 4, 8, 16, 32, 50, 50]);
+        let mut slept = Duration::ZERO;
+        let mut delays = Vec::new();
+        for _ in 0..30 {
+            let delay = backoff.next_delay();
+            // Progress during this sleep is noticed within a quarter
+            // of the time already waited plus one first poll.
+            assert!(
+                4 * delay <= slept + 4 * FIRST_POLL,
+                "{delay:?} after {slept:?} slept"
+            );
+            slept += delay;
+            delays.push(delay);
+        }
+        assert_eq!(
+            delays[..3],
+            [
+                Duration::from_micros(1000),
+                Duration::from_micros(1250),
+                Duration::from_nanos(1_562_500),
+            ]
+        );
+        assert!(delays[17] < POLL, "{:?}", delays[17]);
+        assert!(delays[18..].iter().all(|&d| d == POLL), "{delays:?}");
         backoff.reset();
         assert_eq!(backoff.next_delay(), FIRST_POLL);
-        assert_eq!(backoff.next_delay(), Duration::from_millis(2));
+        assert_eq!(backoff.next_delay(), Duration::from_micros(1250));
     }
 }

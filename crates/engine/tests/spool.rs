@@ -4,13 +4,17 @@
 //! production) meet in one spool directory, and the merged output must
 //! be byte-identical to a single-process run over the same cache —
 //! including when a claim goes stale and the coordinator re-queues it.
+//! The coordinator counts each worker's merged streams and retires
+//! every claim, and both sides refuse files of another spool layout.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use stochdag_engine::{
     Campaign, CampaignEvent, CsvSink, FnObserver, ResultCache, SharedFs, SpoolWorker, SweepSpec,
+    Telemetry,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -34,6 +38,40 @@ fn spec(name: &str) -> SweepSpec {
         "#
     ))
     .unwrap()
+}
+
+/// Sum of the counters whose names start with `prefix`.
+fn counter_sum(counters: &BTreeMap<String, u64>, prefix: &str) -> u64 {
+    counters
+        .iter()
+        .filter(|(k, _)| k.starts_with(prefix))
+        .map(|(_, v)| v)
+        .sum()
+}
+
+/// Poll `spool/leases/open/` for a lease file and claim it as a worker
+/// would (rename into `leases/claimed/`); returns its stem, or `None`
+/// after ~6 s. Like a worker, it claims only `.json` lease files, never
+/// the coordinator's temporary files.
+fn claim_first_lease(spool: &Path) -> Option<String> {
+    let open = spool.join("leases").join("open");
+    let claimed = spool.join("leases").join("claimed");
+    for _ in 0..600 {
+        if let Ok(entries) = std::fs::read_dir(&open) {
+            for e in entries.flatten() {
+                let path = e.path();
+                if path.extension().is_none_or(|x| x != "json") {
+                    continue;
+                }
+                if std::fs::rename(&path, claimed.join(e.file_name())).is_ok() {
+                    let stem = path.file_stem().unwrap().to_str().unwrap();
+                    return Some(stem.to_string());
+                }
+            }
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    None
 }
 
 /// A cloneable in-memory writer, so CSV bytes survive the campaign
@@ -64,13 +102,16 @@ fn two_spool_workers_match_single_process_byte_for_byte() {
     let cache_dir = dir.join("cache");
 
     // Two worker sessions start first and wait for the campaign to be
-    // posted — the normal cross-host launch order.
-    let workers: Vec<_> = (0..2)
-        .map(|i| {
+    // posted — the normal cross-host launch order. One is named like a
+    // host: a dotted name must reach the counters whole.
+    let names = ["w0", "w1.example.org"];
+    let workers: Vec<_> = names
+        .iter()
+        .map(|&name| {
             let spool = spool.clone();
             std::thread::spawn(move || {
                 SpoolWorker::new(&spool)
-                    .name(format!("w{i}"))
+                    .name(name)
                     .jobs(1)
                     .max_wait(Duration::from_secs(30))
                     .run()
@@ -81,9 +122,11 @@ fn two_spool_workers_match_single_process_byte_for_byte() {
     let buf = SharedBuf::default();
     let hellos = Arc::new(Mutex::new(Vec::new()));
     let seen = hellos.clone();
+    let telemetry = Telemetry::enabled();
     let outcome = Campaign::builder(spec("spool2"))
         .cache(Arc::new(ResultCache::on_disk(&cache_dir)))
         .backend(SharedFs::new(&spool))
+        .telemetry(telemetry.clone())
         .sink(CsvSink::new(buf.clone()))
         .observer(FnObserver(move |ev: &CampaignEvent| {
             if let CampaignEvent::Hello { shard, jobs, .. } = ev {
@@ -117,6 +160,28 @@ fn two_spool_workers_match_single_process_byte_for_byte() {
     );
     assert!(hellos.iter().all(|&(_, jobs)| jobs == Some(1)));
 
+    // The coordinator credits each worker with the streams it merged
+    // from it (nothing for a worker that arrived after the drain), so
+    // the counters match the sessions' own summaries and sum to the
+    // campaign.
+    let counters = telemetry.snapshot().counters;
+    for (name, summary) in names.iter().zip(&summaries) {
+        for (what, want) in [("leases", summary.leases), ("cells", summary.cells)] {
+            let key = format!("spool_{what}_{name}");
+            let got = counters.get(&key).copied().unwrap_or(0);
+            assert_eq!(got, want as u64, "{key}: {counters:?}");
+        }
+    }
+    assert_eq!(counter_sum(&counters, "spool_leases_"), 4, "{counters:?}");
+    assert_eq!(counter_sum(&counters, "spool_cells_"), 8, "{counters:?}");
+    // Every claim was retired with its stream, and workers published
+    // nothing but streams.
+    let claims: Vec<_> = std::fs::read_dir(spool.join("leases").join("claimed"))
+        .unwrap()
+        .collect();
+    assert!(claims.is_empty(), "claims left behind: {claims:?}");
+    assert!(!spool.join("stats").exists(), "no per-worker stats files");
+
     // Single-process replay over the same cache: identical bytes.
     let single = SharedBuf::default();
     let replay = Campaign::builder(spec("spool2"))
@@ -139,30 +204,10 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
 
     // A saboteur that claims the first posted lease and then "dies":
     // the claim file sits in leases/claimed/ with no events behind it,
-    // exactly what a worker killed mid-lease leaves on disk. Like a
-    // worker, it claims only `.json` lease files, never the
-    // coordinator's temporary files.
+    // exactly what a worker killed mid-lease leaves on disk.
     let saboteur = {
         let spool = spool.clone();
-        std::thread::spawn(move || {
-            let open = spool.join("leases").join("open");
-            let claimed = spool.join("leases").join("claimed");
-            for _ in 0..600 {
-                if let Ok(entries) = std::fs::read_dir(&open) {
-                    for e in entries.flatten() {
-                        if e.path().extension().is_none_or(|x| x != "json") {
-                            continue;
-                        }
-                        let target = claimed.join(e.file_name());
-                        if std::fs::rename(e.path(), &target).is_ok() {
-                            return true;
-                        }
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            false
-        })
+        std::thread::spawn(move || claim_first_lease(&spool).is_some())
     };
 
     // One healthy worker drains everything else (and, after the
@@ -184,9 +229,11 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
     };
 
     let buf = SharedBuf::default();
+    let telemetry = Telemetry::enabled();
     let outcome = Campaign::builder(spec("stale"))
         .cache(Arc::new(ResultCache::on_disk(&cache_dir)))
         .backend(SharedFs::new(&spool).lease_timeout(Duration::from_secs(1)))
+        .telemetry(telemetry.clone())
         .sink(CsvSink::new(buf.clone()))
         .build()
         .unwrap()
@@ -200,6 +247,18 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
     assert_eq!(
         summary.cells, 8,
         "the healthy worker executed every cell, including the reclaimed lease"
+    );
+    let counters = telemetry.snapshot().counters;
+    assert_eq!(counters.get("spool_reclaims"), Some(&1), "{counters:?}");
+    assert_eq!(
+        counters.get("spool_leases_healthy"),
+        Some(&4),
+        "{counters:?}"
+    );
+    assert_eq!(
+        counters.get("spool_cells_healthy"),
+        Some(&8),
+        "{counters:?}"
     );
 
     // The interrupted-and-reclaimed campaign still replays
@@ -234,5 +293,82 @@ fn a_used_spool_directory_refuses_a_second_campaign() {
         err.to_string().contains("already hosts a campaign"),
         "{err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_refuses_a_spool_of_another_layout() {
+    let dir = scratch("layout");
+    let spool = dir.join("spool");
+    // A campaign as an older coordinator posts it. The stop file lets
+    // a worker that wrongly accepts the spool exit instead of waiting
+    // for leases.
+    for sub in ["leases/open", "leases/claimed", "events", "workers"] {
+        std::fs::create_dir_all(spool.join(sub)).unwrap();
+    }
+    std::fs::write(
+        spool.join("spec.json"),
+        serde::json::to_string(&spec("layout")),
+    )
+    .unwrap();
+    std::fs::write(spool.join("stop"), "done").unwrap();
+    for (meta, found) in [
+        (None, "no readable meta.json"),
+        (
+            Some(r#"{"name":"layout","cache":null}"#),
+            "uses spool layout 1",
+        ),
+        (
+            Some(r#"{"name":"layout","cache":null,"layout":3}"#),
+            "uses spool layout 3",
+        ),
+    ] {
+        let _ = std::fs::remove_file(spool.join("meta.json"));
+        if let Some(meta) = meta {
+            std::fs::write(spool.join("meta.json"), meta).unwrap();
+        }
+        let err = SpoolWorker::new(&spool)
+            .name("w")
+            .no_cache()
+            .run()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(found), "{err}");
+        assert!(err.contains(&spool.display().to_string()), "{err}");
+        assert!(err.contains("layout 2"), "{err}");
+        assert!(
+            !spool.join("workers").join("w.json").exists(),
+            "refused before registering"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stream_without_a_worker_name_fails_the_campaign() {
+    let dir = scratch("nameless");
+    let spool = dir.join("spool");
+    // A worker of spool layout 1: it claims a lease and publishes the
+    // attempt's stream under the bare lease stem.
+    let old_worker = {
+        let spool = spool.clone();
+        std::thread::spawn(move || {
+            let stem = claim_first_lease(&spool)?;
+            let stream = spool.join("events").join(format!("{stem}.jsonl"));
+            std::fs::write(&stream, "{\"event\":\"error\",\"message\":\"boom\"}\n").unwrap();
+            Some(stem)
+        })
+    };
+    let err = Campaign::builder(spec("nameless"))
+        .cache(Arc::new(ResultCache::on_disk(dir.join("cache"))))
+        .backend(SharedFs::new(&spool).worker_timeout(Duration::from_secs(5)))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap_err()
+        .to_string();
+    let stem = old_worker.join().unwrap().expect("a lease to claim");
+    assert!(err.contains(&format!("{stem}.jsonl")), "{err}");
+    assert!(err.contains("carries no worker name"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
