@@ -1,14 +1,16 @@
 //! Hot-kernel microbenches: the distribution ops and grid passes that
 //! the sweep engine spends its time in, measured in isolation.
 //!
-//! Two panels:
+//! Three panels:
 //!
 //! * `dist_ops/{n}` — convolve / max / reduce_support at several
 //!   support sizes, with the allocating entry points next to their
 //!   scratch-arena variants so the arena's win stays visible.
-//! * `grid_kernels/{family}` — the batched `estimate_grid` override of
-//!   each optimized estimator family against the sequential
-//!   per-model default it must match bit for bit.
+//! * `grid_kernels/{family}` — `estimate_grid` against a per-model
+//!   `estimate_for` loop, which it must match bit for bit. First- and
+//!   second-order override `estimate_grid` with a batched pass; for
+//!   `spelde32` and `dodin` the `grid_batched` label times the trait
+//!   default, which does the per-model loop's work.
 //! * `mc_reference/{graph}/pfail_{p}` — the Monte-Carlo reference
 //!   kernel as a jobs-1 campaign runs it: 4000 sequential trials
 //!   through `prepare(&PreparedDag)`, on cholesky and lu k=6 at the
@@ -102,7 +104,7 @@ fn bench_grid_kernels(c: &mut Criterion) {
         ("dodin", Box::new(DodinEstimator::scalable())),
     ];
     for (label, est) in families {
-        // The override must agree with the sequential default bit for
+        // The grid pass must agree with the sequential loop bit for
         // bit — the same contract the grid_parity tests enforce.
         let mut prep = est.prepare(&prepared);
         let grid: Vec<f64> = prep
@@ -114,7 +116,7 @@ fn bench_grid_kernels(c: &mut Criterion) {
         assert_eq!(
             grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "{label}: grid override must be bit-identical"
+            "{label}: grid pass must be bit-identical"
         );
 
         let mut g = c.benchmark_group(format!("grid_kernels/{label}"));

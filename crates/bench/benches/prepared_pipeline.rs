@@ -46,7 +46,8 @@ fn full5() -> Vec<Box<dyn Estimator>> {
     panel
 }
 
-/// Every cell through the one-shot shim: preprocessing re-done per cell.
+/// Every cell through the one-shot `estimate`, which prepares a fresh
+/// `PreparedDag` each time: preprocessing re-done per cell.
 fn legacy_sweep(panel: &[Box<dyn Estimator>], dag: &Dag, models: &[FailureModel]) -> f64 {
     let mut acc = 0.0;
     for est in panel {

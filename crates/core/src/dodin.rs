@@ -1,14 +1,12 @@
 //! Dodin-baseline estimator: the series-parallel approximation of
 //! Section II-A2, wired to the reduction engine of `stochdag-sp`.
 
-use crate::estimator::{Estimate, Estimator, PreparedEstimator};
+use crate::estimator::{Estimator, PreparedEstimator};
 use crate::model::FailureModel;
-use std::time::Instant;
 use stochdag_dag::{Dag, PreparedDag};
-use stochdag_dist::{DurationTable, TaskDurationModel};
+use stochdag_dist::{DiscreteDist, DurationTable, TaskDurationModel};
 use stochdag_sp::{
-    dodin_evaluate, dodin_forward_evaluate, dodin_forward_evaluate_in, ForwardScratch,
-    ReduceConfig, ReduceOutcome,
+    dodin_evaluate, dodin_forward_evaluate_in, ForwardScratch, ReduceConfig, ReduceOutcome,
 };
 
 /// How the series-parallel approximation is computed.
@@ -22,10 +20,10 @@ pub enum DodinStrategy {
     /// ([`stochdag_sp::dodin_forward_evaluate`]): one topological pass
     /// with independent maxima, `O(|V| + |E|)` distribution operations.
     /// A scalable surrogate that makes the *same kind* of independence
-    /// error as duplication (the two agree within a fraction of their
-    /// common bias on the paper's DAG families; see EXPERIMENTS.md) and
-    /// is what the experiment harness runs at the paper's k = 12 and
-    /// k = 20 scales.
+    /// error as duplication (`stochdag-sp`'s `forward_equivalence`
+    /// tests hold the two within 3% of each other on small random DAGs
+    /// and Cholesky k = 4) and is what the experiment harness runs at
+    /// the paper's k = 12 and k = 20 scales.
     Forward,
 }
 
@@ -97,46 +95,28 @@ impl DodinEstimator {
         self.strategy
     }
 
-    /// Per-node duration renderer over a prebuilt [`DurationTable`].
-    fn dist_of_table<'a>(
-        &'a self,
-        table: &'a DurationTable,
-    ) -> impl FnMut(stochdag_dag::NodeId) -> stochdag_dist::DiscreteDist + 'a {
-        move |i| table.duration_dist(i.index(), self.duration_model)
-    }
-
-    /// Duplication evaluation over an explicit duration table.
-    fn run_with(&self, dag: &Dag, table: &DurationTable) -> ReduceOutcome {
-        let cfg = ReduceConfig {
-            max_atoms: self.max_atoms,
-            ..Default::default()
-        };
-        dodin_evaluate(dag, self.dist_of_table(table), &cfg)
-            .expect("Dodin reduction failed (operation limit)")
-    }
-
-    /// Makespan distribution over an explicit duration table.
-    fn makespan_dist_with(&self, dag: &Dag, table: &DurationTable) -> stochdag_dist::DiscreteDist {
-        match self.strategy {
-            DodinStrategy::Duplication => self.run_with(dag, table).dist,
-            DodinStrategy::Forward => {
-                dodin_forward_evaluate(dag, self.dist_of_table(table), self.max_atoms)
-            }
-        }
-    }
-
     /// Run the duplication engine, exposing the approximate makespan
     /// *distribution* and the reduction statistics (duplication count
     /// etc.). Always uses [`DodinStrategy::Duplication`] regardless of
     /// the configured strategy.
     pub fn run(&self, dag: &Dag, model: &FailureModel) -> ReduceOutcome {
-        self.run_with(dag, &DurationTable::new(model.lambda, &dag.weights()))
+        self.bind(&PreparedDag::new(dag.clone())).reduce(model)
     }
 
     /// The approximate makespan distribution under the configured
     /// strategy.
-    pub fn makespan_dist(&self, dag: &Dag, model: &FailureModel) -> stochdag_dist::DiscreteDist {
-        self.makespan_dist_with(dag, &DurationTable::new(model.lambda, &dag.weights()))
+    pub fn makespan_dist(&self, dag: &Dag, model: &FailureModel) -> DiscreteDist {
+        self.bind(&PreparedDag::new(dag.clone()))
+            .makespan_dist(model)
+    }
+
+    fn bind(&self, prepared: &PreparedDag) -> PreparedDodin {
+        PreparedDodin {
+            est: self.clone(),
+            prepared: prepared.clone(),
+            table: DurationTable::default(),
+            scratch: ForwardScratch::new(),
+        }
     }
 }
 
@@ -146,8 +126,7 @@ impl DodinEstimator {
 /// hot-loop form of the propagation — the preparation's shared
 /// topological order plus a per-preparation [`ForwardScratch`], so the
 /// topo walk and the merge arena are both hoisted out of the per-model
-/// call ([`dodin_forward_evaluate_in`] is bit-identical to the one-shot
-/// [`dodin_forward_evaluate`]).
+/// call ([`dodin_forward_evaluate_in`]).
 struct PreparedDodin {
     est: DodinEstimator,
     prepared: PreparedDag,
@@ -156,17 +135,30 @@ struct PreparedDodin {
 }
 
 impl PreparedDodin {
-    fn eval(&mut self, model: &FailureModel) -> f64 {
+    /// The duplication engine under `model`, with its reduction
+    /// statistics.
+    fn reduce(&mut self, model: &FailureModel) -> ReduceOutcome {
         self.table.rebuild(model.lambda, self.prepared.weights());
+        let (table, duration_model) = (&self.table, self.est.duration_model);
+        let cfg = ReduceConfig {
+            max_atoms: self.est.max_atoms,
+            ..Default::default()
+        };
+        dodin_evaluate(
+            self.prepared.dag(),
+            |i| table.duration_dist(i.index(), duration_model),
+            &cfg,
+        )
+        .expect("Dodin reduction failed (operation limit)")
+    }
+
+    /// The makespan distribution under the configured strategy.
+    fn makespan_dist(&mut self, model: &FailureModel) -> DiscreteDist {
         match self.est.strategy {
-            DodinStrategy::Duplication => self
-                .est
-                .run_with(self.prepared.dag(), &self.table)
-                .dist
-                .mean(),
+            DodinStrategy::Duplication => self.reduce(model).dist,
             DodinStrategy::Forward => {
-                let table = &self.table;
-                let duration_model = self.est.duration_model;
+                self.table.rebuild(model.lambda, self.prepared.weights());
+                let (table, duration_model) = (&self.table, self.est.duration_model);
                 dodin_forward_evaluate_in(
                     self.prepared.dag(),
                     self.prepared.topo_order(),
@@ -174,7 +166,6 @@ impl PreparedDodin {
                     self.est.max_atoms,
                     &mut self.scratch,
                 )
-                .mean()
             }
         }
     }
@@ -182,34 +173,11 @@ impl PreparedDodin {
 
 impl PreparedEstimator for PreparedDodin {
     fn name(&self) -> &'static str {
-        match self.est.strategy {
-            DodinStrategy::Duplication => "Dodin",
-            DodinStrategy::Forward => "Dodin(fwd)",
-        }
+        self.est.name()
     }
 
     fn expected_makespan_for(&mut self, model: &FailureModel) -> f64 {
-        self.eval(model)
-    }
-
-    /// Grid pass: the duration table depends on λ at every node, so
-    /// models cannot share work beyond the hoisted topological order and
-    /// the reused scratch — which the sequential path already uses; this
-    /// override just streams the models through them.
-    fn estimate_grid(&mut self, models: &[FailureModel]) -> Vec<Estimate> {
-        models
-            .iter()
-            .map(|model| {
-                let start = Instant::now();
-                let value = self.eval(model);
-                Estimate {
-                    value,
-                    elapsed: start.elapsed(),
-                    name: self.name().to_string(),
-                    std_error: self.std_error_hint(),
-                }
-            })
-            .collect()
+        self.makespan_dist(model).mean()
     }
 }
 
@@ -222,16 +190,7 @@ impl Estimator for DodinEstimator {
     }
 
     fn prepare(&self, prepared: &PreparedDag) -> Box<dyn PreparedEstimator> {
-        Box::new(PreparedDodin {
-            est: self.clone(),
-            prepared: prepared.clone(),
-            table: DurationTable::default(),
-            scratch: ForwardScratch::new(),
-        })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        self.makespan_dist(dag, model).mean()
+        Box::new(self.bind(prepared))
     }
 }
 

@@ -11,11 +11,12 @@
 //!    [`PreparedEstimator::estimate_grid`]) evaluates one failure model
 //!    against that preparation, as many times as the caller likes.
 //!
-//! One-shot callers keep the thin [`Estimator::estimate`] /
-//! [`Estimator::expected_makespan`] shims, which prepare internally and
-//! evaluate once. Sweep-style callers (the `stochdag-engine` runner,
-//! the accuracy-grid examples) prepare once per (graph, estimator) pair
-//! and amortize the preprocessing across every failure model.
+//! `prepare` is the only implementation of every family. The one-shot
+//! [`Estimator::estimate`] / [`Estimator::expected_makespan`] are
+//! trait defaults that prepare a fresh [`PreparedDag`] and evaluate
+//! once. Sweep-style callers (the `stochdag-engine` runner, the
+//! accuracy-grid examples) prepare once per (graph, estimator) pair and
+//! amortize the preprocessing across every failure model.
 
 use crate::model::FailureModel;
 use crate::scenario::{ScenarioModel, UnsupportedScenario};
@@ -78,8 +79,8 @@ impl Estimate {
 /// [`PreparedEstimator::expected_makespan_for`] twice with the same
 /// model (and, for statistical estimators, the same seed) returns the
 /// same value, regardless of which other models were evaluated in
-/// between. The `prepared_parity` property tests enforce this against
-/// the one-shot path bit for bit.
+/// between. The `prepared_parity` property tests enforce this bit for
+/// bit against a fresh preparation per model.
 pub trait PreparedEstimator: Send {
     /// Short display name (same as the estimator that produced this).
     fn name(&self) -> &'static str;
@@ -155,12 +156,12 @@ pub trait PreparedEstimator: Send {
 
 /// An expected-makespan estimator for task graphs under silent errors.
 ///
-/// The required method is [`Estimator::prepare`]; the one-shot
-/// [`Estimator::expected_makespan`] / [`Estimator::estimate`] shims
-/// have default implementations that prepare internally. Implementors
-/// must be pure: preparing the same graph twice and evaluating the same
-/// model returns the same value (Monte Carlo is deterministic given its
-/// configured seed).
+/// The required method is [`Estimator::prepare`], the single
+/// implementation of the family; the one-shot [`Estimator::estimate`] /
+/// [`Estimator::expected_makespan`] defaults prepare a fresh
+/// [`PreparedDag`] and evaluate once. Implementors must be pure: preparing the same graph
+/// twice and evaluating the same model returns the same value (Monte
+/// Carlo is deterministic given its configured seed).
 pub trait Estimator {
     /// Short display name (stable; used in reports and CSV headers).
     fn name(&self) -> &'static str;
@@ -169,32 +170,23 @@ pub trait Estimator {
     /// model-independent work (phase one; see the module docs).
     fn prepare(&self, prepared: &PreparedDag) -> Box<dyn PreparedEstimator>;
 
-    /// Compute the expected makespan of `dag` under `model`.
-    ///
-    /// One-shot shim: prepares internally and evaluates once. Callers
-    /// that evaluate several models (or several estimators) on one
-    /// graph should [`Estimator::prepare`] once instead.
+    /// Expected makespan of `dag` under `model`: the value of
+    /// [`Estimator::estimate`].
     fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        self.prepare(&PreparedDag::new(dag.clone()))
-            .expected_makespan_for(model)
+        self.estimate(dag, model).value
     }
 
-    /// Standard error of the last kind of estimate this estimator
-    /// produces, if it is statistical. Default: `None`.
-    fn std_error_hint(&self) -> Option<f64> {
-        None
-    }
-
-    /// Timed wrapper around [`Estimator::expected_makespan`].
+    /// Prepare a fresh [`PreparedDag`] and evaluate `model` once; the
+    /// reported `elapsed` covers both phases. Callers that evaluate
+    /// several models (or several estimators) on one graph should
+    /// [`Estimator::prepare`] once instead.
     fn estimate(&self, dag: &Dag, model: &FailureModel) -> Estimate {
         let start = Instant::now();
-        let value = self.expected_makespan(dag, model);
-        Estimate {
-            value,
-            elapsed: start.elapsed(),
-            name: self.name().to_string(),
-            std_error: self.std_error_hint(),
-        }
+        let mut estimate = self
+            .prepare(&PreparedDag::new(dag.clone()))
+            .estimate_for(model);
+        estimate.elapsed = start.elapsed();
+        estimate
     }
 }
 
@@ -211,18 +203,6 @@ impl Estimator for BoxedEstimator {
 
     fn prepare(&self, prepared: &PreparedDag) -> Box<dyn PreparedEstimator> {
         self.as_ref().prepare(prepared)
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        self.as_ref().expected_makespan(dag, model)
-    }
-
-    fn std_error_hint(&self) -> Option<f64> {
-        self.as_ref().std_error_hint()
-    }
-
-    fn estimate(&self, dag: &Dag, model: &FailureModel) -> Estimate {
-        self.as_ref().estimate(dag, model)
     }
 }
 

@@ -21,8 +21,7 @@ struct ExactScratch {
     completion: Vec<f64>,
 }
 
-/// The `2^n`-mask expectation over a frozen view — the shared core of
-/// the one-shot and prepared paths.
+/// The `2^n`-mask expectation over a frozen view.
 fn exact_with(frozen: &FrozenDag, pfail: &[f64], scratch: &mut ExactScratch) -> f64 {
     let n = frozen.node_count();
     let base = &frozen.weights;
@@ -56,17 +55,7 @@ fn exact_with(frozen: &FrozenDag, pfail: &[f64], scratch: &mut ExactScratch) -> 
 /// # Panics
 /// Panics if the DAG has more than [`MAX_EXACT_NODES`] nodes.
 pub fn exact_expected_makespan_two_state(dag: &Dag, model: &FailureModel) -> f64 {
-    let n = dag.node_count();
-    assert!(
-        n <= MAX_EXACT_NODES,
-        "exhaustive evaluation needs |V| <= {MAX_EXACT_NODES}, got {n}"
-    );
-    if n == 0 {
-        return 0.0;
-    }
-    let frozen = dag.freeze();
-    let table = DurationTable::new(model.lambda, &frozen.weights);
-    exact_with(&frozen, table.pfail_all(), &mut ExactScratch::default())
+    ExactEstimator.expected_makespan(dag, model)
 }
 
 /// The exhaustive 2-state estimator (validation oracle).
@@ -116,10 +105,6 @@ impl Estimator for ExactEstimator {
             table: DurationTable::default(),
             scratch: ExactScratch::default(),
         })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        exact_expected_makespan_two_state(dag, model)
     }
 }
 

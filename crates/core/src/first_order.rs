@@ -27,7 +27,7 @@ use crate::estimator::{Estimate, Estimator, PreparedEstimator};
 use crate::model::FailureModel;
 use crate::scenario::{ScenarioModel, UnsupportedScenario};
 use std::time::Instant;
-use stochdag_dag::{Dag, LevelInfo, PreparedDag};
+use stochdag_dag::{Dag, PreparedDag};
 
 /// Detailed first-order result.
 #[derive(Clone, Debug)]
@@ -45,52 +45,30 @@ pub struct FirstOrderResult {
 
 /// Fast `O(|V| + |E|)` first-order approximation with per-task detail.
 pub fn first_order_detailed(dag: &Dag, model: &FailureModel) -> FirstOrderResult {
-    first_order_detailed_with(dag, &LevelInfo::compute(dag), model)
-}
-
-/// [`first_order_detailed`] with the level decomposition supplied by
-/// the caller — the shared core of the one-shot and prepared paths
-/// (the levels are model-independent, so a prepared estimator computes
-/// them once and reuses them for every failure model).
-pub fn first_order_detailed_with(
-    dag: &Dag,
-    levels: &LevelInfo,
-    model: &FailureModel,
-) -> FirstOrderResult {
-    let d_g = levels.makespan;
-    let mut contributions = Vec::with_capacity(dag.node_count());
-    let mut sum = 0.0f64;
-    for i in dag.nodes() {
-        let a_i = dag.weight(i);
-        let delta = levels.reexecution_sensitivity(dag, i); // d(G_i) − d(G)
-        let c = model.lambda * a_i * delta;
-        contributions.push(c);
-        sum += c;
-    }
+    let p = PreparedFirstOrder::new(&PreparedDag::new(dag.clone()), false);
     FirstOrderResult {
-        expected_makespan: d_g + sum,
-        failure_free_makespan: d_g,
-        task_contribution: contributions,
+        expected_makespan: p.value(model.lambda, |_| 1.0),
+        failure_free_makespan: p.d_g,
+        task_contribution: p
+            .prepared
+            .weights()
+            .iter()
+            .zip(&p.sens)
+            .map(|(&a_i, &delta)| model.lambda * a_i * delta)
+            .collect(),
     }
 }
 
 /// Fast `O(|V| + |E|)` first-order approximation (value only).
 pub fn first_order_expected_makespan_fast(dag: &Dag, model: &FailureModel) -> f64 {
-    first_order_detailed(dag, model).expected_makespan
+    FirstOrderEstimator::fast().expected_makespan(dag, model)
 }
 
 /// Naive `O(|V|·(|V| + |E|))` first-order approximation: recomputes
 /// `d(Gᵢ)` with a fresh longest-path pass per task, exactly as the
 /// complexity bound quoted in the paper's Section IV.
 pub fn first_order_expected_makespan_naive(dag: &Dag, model: &FailureModel) -> f64 {
-    let d_g = dag.longest_path_length();
-    let mut sum = 0.0f64;
-    for i in dag.nodes() {
-        let a_i = dag.weight(i);
-        let d_gi = dag.with_scaled_weight(i, 2.0).longest_path_length();
-        sum += model.lambda * a_i * (d_gi - d_g);
-    }
-    d_g + sum
+    FirstOrderEstimator::naive().expected_makespan(dag, model)
 }
 
 /// The first-order estimator of the paper ("First Order" in the
@@ -129,15 +107,46 @@ struct PreparedFirstOrder {
 }
 
 impl PreparedFirstOrder {
-    /// The fast evaluation: `d(G) + Σᵢ (λ·aᵢ)·sens[i]` with the same
-    /// association and summation order as
-    /// [`first_order_detailed_with`], hence bit-identical to it.
-    fn fast_value(&self, lambda: f64) -> f64 {
-        let mut sum = 0.0f64;
-        for (&a_i, &delta) in self.prepared.weights().iter().zip(&self.sens) {
-            sum += lambda * a_i * delta;
+    fn new(prepared: &PreparedDag, use_naive: bool) -> PreparedFirstOrder {
+        let (sens, d_g) = if use_naive {
+            (Vec::new(), 0.0)
+        } else {
+            let dag = prepared.dag();
+            let levels = prepared.levels();
+            let sens = dag
+                .nodes()
+                .map(|i| levels.reexecution_sensitivity(dag, i))
+                .collect();
+            (sens, levels.makespan)
+        };
+        PreparedFirstOrder {
+            prepared: prepared.clone(),
+            use_naive,
+            sens,
+            d_g,
         }
-        self.d_g + sum
+    }
+
+    /// `d(G) + Σᵢ (λ·hᵢ)·aᵢ·(d(Gᵢ) − d(G))`, summed in node order, where
+    /// `hazard(i)` is task `i`'s hazard multiplier `hᵢ`. The i.i.d.
+    /// model is `hᵢ = 1`, and `λ·1.0` is exactly `λ`, so its bits are
+    /// those of the plain `λ·aᵢ·(d(Gᵢ) − d(G))` sum.
+    fn value(&self, lambda: f64, hazard: impl Fn(usize) -> f64) -> f64 {
+        let mut sum = 0.0f64;
+        if self.use_naive {
+            let dag = self.prepared.dag();
+            let d_g = dag.longest_path_length();
+            for i in dag.nodes() {
+                let d_gi = dag.with_scaled_weight(i, 2.0).longest_path_length();
+                sum += lambda * hazard(i.index()) * dag.weight(i) * (d_gi - d_g);
+            }
+            d_g + sum
+        } else {
+            for (i, (&a_i, &delta)) in self.prepared.weights().iter().zip(&self.sens).enumerate() {
+                sum += lambda * hazard(i) * a_i * delta;
+            }
+            self.d_g + sum
+        }
     }
 }
 
@@ -151,11 +160,7 @@ impl PreparedEstimator for PreparedFirstOrder {
     }
 
     fn expected_makespan_for(&mut self, model: &FailureModel) -> f64 {
-        if self.use_naive {
-            first_order_expected_makespan_naive(self.prepared.dag(), model)
-        } else {
-            self.fast_value(model.lambda)
-        }
+        self.value(model.lambda, |_| 1.0)
     }
 
     /// First-order evaluation over the scenario *mixture*: the
@@ -165,8 +170,7 @@ impl PreparedEstimator for PreparedFirstOrder {
     /// order in λ*: a group-correlated mixture only perturbs the
     /// single-failure states through their marginal probability —
     /// cross-task correlation enters at `O(λ²)`, which the expansion
-    /// drops anyway. Summation runs in node order like the i.i.d. fast
-    /// path, and the i.i.d. scenario delegates to
+    /// drops anyway. The i.i.d. scenario delegates to
     /// [`PreparedEstimator::estimate_for`] bit-identically.
     fn estimate_scenario(
         &mut self,
@@ -177,28 +181,12 @@ impl PreparedEstimator for PreparedFirstOrder {
             return Ok(self.estimate_for(model));
         }
         let start = Instant::now();
-        let value = if self.use_naive {
-            let dag = self.prepared.dag();
-            let d_g = dag.longest_path_length();
-            let mut sum = 0.0f64;
-            for i in dag.nodes() {
-                let a_i = dag.weight(i);
-                let d_gi = dag.with_scaled_weight(i, 2.0).longest_path_length();
-                sum += model.lambda * scenario.marginal_hazard(i.index()) * a_i * (d_gi - d_g);
-            }
-            d_g + sum
-        } else {
-            let mut sum = 0.0f64;
-            for (i, (&a_i, &delta)) in self.prepared.weights().iter().zip(&self.sens).enumerate() {
-                sum += model.lambda * scenario.marginal_hazard(i) * a_i * delta;
-            }
-            self.d_g + sum
-        };
+        let value = self.value(model.lambda, |i| scenario.marginal_hazard(i));
         Ok(Estimate {
             value,
             elapsed: start.elapsed(),
             name: self.name().to_string(),
-            std_error: self.std_error_hint(),
+            std_error: None,
         })
     }
 
@@ -226,7 +214,7 @@ impl PreparedEstimator for PreparedFirstOrder {
                 value: self.d_g + sum,
                 elapsed,
                 name: self.name().to_string(),
-                std_error: self.std_error_hint(),
+                std_error: None,
             })
             .collect()
     }
@@ -242,31 +230,7 @@ impl Estimator for FirstOrderEstimator {
     }
 
     fn prepare(&self, prepared: &PreparedDag) -> Box<dyn PreparedEstimator> {
-        let (sens, d_g) = if self.use_naive {
-            (Vec::new(), 0.0)
-        } else {
-            let dag = prepared.dag();
-            let levels = prepared.levels();
-            let sens = dag
-                .nodes()
-                .map(|i| levels.reexecution_sensitivity(dag, i))
-                .collect();
-            (sens, levels.makespan)
-        };
-        Box::new(PreparedFirstOrder {
-            prepared: prepared.clone(),
-            use_naive: self.use_naive,
-            sens,
-            d_g,
-        })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        if self.use_naive {
-            first_order_expected_makespan_naive(dag, model)
-        } else {
-            first_order_expected_makespan_fast(dag, model)
-        }
+        Box::new(PreparedFirstOrder::new(prepared, self.use_naive))
     }
 }
 

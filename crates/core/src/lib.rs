@@ -12,6 +12,7 @@
 //! | [`SculliEstimator`] | baseline #2, ρ = 0 variant (Section II-A3) | `O(V + E)` | `normal` |
 //! | [`CorLcaEstimator`] | correlation-aware normal (Canon–Jeannot) | `O(V·E)` worst case | `normal` |
 //! | [`CovarianceNormalEstimator`] | full covariance propagation (the paper's slow "Normal" profile) | `O(V²·deg)` | `normal` |
+//! | [`SpeldeEstimator`] | path-based bound over the `K` longest paths (Spelde) | `K`-longest-path extraction once, `O(K·V)` per model | `spelde` |
 //! | [`ExactEstimator`] | exhaustive 2-state exact (tests/small DAGs) | `O(2^V · (V+E))` | `exact` |
 //!
 //! All estimators consume a task DAG ([`stochdag_dag::Dag`], weights =
@@ -36,16 +37,17 @@
 //!    [`PreparedEstimator::estimate_grid`] — evaluates one failure model
 //!    against that preparation, as many times as needed.
 //!
-//! **When to use which path:** evaluating one (graph, model) pair — a
-//! CLI `analyze` call, a scheduler probing a candidate DAG — should use
-//! the thin one-shot shims [`Estimator::estimate`] /
-//! [`Estimator::expected_makespan`], which prepare internally.
-//! Evaluating a *grid* (many failure models, many estimators, one
-//! graph) — the sweep engine, the paper's accuracy studies — should
-//! prepare once per (graph, estimator) pair; the `prepared_pipeline`
-//! bench measures the resulting amortization. Both paths return
-//! bit-identical values (enforced by the `prepared_parity` property
-//! tests).
+//! **When to use which path:** `prepare` is the only implementation of
+//! every family. Evaluating one (graph, model) pair — a CLI `analyze`
+//! call, a scheduler probing a candidate DAG — can call
+//! [`Estimator::estimate`] / [`Estimator::expected_makespan`], trait
+//! defaults that prepare a fresh [`stochdag_dag::PreparedDag`] and
+//! evaluate once. Evaluating a *grid* (many failure models, many
+//! estimators, one graph) — the sweep engine, the paper's accuracy
+//! studies — should prepare once per (graph, estimator) pair; the
+//! `prepared_pipeline` bench measures the resulting amortization. The
+//! `prepared_parity` property tests check that a reused preparation
+//! returns the same bits as a fresh one per model.
 //!
 //! ## Quick example
 //!
@@ -60,7 +62,7 @@
 //! let dag = b.build().unwrap();
 //!
 //! let model = FailureModel::from_pfail(0.001, dag.mean_weight());
-//! // One-shot shim: prepare-and-evaluate in one call.
+//! // One shot: prepare and evaluate in one call.
 //! let first_order = FirstOrderEstimator::fast().estimate(&dag, &model);
 //! let mc = MonteCarloEstimator::new(100_000).with_seed(42).estimate(&dag, &model);
 //! let rel = (first_order.value - mc.value).abs() / mc.value;
@@ -96,17 +98,14 @@ pub use dvfs::{speed_tradeoff, DvfsModel, PowerModel, TradeoffPoint};
 pub use estimator::{BoxedEstimator, Estimate, Estimator, PreparedEstimator};
 pub use exact::{exact_expected_makespan_two_state, ExactEstimator, MAX_EXACT_NODES};
 pub use first_order::{
-    first_order_detailed, first_order_detailed_with, first_order_expected_makespan_fast,
-    first_order_expected_makespan_naive, FirstOrderEstimator, FirstOrderResult,
+    first_order_detailed, first_order_expected_makespan_fast, first_order_expected_makespan_naive,
+    FirstOrderEstimator, FirstOrderResult,
 };
 pub use model::FailureModel;
 pub use monte_carlo::{MonteCarloEstimator, MonteCarloResult, SamplingModel};
 pub use normal::{CorLcaEstimator, CovarianceNormalEstimator, SculliEstimator};
 pub use scenario::{ScenarioModel, UnsupportedScenario};
-pub use second_order::{
-    second_order_expected_makespan, second_order_from_tables, second_order_with,
-    SecondOrderEstimator, SecondOrderTables,
-};
+pub use second_order::{second_order_expected_makespan, SecondOrderEstimator};
 pub use spec::{
     EstimatorSpec, DEFAULT_DODIN_ATOMS, DEFAULT_MC_TRIALS, DEFAULT_SPELDE_PATHS, ESTIMATOR_FAMILIES,
 };

@@ -158,9 +158,9 @@ impl MonteCarloEstimator {
 
     /// Run the simulation under a correlated [`ScenarioModel`] over an
     /// already-frozen view, with a caller-owned success-probability
-    /// buffer — the shared core of the one-shot and prepared paths (a
-    /// prepared estimator freezes once and reuses `psucc` across every
-    /// model it evaluates).
+    /// buffer — the shared core of [`MonteCarloEstimator::run`] and the
+    /// prepared path (a prepared estimator freezes once and reuses
+    /// `psucc` across every model it evaluates).
     ///
     /// `Iid` samples every task with `psucc_i = e^{−λ a_i}`.
     /// `NodeHazard` reduces to inhomogeneous i.i.d. sampling with
@@ -394,21 +394,6 @@ impl Estimator for MonteCarloEstimator {
             psucc: Vec::new(),
             last_std_error: None,
         })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        self.run(dag, model).mean
-    }
-
-    fn estimate(&self, dag: &Dag, model: &FailureModel) -> Estimate {
-        let start = Instant::now();
-        let r = self.run(dag, model);
-        Estimate {
-            value: r.mean,
-            elapsed: start.elapsed(),
-            name: self.name().to_string(),
-            std_error: Some(r.std_error),
-        }
     }
 }
 

@@ -24,22 +24,28 @@
 //! (`E = a(2−p)`, `Var = a²p(1−p)`), matching the paper's description of
 //! approximating the *discrete* 2-state duration by a normal of the same
 //! mean and variance. The per-node moments come from a
-//! [`DurationTable`] built once per (graph, model) pair; prepared
-//! estimators rebuild the table in place per model, reuse the shared
-//! topological order of their [`PreparedDag`], and walk the graph
-//! through per-preparation scratch buffers (completion vectors, the
-//! canonical tree, the covariance matrix), so evaluating a whole grid
-//! of failure models allocates nothing after the first call.
+//! [`DurationTable`] that each preparation rebuilds in place per model;
+//! the estimators reuse the shared topological order of their
+//! [`PreparedDag`] and walk the graph through per-preparation scratch
+//! buffers (completion vectors, the canonical tree, the covariance
+//! matrix), so evaluating a whole grid of failure models allocates
+//! nothing after the first call. Each family's Clark-max fold is one
+//! function, applied to a node's predecessors and to the exit tasks.
 
 use crate::estimator::{Estimator, PreparedEstimator};
 use crate::model::FailureModel;
-use stochdag_dag::{topological_order, Dag, NodeId, PreparedDag};
+use stochdag_dag::{Dag, NodeId, PreparedDag};
 use stochdag_dist::{clark_max_moments, DurationTable, Normal};
 
-/// Duration table for `dag` under `model` — the one-shot path's
-/// per-call construction (prepared paths rebuild a scratch table).
-fn duration_table(dag: &Dag, model: &FailureModel) -> DurationTable {
-    DurationTable::new(model.lambda, &dag.weights())
+/// Correlation of two normals from their covariance, clamped to
+/// `[−1, 1]`; 0 when either is degenerate.
+fn correlation(cov: f64, x: Normal, y: Normal) -> f64 {
+    let denom = x.sd * y.sd;
+    if denom > 0.0 {
+        (cov / denom).clamp(-1.0, 1.0)
+    } else {
+        0.0
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -51,16 +57,25 @@ fn duration_table(dag: &Dag, model: &FailureModel) -> DurationTable {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SculliEstimator;
 
-fn sculli_with(dag: &Dag, topo: &[NodeId], sinks: &[NodeId], table: &DurationTable) -> f64 {
-    sculli_into(dag, topo, sinks, table, &mut Vec::new())
+/// Sequential ρ = 0 Clark max over the completions of `nodes`; the zero
+/// normal when `nodes` is empty.
+fn sculli_max(nodes: &[NodeId], completion: &[Normal]) -> Normal {
+    let mut max = Normal::new(0.0, 0.0);
+    for (k, &v) in nodes.iter().enumerate() {
+        let c = completion[v.index()];
+        max = if k == 0 {
+            c
+        } else {
+            let m = clark_max_moments(max, c, 0.0);
+            Normal::from_mean_var(m.mean, m.var)
+        };
+    }
+    max
 }
 
-/// [`sculli_with`] over a caller-provided completion buffer — the
-/// hot-loop form. The prepared estimator owns one buffer per
-/// preparation, so evaluating a whole grid of failure models allocates
-/// nothing after the first call. Output is bit-identical to the
-/// allocating entry point (the buffer is cleared and refilled with the
-/// same zero normals the fresh vector would hold).
+/// Sculli's propagation over a caller-provided completion buffer, which
+/// the prepared estimator owns, so evaluating a whole grid of failure
+/// models allocates nothing after the first call.
 fn sculli_into(
     dag: &Dag,
     topo: &[NodeId],
@@ -74,34 +89,11 @@ fn sculli_into(
     completion.clear();
     completion.resize(dag.node_count(), Normal::new(0.0, 0.0));
     for &v in topo {
-        let mut start = Normal::new(0.0, 0.0);
-        let mut first = true;
-        for &p in dag.preds(v) {
-            let c = completion[p.index()];
-            start = if first {
-                first = false;
-                c
-            } else {
-                let m = clark_max_moments(start, c, 0.0);
-                Normal::from_mean_var(m.mean, m.var)
-            };
-        }
+        let start = sculli_max(dag.preds(v), completion);
         let d = table.two_state_normal(v.index());
         completion[v.index()] = Normal::from_mean_var(start.mean + d.mean, start.var() + d.var());
     }
-    let mut makespan = Normal::new(0.0, 0.0);
-    let mut first = true;
-    for &v in sinks {
-        let c = completion[v.index()];
-        makespan = if first {
-            first = false;
-            c
-        } else {
-            let m = clark_max_moments(makespan, c, 0.0);
-            Normal::from_mean_var(m.mean, m.var)
-        };
-    }
-    makespan.mean
+    sculli_max(sinks, completion).mean
 }
 
 struct PreparedSculli {
@@ -138,11 +130,6 @@ impl Estimator for SculliEstimator {
             table: DurationTable::default(),
             completion: Vec::new(),
         })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        let topo = topological_order(dag).expect("estimators require acyclic graphs");
-        sculli_with(dag, &topo, &dag.sinks(), &duration_table(dag, model))
     }
 }
 
@@ -210,21 +197,39 @@ impl CanonicalTree {
     }
 }
 
-fn corlca_with(dag: &Dag, topo: &[NodeId], sinks: &[NodeId], table: &DurationTable) -> f64 {
-    corlca_into(
-        dag,
-        topo,
-        sinks,
-        table,
-        &mut Vec::new(),
-        &mut CanonicalTree::default(),
-    )
+/// Sequential Clark max over the completions of `nodes`, with each
+/// pair's covariance taken from the canonical tree. Also returns the
+/// canonical maximand: the node more likely to realize the max (`None`
+/// when `nodes` is empty, whose max is the zero normal).
+fn corlca_max(
+    nodes: &[NodeId],
+    completion: &[Normal],
+    tree: &CanonicalTree,
+) -> (Normal, Option<u32>) {
+    let mut max = Normal::new(0.0, 0.0);
+    let mut rep: Option<u32> = None;
+    for &v in nodes {
+        let c = completion[v.index()];
+        match rep {
+            None => {
+                max = c;
+                rep = Some(v.index() as u32);
+            }
+            Some(r) => {
+                let rho = correlation(tree.cov(r, v.index() as u32), max, c);
+                let m = clark_max_moments(max, c, rho);
+                if m.phi_alpha < 0.5 {
+                    rep = Some(v.index() as u32);
+                }
+                max = Normal::from_mean_var(m.mean, m.var);
+            }
+        }
+    }
+    (max, rep)
 }
 
-/// [`corlca_with`] over caller-provided completion and canonical-tree
-/// buffers — the hot-loop form used by the prepared estimator (see
-/// [`sculli_into`] for the contract: bit-identical output, zero
-/// allocation after the first call).
+/// CorLCA's propagation over caller-provided completion and
+/// canonical-tree buffers (see [`sculli_into`]).
 fn corlca_into(
     dag: &Dag,
     topo: &[NodeId],
@@ -241,65 +246,13 @@ fn corlca_into(
     completion.resize(n, Normal::new(0.0, 0.0));
     tree.reset(n);
     for &v in topo {
-        let mut start = Normal::new(0.0, 0.0);
-        let mut rep: Option<u32> = None;
-        for &p in dag.preds(v) {
-            let c = completion[p.index()];
-            match rep {
-                None => {
-                    start = c;
-                    rep = Some(p.index() as u32);
-                }
-                Some(r) => {
-                    let cov = tree.cov(r, p.index() as u32);
-                    let denom = start.sd * c.sd;
-                    let rho = if denom > 0.0 {
-                        (cov / denom).clamp(-1.0, 1.0)
-                    } else {
-                        0.0
-                    };
-                    let m = clark_max_moments(start, c, rho);
-                    // Canonical branch: the maximand more likely to
-                    // realize the max.
-                    if m.phi_alpha < 0.5 {
-                        rep = Some(p.index() as u32);
-                    }
-                    start = Normal::from_mean_var(m.mean, m.var);
-                }
-            }
-        }
+        let (start, rep) = corlca_max(dag.preds(v), completion, tree);
         let d = table.two_state_normal(v.index());
         let c_v = Normal::from_mean_var(start.mean + d.mean, start.var() + d.var());
         completion[v.index()] = c_v;
         tree.attach(v.index() as u32, rep, c_v.var());
     }
-    // Final max over exit tasks, with the same covariance heuristic.
-    let mut makespan = Normal::new(0.0, 0.0);
-    let mut rep: Option<u32> = None;
-    for &v in sinks {
-        let c = completion[v.index()];
-        match rep {
-            None => {
-                makespan = c;
-                rep = Some(v.index() as u32);
-            }
-            Some(r) => {
-                let cov = tree.cov(r, v.index() as u32);
-                let denom = makespan.sd * c.sd;
-                let rho = if denom > 0.0 {
-                    (cov / denom).clamp(-1.0, 1.0)
-                } else {
-                    0.0
-                };
-                let m = clark_max_moments(makespan, c, rho);
-                if m.phi_alpha < 0.5 {
-                    rep = Some(v.index() as u32);
-                }
-                makespan = Normal::from_mean_var(m.mean, m.var);
-            }
-        }
-    }
-    makespan.mean
+    corlca_max(sinks, completion, tree).0.mean
 }
 
 struct PreparedCorLca {
@@ -340,11 +293,6 @@ impl Estimator for CorLcaEstimator {
             tree: CanonicalTree::default(),
         })
     }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        let topo = topological_order(dag).expect("estimators require acyclic graphs");
-        corlca_with(dag, &topo, &dag.sinks(), &duration_table(dag, model))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -368,7 +316,33 @@ struct CovScratch {
     row: Vec<f64>,
 }
 
-fn covariance_with(
+/// Sequential Clark max over the completions of `nodes`, leaving
+/// `Cov(max, C_z)` for every `z` in `row` (all zero, like the zero
+/// normal returned, when `nodes` is empty).
+fn covariance_max(nodes: &[NodeId], mean: &[f64], cov: &[f64], row: &mut [f64]) -> Normal {
+    let n = row.len();
+    let mut max = Normal::new(0.0, 0.0);
+    row.iter_mut().for_each(|x| *x = 0.0);
+    for (k, &v) in nodes.iter().enumerate() {
+        let vi = v.index();
+        let c = Normal::from_mean_var(mean[vi], cov[vi * n + vi]);
+        let crow = &cov[vi * n..(vi + 1) * n];
+        if k == 0 {
+            max = c;
+            row.copy_from_slice(crow);
+        } else {
+            let mm = clark_max_moments(max, c, correlation(row[vi], max, c));
+            let (w1, w2) = (mm.phi_alpha, 1.0 - mm.phi_alpha);
+            for (r, &cz) in row.iter_mut().zip(crow.iter()) {
+                *r = w1 * *r + w2 * cz;
+            }
+            max = Normal::from_mean_var(mm.mean, mm.var);
+        }
+    }
+    max
+}
+
+fn covariance_into(
     dag: &Dag,
     topo: &[NodeId],
     sinks: &[NodeId],
@@ -388,34 +362,7 @@ fn covariance_with(
     let (cov, mean, row) = (&mut scratch.cov, &mut scratch.mean, &mut scratch.row);
     for &v in topo {
         let vi = v.index();
-        // Sequential Clark max over predecessors.
-        let mut m = Normal::new(0.0, 0.0);
-        let mut first = true;
-        row.iter_mut().for_each(|x| *x = 0.0);
-        for &p in dag.preds(v) {
-            let pi = p.index();
-            let c = Normal::from_mean_var(mean[pi], cov[pi * n + pi]);
-            if first {
-                first = false;
-                m = c;
-                row.copy_from_slice(&cov[pi * n..(pi + 1) * n]);
-            } else {
-                let cov_mc = row[pi];
-                let denom = m.sd * c.sd;
-                let rho = if denom > 0.0 {
-                    (cov_mc / denom).clamp(-1.0, 1.0)
-                } else {
-                    0.0
-                };
-                let mm = clark_max_moments(m, c, rho);
-                let (w1, w2) = (mm.phi_alpha, 1.0 - mm.phi_alpha);
-                let crow = &cov[pi * n..(pi + 1) * n];
-                for (r, &cz) in row.iter_mut().zip(crow.iter()) {
-                    *r = w1 * *r + w2 * cz;
-                }
-                m = Normal::from_mean_var(mm.mean, mm.var);
-            }
-        }
+        let m = covariance_max(dag.preds(v), mean, cov, row);
         let d = table.two_state_normal(vi);
         mean[vi] = m.mean + d.mean;
         let var_v = m.var() + d.var();
@@ -428,29 +375,7 @@ fn covariance_with(
         }
         cov[vi * n + vi] = var_v;
     }
-    // Max over exit tasks with the same covariance updates.
-    let s0 = sinks[0].index();
-    let mut m = Normal::from_mean_var(mean[s0], cov[s0 * n + s0]);
-    row.copy_from_slice(&cov[s0 * n..(s0 + 1) * n]);
-    for &s in &sinks[1..] {
-        let si = s.index();
-        let c = Normal::from_mean_var(mean[si], cov[si * n + si]);
-        let cov_mc = row[si];
-        let denom = m.sd * c.sd;
-        let rho = if denom > 0.0 {
-            (cov_mc / denom).clamp(-1.0, 1.0)
-        } else {
-            0.0
-        };
-        let mm = clark_max_moments(m, c, rho);
-        let (w1, w2) = (mm.phi_alpha, 1.0 - mm.phi_alpha);
-        let crow = &cov[si * n..(si + 1) * n];
-        for (r, &cz) in row.iter_mut().zip(crow.iter()) {
-            *r = w1 * *r + w2 * cz;
-        }
-        m = Normal::from_mean_var(mm.mean, mm.var);
-    }
-    m.mean
+    covariance_max(sinks, mean, cov, row).mean
 }
 
 struct PreparedCovariance {
@@ -466,7 +391,7 @@ impl PreparedEstimator for PreparedCovariance {
 
     fn expected_makespan_for(&mut self, model: &FailureModel) -> f64 {
         self.table.rebuild(model.lambda, self.prepared.weights());
-        covariance_with(
+        covariance_into(
             self.prepared.dag(),
             self.prepared.topo_order(),
             self.prepared.sinks(),
@@ -487,17 +412,6 @@ impl Estimator for CovarianceNormalEstimator {
             table: DurationTable::default(),
             scratch: CovScratch::default(),
         })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        let topo = topological_order(dag).expect("estimators require acyclic graphs");
-        covariance_with(
-            dag,
-            &topo,
-            &dag.sinks(),
-            &duration_table(dag, model),
-            &mut CovScratch::default(),
-        )
     }
 }
 

@@ -40,40 +40,15 @@ use stochdag_dag::{AllPairsLongestPaths, Dag, LevelInfo, PreparedDag};
 /// Second-order approximation of the expected makespan under the
 /// geometric re-execution model.
 pub fn second_order_expected_makespan(dag: &Dag, model: &FailureModel) -> f64 {
-    if dag.node_count() == 0 {
-        return 0.0;
-    }
-    second_order_with(
-        dag,
-        &LevelInfo::compute(dag),
-        &AllPairsLongestPaths::compute(dag),
-        model,
-    )
-}
-
-/// [`second_order_expected_makespan`] with the level decomposition and
-/// the all-pairs longest paths supplied by the caller — the shared core
-/// of the one-shot and prepared paths. Both inputs are
-/// model-independent and dominate the cost (`O(|V|·(|V| + |E|))`), so a
-/// prepared estimator computes them once per graph.
-pub fn second_order_with(
-    dag: &Dag,
-    levels: &LevelInfo,
-    ap: &AllPairsLongestPaths,
-    model: &FailureModel,
-) -> f64 {
-    if dag.node_count() == 0 {
-        return 0.0;
-    }
-    second_order_from_tables(dag, &SecondOrderTables::compute(dag, levels, ap), model)
+    SecondOrderEstimator.expected_makespan(dag, model)
 }
 
 /// The model-independent half of the second-order expansion: every
 /// longest-path value the coefficient sums touch, precomputed once per
 /// graph. `O(|V|²)` memory (like the all-pairs matrix it is derived
 /// from, which can be dropped afterwards); evaluation against any λ is
-/// then pure coefficient arithmetic ([`second_order_from_tables`]).
-pub struct SecondOrderTables {
+/// then pure coefficient arithmetic ([`PreparedSecondOrder`]).
+struct SecondOrderTables {
     /// `d(G)`.
     d_g: f64,
     /// `d(Gᵢ)` per node (task `i` doubled).
@@ -87,7 +62,7 @@ pub struct SecondOrderTables {
 
 impl SecondOrderTables {
     /// Precompute all longest-path values of the expansion.
-    pub fn compute(dag: &Dag, levels: &LevelInfo, ap: &AllPairsLongestPaths) -> SecondOrderTables {
+    fn compute(dag: &Dag, levels: &LevelInfo, ap: &AllPairsLongestPaths) -> SecondOrderTables {
         let n = dag.node_count();
         let d_g = levels.makespan;
         let mut d_gi = Vec::with_capacity(n);
@@ -132,69 +107,6 @@ impl SecondOrderTables {
     fn pair(&self, n: usize, i: usize, j: usize) -> f64 {
         self.d_gij[i * n - i * (i + 1) / 2 + (j - i - 1)]
     }
-}
-
-/// The model-dependent half of the second-order expansion: coefficient
-/// sums over precomputed [`SecondOrderTables`], `O(|V|²)` multiply-adds
-/// with no graph traversal. The summation order is identical to the
-/// historical single-pass implementation, so results are bit-identical.
-pub fn second_order_from_tables(
-    dag: &Dag,
-    tables: &SecondOrderTables,
-    model: &FailureModel,
-) -> f64 {
-    second_order_from_tables_in(dag, tables, model, &mut Vec::new())
-}
-
-/// [`second_order_from_tables`] over a caller-provided `x = λ·a` scratch
-/// vector — the hot-loop form used by the prepared estimator, which
-/// reuses one vector across every failure model of a grid. Output is
-/// bit-identical to the allocating entry point.
-fn second_order_from_tables_in(
-    dag: &Dag,
-    tables: &SecondOrderTables,
-    model: &FailureModel,
-    x: &mut Vec<f64>,
-) -> f64 {
-    let n = dag.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    let d_g = tables.d_g;
-    let lambda = model.lambda;
-
-    x.clear();
-    x.extend(dag.nodes().map(|i| lambda * dag.weight(i)));
-    let sum_x: f64 = x.iter().sum();
-    let sum_x2: f64 = x.iter().map(|v| v * v).sum();
-    // Σ_{i<j} x_i x_j = ((Σx)² − Σx²)/2
-    let sum_cross = 0.5 * (sum_x * sum_x - sum_x2);
-
-    let c_empty = 1.0 - sum_x + 0.5 * sum_x2 + sum_cross;
-    let mut e = c_empty * d_g;
-
-    // Single-failure and double-failure-of-one-task terms.
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let c_i = xi - 1.5 * xi * xi - xi * (sum_x - xi);
-        e += c_i * tables.d_gi[i] + xi * xi * tables.d_gi3[i];
-    }
-
-    // Distinct-pair single failures.
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-            if xj == 0.0 {
-                continue;
-            }
-            e += xi * xj * tables.pair(n, i, j);
-        }
-    }
-    e
 }
 
 /// One register-blocked pass of the pair-table sweep covering models
@@ -255,8 +167,49 @@ impl PreparedEstimator for PreparedSecondOrder {
         "SecondOrder"
     }
 
+    /// The model-dependent half of the expansion: coefficient sums over
+    /// the precomputed [`SecondOrderTables`], `O(|V|²)` multiply-adds
+    /// with no graph traversal, over the reused `x = λ·a` vector.
     fn expected_makespan_for(&mut self, model: &FailureModel) -> f64 {
-        second_order_from_tables_in(self.prepared.dag(), &self.tables, model, &mut self.x)
+        let dag = self.prepared.dag();
+        let n = dag.node_count();
+        if n == 0 {
+            return 0.0;
+        }
+        let tables = &self.tables;
+        let x = &mut self.x;
+        x.clear();
+        x.extend(dag.nodes().map(|i| model.lambda * dag.weight(i)));
+        let sum_x: f64 = x.iter().sum();
+        let sum_x2: f64 = x.iter().map(|v| v * v).sum();
+        // Σ_{i<j} x_i x_j = ((Σx)² − Σx²)/2
+        let sum_cross = 0.5 * (sum_x * sum_x - sum_x2);
+
+        let c_empty = 1.0 - sum_x + 0.5 * sum_x2 + sum_cross;
+        let mut e = c_empty * tables.d_g;
+
+        // Single-failure and double-failure-of-one-task terms.
+        for (i, &xi) in x.iter().enumerate() {
+            if xi == 0.0 {
+                continue;
+            }
+            let c_i = xi - 1.5 * xi * xi - xi * (sum_x - xi);
+            e += c_i * tables.d_gi[i] + xi * xi * tables.d_gi3[i];
+        }
+
+        // Distinct-pair single failures.
+        for (i, &xi) in x.iter().enumerate() {
+            if xi == 0.0 {
+                continue;
+            }
+            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
+                if xj == 0.0 {
+                    continue;
+                }
+                e += xi * xj * tables.pair(n, i, j);
+            }
+        }
+        e
     }
 
     /// Batched grid pass: the `O(|V|²)` packed pair table — by far the
@@ -362,7 +315,7 @@ impl PreparedEstimator for PreparedSecondOrder {
                 value,
                 elapsed,
                 name: self.name().to_string(),
-                std_error: self.std_error_hint(),
+                std_error: None,
             })
             .collect()
     }
@@ -381,10 +334,6 @@ impl Estimator for SecondOrderEstimator {
             x: Vec::new(),
             grid_x: Vec::new(),
         })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        second_order_expected_makespan(dag, model)
     }
 }
 

@@ -18,10 +18,9 @@
 //! picture next to Dodin and the normal-propagation family, and it
 //! exercises the `k_longest_paths` substrate.
 
-use crate::estimator::{Estimate, Estimator, PreparedEstimator};
+use crate::estimator::{Estimator, PreparedEstimator};
 use crate::model::FailureModel;
-use std::time::Instant;
-use stochdag_dag::{k_longest_paths, CriticalPath, Dag, PreparedDag};
+use stochdag_dag::{k_longest_paths, PreparedDag};
 use stochdag_dist::{clark_max_moments, DurationTable, Normal};
 
 /// Path-based estimator: independent-normal max over the `K` longest
@@ -59,37 +58,12 @@ impl SpeldeEstimator {
     }
 }
 
-/// Independent-normal max over an already-extracted path set — the
-/// shared core of the one-shot and prepared paths. The path extraction
-/// is model-independent (it uses failure-free weights), so a prepared
-/// estimator computes it once per graph; only this cheap per-path
+/// Independent-normal max over the dominant paths, laid out flat: all
+/// path node indices in one contiguous array, delimited by an offsets
+/// table, so the per-model pass touches one linear buffer. The path
+/// extraction is model-independent (it uses failure-free weights), so
+/// the preparation computes it once per graph; only this cheap per-path
 /// moment summation runs per model.
-fn spelde_with(paths: &[CriticalPath], table: &DurationTable) -> f64 {
-    let mut max: Option<Normal> = None;
-    for path in paths {
-        let mut mean = 0.0;
-        let mut var = 0.0;
-        for &v in &path.nodes {
-            mean += table.two_state_mean(v.index());
-            var += table.two_state_var(v.index());
-        }
-        let n = Normal::from_mean_var(mean, var);
-        max = Some(match max {
-            None => n,
-            Some(cur) => {
-                let m = clark_max_moments(cur, n, 0.0);
-                Normal::from_mean_var(m.mean, m.var)
-            }
-        });
-    }
-    max.expect("a non-empty DAG has at least one path").mean
-}
-
-/// [`spelde_with`] over a flattened path layout: all path node indices
-/// in one contiguous array, delimited by an offsets table. Same
-/// per-path sums in the same order as the nested representation
-/// (bit-identical), but the per-model pass touches one linear buffer
-/// instead of chasing a `Vec<Vec<_>>`.
 fn spelde_flat(flat: &[u32], offsets: &[u32], table: &DurationTable) -> f64 {
     let mut max: Option<Normal> = None;
     for w in offsets.windows(2) {
@@ -132,26 +106,6 @@ impl PreparedEstimator for PreparedSpelde {
         self.table.rebuild(model.lambda, self.prepared.weights());
         spelde_flat(&self.flat, &self.offsets, &self.table)
     }
-
-    /// Grid pass. Every moment in the evaluation depends on λ through
-    /// `p = e^{−λa}`, so there is nothing to share *across* models — the
-    /// batching here is keeping the duration table and the flattened
-    /// path layout warm while the models stream through them.
-    fn estimate_grid(&mut self, models: &[FailureModel]) -> Vec<Estimate> {
-        models
-            .iter()
-            .map(|model| {
-                let start = Instant::now();
-                let value = self.expected_makespan_for(model);
-                Estimate {
-                    value,
-                    elapsed: start.elapsed(),
-                    name: self.name().to_string(),
-                    std_error: self.std_error_hint(),
-                }
-            })
-            .collect()
-    }
 }
 
 impl Estimator for SpeldeEstimator {
@@ -178,21 +132,13 @@ impl Estimator for SpeldeEstimator {
             table: DurationTable::default(),
         })
     }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        if dag.node_count() == 0 {
-            return 0.0;
-        }
-        let paths = k_longest_paths(dag, self.paths);
-        let table = DurationTable::new(model.lambda, &dag.weights());
-        spelde_with(&paths, &table)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::monte_carlo::{MonteCarloEstimator, SamplingModel};
+    use stochdag_dag::Dag;
     use stochdag_dist::two_state_moments;
 
     fn diamond() -> Dag {

@@ -145,21 +145,6 @@ impl EstimatorRegistry {
             .ok_or_else(|| EngineError::spec(format!("unknown estimator {:?}", spec.family())))?;
         Ok((entry.build)(spec, seed))
     }
-
-    /// Canonical form of a string spec (defaults filled in).
-    #[deprecated(since = "0.2.0", note = "use `parse(spec)?.to_string()`")]
-    pub fn canonical_id(&self, spec: &str) -> Result<String, String> {
-        Ok(self.parse(spec)?.to_string())
-    }
-
-    /// Build an estimator from a string spec and a per-cell seed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `parse` + `build` with a typed EstimatorSpec"
-    )]
-    pub fn build_str(&self, spec: &str, seed: u64) -> Result<BoxedEstimator, String> {
-        Ok(self.build(&self.parse(spec)?, seed)?)
-    }
 }
 
 impl Default for EstimatorRegistry {
@@ -245,21 +230,6 @@ mod tests {
             reg.build(&EstimatorSpec::Mc { trials: 0 }, 1).is_err(),
             "typed specs validate at build time too"
         );
-    }
-
-    #[test]
-    fn deprecated_string_entry_points_still_work() {
-        #![allow(deprecated)]
-        let reg = EstimatorRegistry::standard();
-        assert_eq!(reg.canonical_id("dodin").unwrap(), "dodin:128");
-        assert!(reg.canonical_id("nope").is_err());
-        let g = diamond();
-        let m = FailureModel::new(0.05);
-        let v = reg
-            .build_str("mc:2000", 11)
-            .unwrap()
-            .expected_makespan(&g, &m);
-        assert!(v.is_finite());
     }
 
     #[test]

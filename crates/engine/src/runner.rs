@@ -166,6 +166,21 @@ pub(crate) fn expand(
             return Err(EngineError::spec("duplicate DAG instances in spec"));
         }
     }
+    // Every cell's relative error divides by the instance's reference,
+    // which is 0 when its failure-free makespan is — exactly when no
+    // task has a positive weight (the makespan is at least the largest
+    // weight) — and pfail calibration divides by the mean weight.
+    // Reject such an instance before any cell launches.
+    for inst in &instances {
+        if !inst.dag.nodes().any(|v| inst.dag.weight(v) > 0.0) {
+            return Err(EngineError::spec(format!(
+                "{} has a failure-free makespan of 0 ({} tasks, none of positive weight), \
+                 so no relative error is defined against its reference",
+                inst.id,
+                inst.dag.node_count()
+            )));
+        }
+    }
     // The exhaustive oracle panics past its node cap; surface that as
     // a spec error before any cell launches.
     if estimator_ids

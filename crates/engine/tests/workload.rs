@@ -334,3 +334,59 @@ path = "{}"
     assert!(msg.contains("line 2"), "locates the error: {msg}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Run a campaign over a hand-written DOT trace whose tasks all weigh 0
+/// under the model axis `axis`, and check it fails as a spec error
+/// naming the instance. Calibrating pfails divides by the mean weight,
+/// and every relative error divides by the reference: both are 0 here.
+fn assert_zero_makespan_is_a_spec_error(axis: &str) {
+    let tag = if axis.starts_with("pfails") { "p" } else { "l" };
+    let dir = std::env::temp_dir().join(format!("stochdag_wl_zero_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let zero = dir.join("zero.dot");
+    std::fs::write(
+        &zero,
+        "digraph zero {\n  a [weight=0];\n  b [weight=0];\n  a -> b;\n}\n",
+    )
+    .unwrap();
+    let spec = SweepSpec::from_str_auto(&format!(
+        r#"
+name = "zero"
+seed = 1
+{axis}
+estimators = ["first-order", "dodin", "sculli"]
+reference_trials = 100
+
+[[dags]]
+kind = "dot"
+path = "{}"
+"#,
+        zero.display(),
+    ))
+    .unwrap();
+    let outcome = Campaign::builder(spec)
+        .sink(VecSink::default())
+        .build()
+        .unwrap()
+        .run();
+    let _ = std::fs::remove_dir_all(&dir);
+    let err = outcome.expect_err("a zero-makespan instance must not run");
+    let msg = err.to_string();
+    assert_eq!(err.kind(), "spec", "{msg}");
+    assert!(msg.contains("dot:zero:"), "names the instance: {msg}");
+    assert!(
+        msg.contains("failure-free makespan of 0"),
+        "says why: {msg}"
+    );
+}
+
+#[test]
+fn a_zero_makespan_trace_is_a_spec_error_under_pfails() {
+    assert_zero_makespan_is_a_spec_error("pfails = [0.01]");
+}
+
+#[test]
+fn a_zero_makespan_trace_is_a_spec_error_under_lambdas() {
+    assert_zero_makespan_is_a_spec_error("lambdas = [0.01]");
+}

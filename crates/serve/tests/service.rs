@@ -354,6 +354,41 @@ fn quota_and_admission_rejections_are_structured() {
     daemon.join().unwrap();
 }
 
+#[test]
+fn a_zero_makespan_trace_is_answered_with_a_spec_error() {
+    let dir = scratch("zero-makespan");
+    let zero = dir.join("zero.dot");
+    std::fs::write(
+        &zero,
+        "digraph zero { a [weight=0]; b [weight=0]; a -> b; }\n",
+    )
+    .unwrap();
+    let (addr, daemon) = start(ServeConfig::default());
+    let client = ServeClient::connect_to(&addr);
+    let spec = SweepSpec::from_str_auto(&format!(
+        r#"
+        name = "zero"
+        seed = 1
+        pfails = [0.01]
+        estimators = ["first-order"]
+        reference_trials = 100
+        [[dags]]
+        kind = "dot"
+        path = "{}"
+        "#,
+        zero.display()
+    ))
+    .unwrap();
+    let err = client.submit(&spec).unwrap_err();
+    assert_eq!(err.kind, "spec", "{err}");
+    assert!(err.message.contains("failure-free makespan of 0"), "{err}");
+    // The connection thread survived: the daemon still answers.
+    assert!(client.status(None).unwrap().campaigns.is_empty());
+    client.shutdown(ShutdownMode::Drain).unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A 1-cell spec (quota-friendly) distinguished by its pfail.
 fn spec_for_quota(name: &str, pfail: f64) -> SweepSpec {
     SweepSpec::from_str_auto(&format!(

@@ -381,10 +381,13 @@ pub fn is_series_parallel(dag: &Dag) -> bool {
 /// Carrying Dodin's node duplication to completion unfolds the DAG into
 /// an in-tree in which every shared ancestor is replaced by independent
 /// copies with identical marginals; evaluating that tree bottom-up is
-/// precisely the recurrence above. The `dodin_forward_equals_duplication`
-/// tests check the two implementations coincide (exactly, with unbounded
-/// support) on non-SP inputs; the duplication engine remains available
-/// as the literature-faithful reference and for extracting reduction
+/// precisely the recurrence above. The two implementations are not
+/// identical on non-SP inputs (duplication keeps series-parallel regions
+/// exact; this pass breaks sharing at every join): the
+/// `forward_equivalence::dodin_forward_tracks_duplication_*` tests in
+/// `tests/dodin_factorization.rs` hold them within a 3% band, with
+/// unbounded support. The duplication engine remains available as the
+/// literature-faithful reference and for extracting reduction
 /// statistics.
 ///
 /// Cost: `O(|V| + |E|)` distribution operations, each bounded by

@@ -72,7 +72,7 @@ mod forward_equivalence {
     /// sharing at every join), but they must stay within a small
     /// relative band of each other - that is what justifies using the
     /// forward strategy as the scalable surrogate in the experiment
-    /// harness (see EXPERIMENTS.md).
+    /// harness.
     fn compare(g: &Dag, p: f64) {
         let dup = dodin_evaluate(
             g,

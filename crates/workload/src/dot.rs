@@ -375,10 +375,10 @@ impl<'a> Parser<'a> {
                 "expected `{` after the graph name",
             ));
         }
-        loop {
+        let close = loop {
             let t = self.advance()?;
             match t.tok {
-                Tok::RBrace => break,
+                Tok::RBrace => break t,
                 Tok::Semi => continue,
                 Tok::Eof => {
                     return Err(WorkloadError::parse(
@@ -396,13 +396,20 @@ impl<'a> Parser<'a> {
                     ))
                 }
             }
-        }
+        };
         let end = self.advance()?;
         if end.tok != Tok::Eof {
             return Err(WorkloadError::parse(
                 end.line,
                 end.col,
                 "trailing input after the closing `}`",
+            ));
+        }
+        if self.nodes.is_empty() {
+            return Err(WorkloadError::parse(
+                close.line,
+                close.col,
+                "the graph has no tasks",
             ));
         }
         self.build(name)
@@ -686,6 +693,24 @@ mod tests {
         let err = parse_dot("digraph g {\n a -> b;\n").unwrap_err();
         assert!(err.to_string().contains("missing `}`"), "{err}");
         assert!(err.to_string().contains("line 3"), "{err}");
+    }
+
+    #[test]
+    fn a_graph_without_nodes_is_rejected_at_its_closing_brace() {
+        let err = parse_dot("digraph g {\n  rankdir=TB;\n}\n").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WorkloadError::Parse {
+                    line: 3,
+                    column: 1,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("no tasks"), "{err}");
+        assert!(parse_dot("digraph g {}").is_err());
     }
 
     #[test]

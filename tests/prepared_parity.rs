@@ -1,12 +1,12 @@
-//! Prepared/legacy parity: for every estimator in the registry,
-//! binding a preparation once and evaluating many models through it
-//! must return **bit-identical** values to the one-shot
-//! `estimate(dag, model)` shim evaluated fresh per model. This pins
-//! down the refactoring hazards of the two-phase API: stale scratch
+//! Prepared parity: for every estimator in the registry, one
+//! preparation reused across many models must return **bit-identical**
+//! estimates (value, standard error, name) to a fresh preparation per
+//! model, which is what the one-shot `estimate(dag, model)` builds.
+//! This pins down the hazards of reusing a preparation: stale scratch
 //! buffers leaking across models, reseeding not fully resetting a
 //! statistical estimator, and shared precomputations (levels, all-pairs
-//! tables, dominant paths, frozen views) drifting from their
-//! recomputed-per-call counterparts.
+//! tables, dominant paths, frozen views) drifting from their freshly
+//! computed counterparts.
 
 use proptest::prelude::*;
 use stochdag::prelude::*;
@@ -73,17 +73,34 @@ proptest! {
                 // Per-cell seeds, as the sweep engine derives them.
                 let cell_seed = seed ^ ((k as u64) << 21);
                 prep.reseed(cell_seed);
-                let shared = prep.expected_makespan_for(model);
+                let shared = prep.estimate_for(model);
                 let one_shot = registry
                     .build(&spec, cell_seed)
                     .unwrap()
-                    .expected_makespan(&g, model);
+                    .estimate(&g, model);
                 prop_assert_eq!(
-                    shared.to_bits(),
-                    one_shot.to_bits(),
+                    shared.value.to_bits(),
+                    one_shot.value.to_bits(),
                     "estimator {} model #{}: prepared {} vs one-shot {}",
-                    spec, k, shared, one_shot
+                    spec, k, shared.value, one_shot.value
                 );
+                prop_assert_eq!(
+                    shared.std_error.map(f64::to_bits),
+                    one_shot.std_error.map(f64::to_bits),
+                    "estimator {} model #{}: standard errors differ", spec, k
+                );
+                prop_assert_eq!(&shared.name, &one_shot.name);
+                prop_assert_eq!(
+                    one_shot.std_error.is_some(),
+                    base == "mc",
+                    "estimator {}: only Monte Carlo reports a standard error", spec
+                );
+                if base == "first-order" {
+                    prop_assert_eq!(
+                        first_order_detailed(&g, model).expected_makespan.to_bits(),
+                        one_shot.value.to_bits()
+                    );
+                }
             }
         }
     }
