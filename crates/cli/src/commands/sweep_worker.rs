@@ -122,7 +122,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         if crash_armed(slot) {
             builder = builder.observer(CrashAfterEvents { remaining: 3 });
         }
-        builder.build()?.serve_leases(slot, std::io::stdin().lock())
+        // The session's threads take turns reading leases, so the
+        // reader must be `Send`, which a `StdinLock` is not.
+        let stdin = std::io::BufReader::new(std::io::stdin());
+        builder.build()?.serve_leases(slot, stdin)
     })();
     if let Err(e) = &result {
         // Best effort, covering every failure from spec loading through

@@ -94,8 +94,6 @@ pub struct ResultCache {
     mem: Mutex<HashMap<String, Estimate>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    mem_hits: AtomicUsize,
-    disk_hits: AtomicUsize,
 }
 
 impl ResultCache {
@@ -106,8 +104,6 @@ impl ResultCache {
             mem: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
-            mem_hits: AtomicUsize::new(0),
-            disk_hits: AtomicUsize::new(0),
         }
     }
 
@@ -144,7 +140,6 @@ impl ResultCache {
     pub fn lookup_tiered(&self, key: &str) -> Option<(Estimate, CacheTier)> {
         if let Some(found) = self.mem.lock().expect("cache poisoned").get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.mem_hits.fetch_add(1, Ordering::Relaxed);
             return Some((found.clone(), CacheTier::Memory));
         }
         if let Some(path) = self.path_of(key) {
@@ -164,7 +159,6 @@ impl ResultCache {
                             .expect("cache poisoned")
                             .insert(key.to_string(), est.clone());
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
                         return Some((est, CacheTier::Disk));
                     }
                     Err(e) => {
@@ -362,24 +356,6 @@ impl ResultCache {
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Hits served by the in-memory tier since construction.
-    pub fn memory_hits(&self) -> usize {
-        self.mem_hits.load(Ordering::Relaxed)
-    }
-
-    /// Hits served by the on-disk tier since construction.
-    pub fn disk_hits(&self) -> usize {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// Reset the hit/miss counters (e.g. between sweep phases).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.mem_hits.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -460,10 +436,6 @@ mod tests {
         let (_, tier) = fresh.lookup_tiered(&key).unwrap();
         assert_eq!(tier, CacheTier::Memory);
         assert_eq!(fresh.hits(), 2);
-        assert_eq!(fresh.memory_hits(), 1);
-        assert_eq!(fresh.disk_hits(), 1);
-        fresh.reset_counters();
-        assert_eq!(fresh.memory_hits() + fresh.disk_hits() + fresh.hits(), 0);
         assert_eq!(CacheTier::parse("disk"), Some(CacheTier::Disk));
         assert_eq!(
             CacheTier::parse(CacheTier::Memory.as_str()),

@@ -30,15 +30,14 @@ use crate::cache::ResultCache;
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::lease::{
-    decode_lease, encode_lease, CampaignPlan, LeaseExecutor, LeasePoll, LeaseQueue, WorkLease,
+    cores, decode_lease, encode_lease, CampaignPlan, LeaseExecutor, LeasePoll, LeaseQueue,
+    WorkLease,
 };
 use crate::observer::CampaignObserver;
 use crate::progress::{ProgressMode, ProgressReporter};
 use crate::protocol::{decode_event, CampaignEvent};
 use crate::registry::EstimatorRegistry;
-use crate::runner::{
-    apply_jobs_cap, expand, resume_report_impl, Expansion, ResumeReport, SweepOutcome,
-};
+use crate::runner::{expand, resume_report_impl, Expansion, ResumeReport, SweepOutcome};
 use crate::sink::{summarize, Reorderer, ResultSink, SweepRow};
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
@@ -46,7 +45,8 @@ use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Event source tag of the coordinator itself (the [`Plan`] event);
@@ -114,7 +114,8 @@ pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> +
 /// Shipped backends:
 ///
 /// * [`InProcess`] — the calling thread plus up to `--jobs − 1` helper
-///   threads draining the queue through one shared [`LeaseExecutor`].
+///   threads draining the queue through one shared [`LeaseExecutor`]
+///   session.
 /// * [`MultiProcess`] — N `sweep-worker` processes on this machine
 ///   sharing the on-disk cache, leases streamed over stdin pipes.
 /// * [`SharedFs`](crate::SharedFs) — remote `sweep-worker` processes
@@ -148,7 +149,8 @@ pub trait ExecBackend: Send + Sync {
 /// `--jobs` (default: every core) threads — the calling thread and
 /// `jobs − 1` scoped helpers — drain the lease queue through one
 /// shared [`LeaseExecutor`], so each DAG instance freezes once and
-/// each (instance × estimator) group prepares once.
+/// each (instance × estimator) group prepares once. The cap belongs to
+/// the campaign: capped campaigns in one process run side by side.
 pub struct InProcess;
 
 impl ExecBackend for InProcess {
@@ -162,76 +164,15 @@ impl ExecBackend for InProcess {
         leases: &LeaseQueue,
         deliver: &Deliver<'_>,
     ) -> Result<(), EngineError> {
-        let start = Instant::now();
         if ctx.cancel.is_cancelled() {
             return Err(EngineError::cancelled());
         }
-        let _jobs_cap = apply_jobs_cap(ctx.spec.jobs)?;
+        // In-process failures (cancellation, a sink/observer error
+        // surfaced through emit) are fatal: there is no crashed process
+        // to retry around.
+        let emit = |ev: CampaignEvent| deliver(0, ev);
         let executor = LeaseExecutor::new(ctx);
-        deliver(
-            0,
-            CampaignEvent::Hello {
-                shard: 0,
-                shard_count: 1,
-                cells: ctx.plan.cells(),
-                references: ctx.plan.references(),
-                version: Some(2),
-                jobs: ctx.spec.jobs,
-            },
-        )?;
-        let threads = rayon::current_num_threads().min(leases.total()).max(1);
-        let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-        let drain = || {
-            while first_error.lock().expect("first error slot").is_none() {
-                let Some(lease) = leases.next() else { return };
-                match executor.run(&lease, &|ev| deliver(0, ev)) {
-                    Ok(()) => leases.complete(lease.lease_id),
-                    Err(e) => {
-                        // In-process failures (cancellation, a
-                        // sink/observer error surfaced through emit)
-                        // are fatal — there is no crashed process to
-                        // retry around.
-                        first_error
-                            .lock()
-                            .expect("first error slot")
-                            .get_or_insert(e);
-                        leases.close();
-                        return;
-                    }
-                }
-            }
-        };
-        // The calling thread drains too, so one thread spawns nothing.
-        std::thread::scope(|scope| {
-            for _ in 1..threads {
-                scope.spawn(drain);
-            }
-            drain();
-        });
-        if let Some(e) = first_error.into_inner().expect("first error slot") {
-            return Err(e);
-        }
-        let tel = executor.telemetry();
-        if tel.is_enabled() {
-            tel.record_span_duration("worker_shard", start.elapsed());
-            deliver(
-                0,
-                CampaignEvent::Telemetry {
-                    shard: 0,
-                    snapshot: tel.snapshot(),
-                },
-            )?;
-        }
-        // `Done` carries zero cache totals: the per-batch tallies
-        // already arrived on `LeaseDone` events and would double-count.
-        deliver(
-            0,
-            CampaignEvent::Done {
-                hits: 0,
-                misses: 0,
-                wall_s: start.elapsed().as_secs_f64(),
-            },
-        )
+        executor.session(0, |_| Ok(leases.next()), |id| leases.complete(id), &emit)
     }
 }
 
@@ -610,10 +551,10 @@ impl ExecBackend for MultiProcess {
         // full-size thread pool, oversubscribing the host N-fold).
         // Either way results are identical — the thread count cannot
         // change any value.
-        let jobs = ctx.spec.jobs.unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            (cores / self.workers).max(1)
-        });
+        let jobs = ctx
+            .spec
+            .jobs
+            .unwrap_or_else(|| (cores() / self.workers).max(1));
         // Hand the spec to the workers as a temp JSON file. Named by
         // (pid, campaign counter) — not spec.name, which is
         // user-controlled and may contain path separators. The counter
@@ -1051,18 +992,23 @@ impl Campaign {
     /// [`MultiProcess`] or launched by hand against a
     /// [`SharedFs`](crate::SharedFs) spool's coordinator pipe).
     ///
-    /// Decodes one [`WorkLease`] per line, executes each against the
-    /// shared cache with `jobs` worker threads (the coordinator's
-    /// `--jobs` handshake; defaulting to this machine's cores — a
-    /// leased worker never derives `cores / N`, it does not know the
-    /// peer count), and reports events to the configured observers — a
+    /// Decodes one [`WorkLease`] per line and executes each against
+    /// the shared cache under a cap of `jobs` threads (the
+    /// coordinator's `--jobs` handshake; defaulting to this machine's
+    /// cores — a leased worker never derives `cores / N`, it does not
+    /// know the peer count). The session runs on no more threads than
+    /// the cap, the cores and the plan's leases; they take turns
+    /// reading `input`. Events go to the configured observers — a
     /// worker process attaches a
     /// [`WireObserver`](crate::WireObserver) on stdout. Returns when
     /// `input` reaches EOF (the coordinator closed the pipe after the
     /// queue drained). `worker` tags this worker's `Hello`/`Telemetry`
     /// events.
-    pub fn serve_leases(mut self, worker: usize, input: impl BufRead) -> Result<(), EngineError> {
-        let start = Instant::now();
+    pub fn serve_leases(
+        mut self,
+        worker: usize,
+        input: impl BufRead + Send,
+    ) -> Result<(), EngineError> {
         if self.cancel.is_cancelled() {
             return Err(EngineError::cancelled());
         }
@@ -1074,9 +1020,22 @@ impl Campaign {
             }
             Ok(())
         };
-        let result = (|| {
-            let _jobs_cap = apply_jobs_cap(self.spec.jobs)?;
-            let plan = CampaignPlan::new(&self.spec, &self.registry)?;
+        let lines = Mutex::new(input.lines());
+        // One lease per line until the coordinator closes the pipe
+        // (blank lines are keep-alives).
+        let next_lease = |_: &AtomicBool| loop {
+            match lines.lock().expect("lease stream").next() {
+                None => return Ok(None),
+                Some(Err(e)) => return Err(EngineError::io("reading lease stream", e)),
+                Some(Ok(line)) if line.trim().is_empty() => {}
+                Some(Ok(line)) => {
+                    return decode_lease(&line)
+                        .map(Some)
+                        .map_err(|e| EngineError::worker(worker, e))
+                }
+            }
+        };
+        let result = CampaignPlan::new(&self.spec, &self.registry).and_then(|plan| {
             let ctx = BackendContext {
                 spec: &self.spec,
                 registry: &self.registry,
@@ -1085,96 +1044,8 @@ impl Campaign {
                 cancel: &self.cancel,
                 plan: &plan,
             };
-            let executor = LeaseExecutor::new(&ctx);
-            emit(CampaignEvent::Hello {
-                shard: worker,
-                shard_count: 0,
-                cells: 0,
-                references: 0,
-                version: Some(2),
-                jobs: self.spec.jobs,
-            })?;
-            let threads = self
-                .spec
-                .jobs
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-                .max(1);
-            let (tx, rx) = mpsc::channel::<WorkLease>();
-            let rx = Mutex::new(rx);
-            let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let rx = &rx;
-                    let first_error = &first_error;
-                    let executor = &executor;
-                    let emit = &emit;
-                    scope.spawn(move || loop {
-                        let lease = rx.lock().expect("lease receiver").recv();
-                        let Ok(lease) = lease else { return };
-                        if let Err(e) = executor.run(&lease, emit) {
-                            first_error
-                                .lock()
-                                .expect("first error slot")
-                                .get_or_insert(e);
-                            return;
-                        }
-                    });
-                }
-                // Reader: one lease per line until the coordinator
-                // closes the pipe (blank lines are keep-alives).
-                for line in input.lines() {
-                    if first_error.lock().expect("first error slot").is_some() {
-                        break;
-                    }
-                    let line = match line {
-                        Ok(l) => l,
-                        Err(e) => {
-                            first_error
-                                .lock()
-                                .expect("first error slot")
-                                .get_or_insert(EngineError::io("reading lease stream", e));
-                            break;
-                        }
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match decode_lease(&line) {
-                        Ok(lease) => {
-                            if tx.send(lease).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            first_error
-                                .lock()
-                                .expect("first error slot")
-                                .get_or_insert(EngineError::worker(worker, e));
-                            break;
-                        }
-                    }
-                }
-                drop(tx);
-            });
-            if let Some(e) = first_error.into_inner().expect("first error slot") {
-                return Err(e);
-            }
-            let tel = executor.telemetry();
-            if tel.is_enabled() {
-                tel.record_span_duration("worker_shard", start.elapsed());
-                emit(CampaignEvent::Telemetry {
-                    shard: worker,
-                    snapshot: tel.snapshot(),
-                })?;
-            }
-            // Zero cache totals by design: per-batch tallies already
-            // went out on LeaseDone events.
-            emit(CampaignEvent::Done {
-                hits: 0,
-                misses: 0,
-                wall_s: start.elapsed().as_secs_f64(),
-            })
-        })();
+            LeaseExecutor::new(&ctx).session(worker, next_lease, |_| {}, &emit)
+        });
         for o in observers.into_inner().expect("observer list").iter_mut() {
             let _ = o.on_finish();
         }

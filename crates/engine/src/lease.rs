@@ -1,5 +1,5 @@
 //! Work leasing: the coordinator-side ready queue, the campaign plan,
-//! and the shared lease executor behind every [`ExecBackend`].
+//! and the one worker session behind every lease consumer.
 //!
 //! Cells differ wildly in cost (an `exact` cell costs orders of
 //! magnitude more than an analytic one), so the coordinator owns a
@@ -11,7 +11,7 @@
 //! results are deterministic and the campaign merge deduplicates by
 //! cell index, so duplicated attempts are harmless.
 //!
-//! The three pieces:
+//! The pieces:
 //!
 //! * [`CampaignPlan`] — the validated expansion plus the lease list
 //!   every backend executes; its totals feed the
@@ -22,14 +22,19 @@
 //!   [`LeaseQueue::complete`] retires them, [`LeaseQueue::requeue`]
 //!   returns a crashed worker's batch for another attempt.
 //! * [`LeaseExecutor`] — the cache-first cell evaluator shared by every
-//!   consumer (in-process threads, `sweep-worker --leases` processes,
-//!   spool-directory workers) — which is what keeps lease
-//!   interleavings byte-identical to a single-process run.
+//!   consumer, which is what keeps lease interleavings byte-identical
+//!   to a single-process run.
+//! * `drain` — the one lease loop: leases from a source run on the
+//!   calling thread plus scoped helpers, each under a rayon pool capped
+//!   at the session's `--jobs`. In-process campaigns (source: the
+//!   queue), `sweep-worker --leases` (source: stdin lines) and spool
+//!   workers (source: spool claims) all run it; the first two wrap it
+//!   in the executor's `hello` → leases → `telemetry` → `done` session.
+//!   The cap is a value of the session, not of the process, so capped
+//!   campaigns in one process run side by side.
 //!
 //! Leases cross process boundaries as one JSON line each
 //! ([`encode_lease`]/[`decode_lease`]), mirroring the event protocol.
-//!
-//! [`ExecBackend`]: crate::ExecBackend
 
 use crate::cache::{cell_key, CacheTier, ResultCache};
 use crate::campaign::BackendContext;
@@ -42,8 +47,9 @@ use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use stochdag_core::{Estimate, Estimator, MonteCarloEstimator, PreparedEstimator};
 use stochdag_dag::{structural_hash, PreparedDag};
 
@@ -364,6 +370,69 @@ impl CampaignPlan {
     }
 }
 
+/// This host's core count: the thread cap of a session without
+/// `jobs`. Probed once per process, as rayon sizes its pool once:
+/// every `available_parallelism` call re-reads the affinity mask and
+/// the cgroup quota files, and a session starts once per campaign.
+pub(crate) fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Threads of a worker session capped at `jobs` over a plan of
+/// `leases`: never more than this host's cores or the leases, however
+/// large a spec's `jobs`.
+fn session_threads(jobs: usize, leases: usize) -> usize {
+    jobs.min(cores()).min(leases).max(1)
+}
+
+/// Run the items `next` hands out through `run` on the calling thread
+/// plus `threads − 1` scoped helpers until `next` runs dry. Every
+/// thread runs under a rayon pool of `cap` threads, so the parallel
+/// Monte-Carlo trials of a lease use at most that many. The first error
+/// stops every thread before its next item and is returned; `next` sees
+/// it as its raised flag, so a source that waits for work can give up.
+pub(crate) fn drain<T>(
+    threads: usize,
+    cap: usize,
+    next: impl Fn(&AtomicBool) -> Result<Option<T>, EngineError> + Sync,
+    run: impl Fn(T) -> Result<(), EngineError> + Sync,
+) -> Result<(), EngineError> {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(cap)
+        .build()
+        .map_err(|e| EngineError::spec(format!("configuring {cap} worker thread(s): {e}")))?;
+    let failed = AtomicBool::new(false);
+    let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
+    let work = || {
+        pool.install(|| {
+            while !failed.load(Ordering::SeqCst) {
+                let Some(item) = next(&failed).transpose() else {
+                    return;
+                };
+                if let Err(e) = item.and_then(&run) {
+                    first_error
+                        .lock()
+                        .expect("first error slot")
+                        .get_or_insert(e);
+                    failed.store(true, Ordering::SeqCst);
+                }
+            }
+        })
+    };
+    // The calling thread drains too, so one thread spawns nothing.
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
+    first_error
+        .into_inner()
+        .expect("first error slot")
+        .map_or(Ok(()), Err)
+}
+
 /// The cache-first cell evaluator every lease consumer shares.
 ///
 /// One executor serves a whole campaign session: DAG instances freeze
@@ -376,8 +445,9 @@ impl CampaignPlan {
 /// another cache probe.
 ///
 /// [`run`](LeaseExecutor::run) is safe to call from many threads at
-/// once over one shared executor — that is precisely how the
-/// [`InProcess`](crate::InProcess) backend executes a campaign.
+/// once over one shared executor — that is precisely how a worker
+/// session (an [`InProcess`](crate::InProcess) campaign, a
+/// `sweep-worker --leases` process) drains its leases.
 pub struct LeaseExecutor<'a> {
     spec: &'a SweepSpec,
     registry: &'a EstimatorRegistry,
@@ -415,6 +485,40 @@ impl<'a> LeaseExecutor<'a> {
     /// ends, as the shipped backends do.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
+    }
+
+    /// One worker session: `hello` (worker slot `shard`, thread cap
+    /// `jobs`: the spec's, else this host's cores), then the leases
+    /// `next` hands out on [`session_threads`] threads under that cap
+    /// ([`drain`]), each passed to `complete` once its `lease_done` is
+    /// emitted, then the session's telemetry (when enabled) and `done`.
+    pub(crate) fn session(
+        &self,
+        shard: usize,
+        next: impl Fn(&AtomicBool) -> Result<Option<WorkLease>, EngineError> + Sync,
+        complete: impl Fn(usize) + Sync,
+        emit: &(dyn Fn(CampaignEvent) -> Result<(), EngineError> + Sync),
+    ) -> Result<(), EngineError> {
+        let start = Instant::now();
+        let jobs = self.spec.jobs.unwrap_or_else(cores);
+        emit(CampaignEvent::Hello { shard, jobs })?;
+        let threads = session_threads(jobs, self.plan.leases().len());
+        drain(threads, jobs, next, |lease| {
+            self.run(&lease, emit)?;
+            complete(lease.lease_id);
+            Ok(())
+        })?;
+        if self.tel.is_enabled() {
+            self.tel
+                .record_span_duration("worker_shard", start.elapsed());
+            emit(CampaignEvent::Telemetry {
+                shard,
+                snapshot: self.tel.snapshot(),
+            })?;
+        }
+        emit(CampaignEvent::Done {
+            wall_s: start.elapsed().as_secs_f64(),
+        })
     }
 
     fn prepared_dag(&self, i: usize) -> &PreparedDag {
@@ -661,6 +765,66 @@ mod tests {
         q.close();
         assert_eq!(q.poll_next(Duration::from_millis(50)), LeasePoll::Drained);
         assert!(!q.is_drained(), "close() is not completion");
+    }
+
+    #[test]
+    fn drain_caps_every_thread_and_lifts_the_cap_after() {
+        // Three items, each held until all three are taken, so every
+        // thread (the caller included) runs exactly one.
+        let handed = std::sync::atomic::AtomicUsize::new(0);
+        let all_taken = std::sync::Barrier::new(3);
+        let seen = Mutex::new(HashMap::new());
+        let next = |_: &AtomicBool| Ok((handed.fetch_add(1, Ordering::SeqCst) < 3).then_some(()));
+        let run = |()| {
+            let me = std::thread::current().id();
+            seen.lock()
+                .unwrap()
+                .insert(me, rayon::current_num_threads());
+            all_taken.wait();
+            Ok(())
+        };
+        drain(3, 2, next, run).unwrap();
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 3, "{seen:?}");
+        assert!(seen.contains_key(&std::thread::current().id()));
+        assert!(seen.values().all(|&n| n == 2.min(cores())), "{seen:?}");
+        assert_eq!(rayon::current_num_threads(), cores(), "cap outlived drain");
+    }
+
+    #[test]
+    fn a_session_runs_no_more_threads_than_cores_or_leases() {
+        assert_eq!(session_threads(usize::MAX, usize::MAX), cores());
+        assert_eq!(session_threads(1_000_000, 3), 3.min(cores()));
+        assert_eq!(session_threads(1, 50), 1);
+        assert_eq!(session_threads(4, 0), 1);
+    }
+
+    #[test]
+    fn drain_stops_every_thread_at_the_first_error() {
+        // One thread fails its item once the other waits in its source
+        // for work, which must see the failure and give up.
+        let handed = std::sync::atomic::AtomicUsize::new(0);
+        let wait_for = |done: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(std::time::Instant::now() < deadline, "waited 10 s");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let next = |failed: &AtomicBool| {
+            if handed.fetch_add(1, Ordering::SeqCst) > 0 {
+                wait_for(&|| failed.load(Ordering::SeqCst));
+                return Ok(None);
+            }
+            Ok(Some(()))
+        };
+        let run = |()| {
+            wait_for(&|| handed.load(Ordering::SeqCst) == 2);
+            Err(EngineError::spec("lease failed"))
+        };
+        let err = drain(2, 1, next, run).unwrap_err();
+        assert!(err.to_string().contains("lease failed"), "{err}");
+        assert_eq!(handed.load(Ordering::SeqCst), 2, "no item after the error");
     }
 
     #[test]

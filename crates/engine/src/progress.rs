@@ -391,17 +391,9 @@ mod tests {
             references: 4,
             leases: 4,
         });
-        // Worker count tracks hellos, totals stay the plan's — even
-        // when a hello carries the sizes of an older worker's log.
+        // Worker count tracks hellos; totals are the plan's.
         for w in 0..2 {
-            p.observe(&CampaignEvent::Hello {
-                shard: w,
-                shard_count: 0,
-                cells: 3,
-                references: 1,
-                version: Some(2),
-                jobs: Some(2),
-            });
+            p.observe(&CampaignEvent::Hello { shard: w, jobs: 2 });
         }
         p.observe(&CampaignEvent::LeaseStart {
             lease_id: 0,

@@ -27,11 +27,12 @@
 //! unrecognised `"event"` tag to [`CampaignEvent::Unknown`] instead of
 //! failing, so a coordinator built before `telemetry` existed replays
 //! newer streams unharmed (malformed JSON and missing fields of known
-//! events are still hard errors). New optional fields on existing
-//! events (`cell.tier`, `error.kind`, `hello.version`, `hello.jobs`,
-//! `reference.scenario`) decode as `None` when absent, and `hello`
-//! keeps its `shard_count`/`cells`/`references` keys, so logs written
-//! by older builds still decode.
+//! events are still hard errors). The optional `cell.tier`,
+//! `error.kind` and `reference.scenario` decode as `None` when absent,
+//! and `hello.jobs` as `0` (not reported: older builds left it out of
+//! uncapped sessions). Keys a decoder does not know are ignored, so a
+//! `hello` or `done` line of an older build, which carried
+//! since-retired keys, still decodes.
 //!
 //! `cell` events carry the complete [`SweepRow`], so the coordinator
 //! can re-sequence rows into deterministic cell order and write the
@@ -75,19 +76,10 @@ pub enum CampaignEvent {
     Hello {
         /// Worker slot, 0-based.
         shard: usize,
-        /// Worker slot count, when the worker knows it (`0` from a
-        /// `sweep-worker`, which does not).
-        shard_count: usize,
-        /// Informational; totals come from [`CampaignEvent::Plan`].
-        cells: usize,
-        /// Informational, like `cells`.
-        references: usize,
-        /// Protocol version the worker speaks (`Some(2)`; `None` in logs
-        /// written before versioning).
-        version: Option<u32>,
-        /// The worker-thread cap this worker applied, from the
-        /// coordinator's `--jobs` handshake (`None`: uncapped).
-        jobs: Option<usize>,
+        /// The session's thread cap: the spec's (or the coordinator's
+        /// `--jobs` handshake's) `jobs`, else the worker's cores; `0`
+        /// when not reported (an older build's uncapped session).
+        jobs: usize,
     },
     /// A worker started executing a leased cell batch.
     LeaseStart {
@@ -132,13 +124,9 @@ pub enum CampaignEvent {
         /// Cache misses (computed fresh).
         misses: usize,
     },
-    /// Last event of a successful worker session.
+    /// Last event of a successful worker session (cache totals travel
+    /// per lease, on [`LeaseDone`](CampaignEvent::LeaseDone)).
     Done {
-        /// Zero: cache totals travel per lease on
-        /// [`LeaseDone`](CampaignEvent::LeaseDone).
-        hits: usize,
-        /// Zero, like `hits`.
-        misses: usize,
         /// Worker wall-clock seconds for the session.
         wall_s: f64,
     },
@@ -185,29 +173,11 @@ impl Serialize for CampaignEvent {
                 ("references", references.serialize()),
                 ("leases", leases.serialize()),
             ]),
-            CampaignEvent::Hello {
-                shard,
-                shard_count,
-                cells,
-                references,
-                version,
-                jobs,
-            } => {
-                let mut fields = vec![
-                    ("event", Value::Str("hello".into())),
-                    ("shard", shard.serialize()),
-                    ("shard_count", shard_count.serialize()),
-                    ("cells", cells.serialize()),
-                    ("references", references.serialize()),
-                ];
-                if let Some(version) = version {
-                    fields.push(("version", version.serialize()));
-                }
-                if let Some(jobs) = jobs {
-                    fields.push(("jobs", jobs.serialize()));
-                }
-                Value::obj(fields)
-            }
+            CampaignEvent::Hello { shard, jobs } => Value::obj([
+                ("event", Value::Str("hello".into())),
+                ("shard", shard.serialize()),
+                ("jobs", jobs.serialize()),
+            ]),
             CampaignEvent::LeaseStart { lease_id, cells } => Value::obj([
                 ("event", Value::Str("lease_start".into())),
                 ("lease_id", lease_id.serialize()),
@@ -252,14 +222,8 @@ impl Serialize for CampaignEvent {
                 ("hits", hits.serialize()),
                 ("misses", misses.serialize()),
             ]),
-            CampaignEvent::Done {
-                hits,
-                misses,
-                wall_s,
-            } => Value::obj([
+            CampaignEvent::Done { wall_s } => Value::obj([
                 ("event", Value::Str("done".into())),
-                ("hits", hits.serialize()),
-                ("misses", misses.serialize()),
                 ("wall_s", wall_s.serialize()),
             ]),
             CampaignEvent::Error { message, kind } => {
@@ -293,17 +257,7 @@ impl Deserialize for CampaignEvent {
             }),
             "hello" => Ok(CampaignEvent::Hello {
                 shard: usize::deserialize(v.require("shard")?)?,
-                shard_count: usize::deserialize(v.require("shard_count")?)?,
-                cells: usize::deserialize(v.require("cells")?)?,
-                references: usize::deserialize(v.require("references")?)?,
-                version: match v.get("version") {
-                    None | Some(Value::Null) => None,
-                    Some(n) => Some(u32::deserialize(n)?),
-                },
-                jobs: match v.get("jobs") {
-                    None | Some(Value::Null) => None,
-                    Some(n) => Some(usize::deserialize(n)?),
-                },
+                jobs: v.get("jobs").map_or(Ok(0), usize::deserialize)?,
             }),
             "lease_start" => Ok(CampaignEvent::LeaseStart {
                 lease_id: usize::deserialize(v.require("lease_id")?)?,
@@ -337,8 +291,6 @@ impl Deserialize for CampaignEvent {
                 misses: usize::deserialize(v.require("misses")?)?,
             }),
             "done" => Ok(CampaignEvent::Done {
-                hits: usize::deserialize(v.require("hits")?)?,
-                misses: usize::deserialize(v.require("misses")?)?,
                 wall_s: f64::deserialize(v.require("wall_s")?)?,
             }),
             "error" => Ok(CampaignEvent::Error {
@@ -426,22 +378,7 @@ mod tests {
                 references: 12,
                 leases: 12,
             },
-            CampaignEvent::Hello {
-                shard: 1,
-                shard_count: 4,
-                cells: 6,
-                references: 3,
-                version: None,
-                jobs: None,
-            },
-            CampaignEvent::Hello {
-                shard: 0,
-                shard_count: 0,
-                cells: 0,
-                references: 0,
-                version: Some(2),
-                jobs: Some(4),
-            },
+            CampaignEvent::Hello { shard: 1, jobs: 4 },
             CampaignEvent::LeaseStart {
                 lease_id: 7,
                 cells: 2,
@@ -472,11 +409,7 @@ mod tests {
                 tier: Some(CacheTier::Disk),
                 row: sample_row(),
             },
-            CampaignEvent::Done {
-                hits: 5,
-                misses: 4,
-                wall_s: 1.25,
-            },
+            CampaignEvent::Done { wall_s: 1.25 },
             CampaignEvent::Error {
                 message: "disk on fire".into(),
                 kind: None,
@@ -544,22 +477,28 @@ mod tests {
                 kind: None
             }
         );
-        // A v1 hello (no version, no jobs) and a v1 reference (no
-        // scenario) decode with the new optional fields defaulted.
+        // A v1 hello (no version, no jobs) decodes with jobs 0, not
+        // reported; an older build's hello and done decode with their
+        // since-retired keys; a v1 reference (no scenario) defaults it.
         assert_eq!(
             decode_event(
                 "{\"event\":\"hello\",\"shard\":2,\"shard_count\":3,\
                  \"cells\":8,\"references\":4}"
             )
             .unwrap(),
-            CampaignEvent::Hello {
-                shard: 2,
-                shard_count: 3,
-                cells: 8,
-                references: 4,
-                version: None,
-                jobs: None,
-            }
+            CampaignEvent::Hello { shard: 2, jobs: 0 }
+        );
+        assert_eq!(
+            decode_event(
+                "{\"event\":\"hello\",\"shard\":2,\"shard_count\":0,\
+                 \"cells\":0,\"references\":0,\"version\":2,\"jobs\":3}"
+            )
+            .unwrap(),
+            CampaignEvent::Hello { shard: 2, jobs: 3 }
+        );
+        assert_eq!(
+            decode_event("{\"event\":\"done\",\"hits\":0,\"misses\":0,\"wall_s\":0.5}").unwrap(),
+            CampaignEvent::Done { wall_s: 0.5 }
         );
         assert_eq!(
             decode_event("{\"event\":\"reference\",\"cached\":false}").unwrap(),

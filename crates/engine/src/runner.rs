@@ -15,10 +15,7 @@
 //! * [`resume_report_impl`] — diff a spec against the cache without
 //!   computing anything.
 //!
-//! The public entry points live on [`Campaign`](crate::Campaign); the
-//! deprecated free-function wrappers (`run_sweep`, `resume_report`,
-//! `sharded_resume_report`) that once shadowed them have been removed
-//! (see the README's migration notes).
+//! The public entry points live on [`Campaign`](crate::Campaign).
 
 use crate::cache::{cell_key, CacheTier, ResultCache};
 use crate::error::EngineError;
@@ -269,61 +266,6 @@ pub(crate) fn expand(
         models,
         reference_id,
     })
-}
-
-/// RAII guard of the campaign worker-thread cap (`--jobs`).
-///
-/// `jobs = N` caps the worker threads for a campaign. Like real rayon's
-/// global pool, the cap is process-wide while it is in effect; the
-/// previous value is restored when the guard drops (on every exit
-/// path), and capped campaigns are serialized against each other so
-/// concurrent save/restore pairs cannot interleave and strand a stale
-/// cap.
-pub(crate) struct JobsCap {
-    // Declaration order matters: the cap restorer is declared first so
-    // the cap is restored (fields drop in declaration order) before the
-    // serialization lock releases and the next capped campaign may
-    // proceed.
-    _restore: Option<CapRestore>,
-    _serial: Option<std::sync::MutexGuard<'static, ()>>,
-}
-
-struct CapRestore(usize);
-
-impl Drop for CapRestore {
-    fn drop(&mut self) {
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.0)
-            .build_global();
-    }
-}
-
-static CAPPED_CAMPAIGNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Apply a worker-thread cap for the lifetime of the returned guard
-/// (`None` = leave the pool uncapped; shared by the in-process
-/// backend and leased workers).
-pub(crate) fn apply_jobs_cap(jobs: Option<usize>) -> Result<JobsCap, EngineError> {
-    match jobs {
-        None => Ok(JobsCap {
-            _restore: None,
-            _serial: None,
-        }),
-        Some(jobs) => {
-            let serial = CAPPED_CAMPAIGNS
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let previous = rayon::current_thread_cap();
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(jobs)
-                .build_global()
-                .map_err(|e| EngineError::spec(format!("configuring {jobs} worker(s): {e}")))?;
-            Ok(JobsCap {
-                _restore: Some(CapRestore(previous)),
-                _serial: Some(serial),
-            })
-        }
-    }
 }
 
 /// Cache-first evaluation of one work unit against a lazily-created
@@ -631,14 +573,8 @@ mod tests {
                 .unwrap()
         };
         let wide = run(&spec);
-        let cap_before = rayon::current_thread_cap();
         spec.jobs = Some(1);
         let narrow = run(&spec);
-        assert_eq!(
-            rayon::current_thread_cap(),
-            cap_before,
-            "the campaign must restore the global worker cap"
-        );
         // Everything but the wall-clock timing must be identical.
         let values = |o: &SweepOutcome| {
             o.rows

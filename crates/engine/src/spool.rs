@@ -69,18 +69,17 @@
 use crate::campaign::{BackendContext, Deliver, ExecBackend, COORDINATOR_SOURCE};
 use crate::error::EngineError;
 use crate::lease::{
-    decode_lease, encode_lease, CampaignPlan, LeaseExecutor, LeaseQueue, WorkLease,
+    cores, decode_lease, drain, encode_lease, CampaignPlan, LeaseExecutor, LeaseQueue, WorkLease,
 };
 use crate::protocol::{decode_event, encode_event, CampaignEvent};
 use crate::registry::EstimatorRegistry;
-use crate::runner::apply_jobs_cap;
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
 use serde::Value;
 use std::collections::{BTreeMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -287,22 +286,12 @@ impl ExecBackend for SharedFs {
                         .ok()
                         .and_then(|s| serde::json::parse(&s).ok())
                         .and_then(|v| v.get("jobs").and_then(Value::as_u64))
-                        .map(|j| j as usize);
+                        .map_or(0, |j| j as usize);
                     let slot = worker_slots.len();
                     worker_slots.insert(name.to_string(), slot);
                     last_progress = Instant::now();
                     backoff.reset();
-                    deliver(
-                        slot,
-                        CampaignEvent::Hello {
-                            shard: slot,
-                            shard_count: 0,
-                            cells: 0,
-                            references: 0,
-                            version: Some(2),
-                            jobs,
-                        },
-                    )?;
+                    deliver(slot, CampaignEvent::Hello { shard: slot, jobs })?;
                 }
                 // Attempt streams, `{lease stem}.{worker name}.jsonl`:
                 // complete, failed or duplicate.
@@ -476,8 +465,6 @@ impl ExecBackend for SharedFs {
         deliver(
             COORDINATOR_SOURCE,
             CampaignEvent::Done {
-                hits: 0,
-                misses: 0,
                 wall_s: start.elapsed().as_secs_f64(),
             },
         )
@@ -499,9 +486,12 @@ pub struct SpoolSummary {
 ///
 /// [`run`](SpoolWorker::run) waits for the coordinator's `spec.json`,
 /// registers under [`name`](SpoolWorker::name), then claims and
-/// executes leases with `jobs` threads until the coordinator writes
-/// the `stop` file. Results go to the shared cache named in
-/// `meta.json` (override with [`cache_dir`](SpoolWorker::cache_dir) /
+/// executes leases with up to `jobs` threads, each capping its
+/// Monte-Carlo trials at `jobs`, until the coordinator writes the
+/// `stop` file. The cap is the session's own, so several workers in
+/// one process work side by side. Results go to the shared cache
+/// named in `meta.json` (override with
+/// [`cache_dir`](SpoolWorker::cache_dir) /
 /// [`no_cache`](SpoolWorker::no_cache)); each attempt's event stream
 /// is published atomically to `events/`. A worker may join or die at
 /// any point — the coordinator re-queues whatever it abandoned.
@@ -638,10 +628,7 @@ impl SpoolWorker {
                 None => crate::cache::ResultCache::in_memory(),
             }
         };
-        let jobs = self
-            .jobs
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let _jobs_cap = apply_jobs_cap(Some(jobs))?;
+        let jobs = self.jobs.unwrap_or_else(cores);
         let registry = EstimatorRegistry::standard();
         let plan = CampaignPlan::new(&spec, &registry)?;
         let telemetry = Telemetry::disabled();
@@ -674,39 +661,29 @@ impl SpoolWorker {
         )?;
         let done_leases = AtomicUsize::new(0);
         let done_cells = AtomicUsize::new(0);
-        let abort: Mutex<Option<EngineError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(plan.leases().len()).max(1) {
-                let this = &self;
-                let executor = &executor;
-                let abort = &abort;
-                let done_leases = &done_leases;
-                let done_cells = &done_cells;
-                scope.spawn(move || {
-                    let mut backoff = Backoff::new();
-                    while !this.stopped() && abort.lock().expect("abort slot").is_none() {
-                        let Some((lease, attempt_stem)) = this.claim_next() else {
-                            backoff.sleep();
-                            continue;
-                        };
-                        backoff.reset();
-                        match this.run_claim(executor, &lease, &attempt_stem) {
-                            Ok(()) => {
-                                done_leases.fetch_add(1, Ordering::Relaxed);
-                                done_cells.fetch_add(lease.cells.len(), Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                abort.lock().expect("abort slot").get_or_insert(e);
-                                return;
-                            }
-                        }
-                    }
-                });
+        // Each thread polls for its next claim until the coordinator
+        // stops the campaign or another thread failed.
+        let next_claim = |failed: &AtomicBool| -> Result<_, EngineError> {
+            let mut backoff = Backoff::new();
+            while !self.stopped() && !failed.load(Ordering::SeqCst) {
+                if let Some(claim) = self.claim_next() {
+                    return Ok(Some(claim));
+                }
+                backoff.sleep();
             }
-        });
-        if let Some(e) = abort.into_inner().expect("abort slot") {
-            return Err(e);
-        }
+            Ok(None)
+        };
+        drain(
+            jobs.min(plan.leases().len()).max(1),
+            jobs,
+            next_claim,
+            |(lease, attempt_stem): (WorkLease, String)| {
+                self.run_claim(&executor, &lease, &attempt_stem)?;
+                done_leases.fetch_add(1, Ordering::Relaxed);
+                done_cells.fetch_add(lease.cells.len(), Ordering::Relaxed);
+                Ok(())
+            },
+        )?;
         Ok(SpoolSummary {
             leases: done_leases.load(Ordering::Relaxed),
             cells: done_cells.load(Ordering::Relaxed),

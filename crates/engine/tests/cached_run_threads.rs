@@ -1,5 +1,6 @@
-//! A fully cached single-job campaign runs on the thread that called
-//! `run()`: it creates no thread, and every event reaches the
+//! A single-job campaign runs on the thread that called `run()`, cold
+//! or fully cached: it creates no thread, not even for the parallel
+//! Monte-Carlo trials of its references, and every event reaches the
 //! observers on that thread.
 //!
 //! This binary holds one test on purpose: `Threads:` in
@@ -11,7 +12,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use stochdag_engine::{Campaign, CampaignEvent, FnObserver, ResultCache, SweepSpec};
+use stochdag_engine::{Campaign, CampaignEvent, FnObserver, ResultCache, SweepOutcome, SweepSpec};
 
 fn spec() -> SweepSpec {
     SweepSpec::from_str_auto(
@@ -55,24 +56,15 @@ fn settled_threads() -> usize {
     last
 }
 
-#[test]
-fn cached_single_job_campaign_creates_no_thread() {
-    let cache = Arc::new(ResultCache::in_memory());
-    let warm = Campaign::builder(spec())
-        .cache(cache.clone())
-        .jobs(1)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(warm.cells, 8);
-
-    let before = settled_threads();
+/// Run `spec()` with `jobs(1)` over `cache`, recording the process's
+/// thread count and whether the event arrived on the calling thread at
+/// every event.
+fn observed_run(cache: &Arc<ResultCache>) -> (SweepOutcome, Vec<(usize, bool, String)>) {
     let caller = std::thread::current().id();
     let seen = Arc::new(Mutex::new(Vec::new()));
     let record = seen.clone();
     let outcome = Campaign::builder(spec())
-        .cache(cache)
+        .cache(cache.clone())
         .jobs(1)
         .observer(FnObserver(move |event: &CampaignEvent| {
             let on_caller = std::thread::current().id() == caller;
@@ -85,15 +77,34 @@ fn cached_single_job_campaign_creates_no_thread() {
         .unwrap()
         .run()
         .unwrap();
-    assert!(outcome.fully_cached(), "{} misses", outcome.cache_misses);
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    (outcome, seen)
+}
 
-    let seen = seen.lock().unwrap();
-    assert!(seen.len() > outcome.cells, "plan, cells and lease events");
-    for (count, on_caller, event) in seen.iter() {
-        assert_eq!(
-            *count, before,
-            "thread count while observing {event} (before run: {before})"
-        );
-        assert!(on_caller, "{event} was delivered off the calling thread");
+#[test]
+fn cached_single_job_campaign_creates_no_thread() {
+    // The cold run that fills the cache is observed too: it computes
+    // 500-trial Monte-Carlo references, whose trials would spawn
+    // workers if the `jobs(1)` cap did not reach them.
+    let cache = Arc::new(ResultCache::in_memory());
+    let before = settled_threads();
+    let (cold, cold_seen) = observed_run(&cache);
+    assert_eq!(cold.cells, 8);
+    assert!(!cold.fully_cached());
+    let (warm, warm_seen) = observed_run(&cache);
+    assert!(warm.fully_cached(), "{} misses", warm.cache_misses);
+
+    for (run, outcome, seen) in [("cold", cold, cold_seen), ("warm", warm, warm_seen)] {
+        assert!(seen.len() > outcome.cells, "plan, cells and lease events");
+        for (count, on_caller, event) in &seen {
+            assert_eq!(
+                *count, before,
+                "{run} run: thread count while observing {event} (before: {before})"
+            );
+            assert!(
+                on_caller,
+                "{run} run: {event} was delivered off the calling thread"
+            );
+        }
     }
 }

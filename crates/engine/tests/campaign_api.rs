@@ -4,7 +4,8 @@
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 use stochdag_engine::{
     decode_event, encode_lease, Campaign, CampaignEvent, CampaignPlan, CsvSink, DryRun,
     EngineError, EstimatorRegistry, EstimatorSpec, FnObserver, MultiProcess, ResultCache,
@@ -180,6 +181,54 @@ fn observers_see_the_full_event_stream() {
 }
 
 #[test]
+fn capped_campaigns_in_one_process_run_side_by_side() {
+    // Each `jobs(1)` campaign waits at its first cell for the other to
+    // reach one too. Campaigns whose caps ran them one after another
+    // would never meet, so each would wait out the bound alone.
+    let arrived = Arc::new((Mutex::new(0usize), Condvar::new()));
+    let campaigns: Vec<_> = ["left", "right"]
+        .map(|name| {
+            let arrived = arrived.clone();
+            std::thread::spawn(move || {
+                let mut spec = campaign_spec();
+                spec.name = name.into();
+                let met = Arc::new(Mutex::new(None));
+                let record = met.clone();
+                Campaign::builder(spec)
+                    .jobs(1)
+                    .observer(FnObserver(move |ev: &CampaignEvent| {
+                        let mut met = record.lock().unwrap();
+                        if met.is_some() || !matches!(ev, CampaignEvent::Cell { .. }) {
+                            return;
+                        }
+                        let (count, cvar) = &*arrived;
+                        let mut count = count.lock().unwrap();
+                        *count += 1;
+                        cvar.notify_all();
+                        let wait = Duration::from_secs(10);
+                        let (count, _) = cvar.wait_timeout_while(count, wait, |n| *n < 2).unwrap();
+                        *met = Some(*count);
+                    }))
+                    .build()
+                    .unwrap()
+                    .run()
+                    .unwrap();
+                let met = *met.lock().unwrap();
+                met
+            })
+        })
+        .into_iter()
+        .collect();
+    for campaign in campaigns {
+        let running = campaign.join().unwrap().expect("a first cell");
+        assert_eq!(
+            running, 2,
+            "only {running} campaign(s) running at a capped campaign's first cell"
+        );
+    }
+}
+
+#[test]
 fn serve_leases_streams_the_wire_protocol_through_observers() {
     // A worker serves whatever the coordinator grants it: here every
     // other planned lease, as stdin lines.
@@ -201,9 +250,8 @@ fn serve_leases_streams_the_wire_protocol_through_observers() {
         .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
         .collect();
     match events.first() {
-        Some(CampaignEvent::Hello { shard, version, .. }) => {
+        Some(CampaignEvent::Hello { shard, .. }) => {
             assert_eq!(*shard, 3, "hello carries the worker slot");
-            assert_eq!(*version, Some(2));
         }
         other => panic!("expected hello first, got {other:?}"),
     }

@@ -97,24 +97,13 @@ fn hello(deliver: &Deliver<'_>, ctx: &BackendContext<'_>) -> Result<(), EngineEr
         0,
         CampaignEvent::Hello {
             shard: 0,
-            shard_count: 1,
-            cells: ctx.plan.cells(),
-            references: ctx.plan.references(),
-            version: Some(2),
-            jobs: ctx.spec.jobs,
+            jobs: ctx.spec.jobs.unwrap_or(1),
         },
     )
 }
 
 fn done(deliver: &Deliver<'_>) -> Result<(), EngineError> {
-    deliver(
-        0,
-        CampaignEvent::Done {
-            hits: 0,
-            misses: 0,
-            wall_s: 0.0,
-        },
-    )
+    deliver(0, CampaignEvent::Done { wall_s: 0.0 })
 }
 
 /// Grants every lease up front, then executes them in **reverse**

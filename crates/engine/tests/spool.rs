@@ -129,7 +129,7 @@ fn two_spool_workers_match_single_process_byte_for_byte() {
         .telemetry(telemetry.clone())
         .sink(CsvSink::new(buf.clone()))
         .observer(FnObserver(move |ev: &CampaignEvent| {
-            if let CampaignEvent::Hello { shard, jobs, .. } = ev {
+            if let CampaignEvent::Hello { shard, jobs } = ev {
                 seen.lock().unwrap().push((*shard, *jobs));
             }
         }))
@@ -151,14 +151,16 @@ fn two_spool_workers_match_single_process_byte_for_byte() {
     );
     assert_eq!(summaries.iter().map(|s| s.cells).sum::<usize>(), 8);
     // Each worker the coordinator saw announced itself with its jobs
-    // handshake. (A worker that registers only after a fast campaign
-    // drained never appears — so the count is 1 or 2, never 0.)
+    // handshake. Both register as soon as the campaign appears, but
+    // the coordinator stops scanning registrations once the queue
+    // drains, so a worker that registers after its last scan of a fast
+    // campaign is never announced: the count is 1 or 2, never 0.
     let hellos = hellos.lock().unwrap();
     assert!(
         (1..=2).contains(&hellos.len()),
         "registered workers announce once each: {hellos:?}"
     );
-    assert!(hellos.iter().all(|&(_, jobs)| jobs == Some(1)));
+    assert!(hellos.iter().all(|&(_, jobs)| jobs == 1));
 
     // The coordinator credits each worker with the streams it merged
     // from it (nothing for a worker that arrived after the drain), so
@@ -193,6 +195,69 @@ fn two_spool_workers_match_single_process_byte_for_byte() {
         .unwrap();
     assert!(replay.fully_cached(), "{} misses", replay.cache_misses);
     assert_eq!(buf.bytes(), single.bytes(), "byte-identical CSV");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn capped_spool_workers_in_one_process_work_side_by_side() {
+    // Two `jobs(1)` workers in one process: when the coordinator merges
+    // its first cell, both must have registered. Workers whose caps ran
+    // them one after another would register the second only after the
+    // stop file, so the observer would wait out its bound.
+    let dir = scratch("side-by-side");
+    let spool = dir.join("spool");
+    let workers: Vec<_> = ["a", "b"]
+        .map(|name| {
+            let spool = spool.clone();
+            std::thread::spawn(move || {
+                SpoolWorker::new(&spool)
+                    .name(name)
+                    .jobs(1)
+                    .max_wait(Duration::from_secs(30))
+                    .run()
+            })
+        })
+        .into_iter()
+        .collect();
+    let registered = |spool: &Path| {
+        std::fs::read_dir(spool.join("workers")).map_or(0, |entries| {
+            entries
+                .flatten()
+                .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+                .count()
+        })
+    };
+    let at_first_cell = Arc::new(Mutex::new(None));
+    let record = at_first_cell.clone();
+    let watched = spool.clone();
+    let outcome = Campaign::builder(spec("side-by-side"))
+        .backend(SharedFs::new(&spool))
+        .observer(FnObserver(move |ev: &CampaignEvent| {
+            let mut seen = record.lock().unwrap();
+            if seen.is_some() || !matches!(ev, CampaignEvent::Cell { .. }) {
+                return;
+            }
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while registered(&watched) < 2 && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            *seen = Some(registered(&watched));
+        }))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(outcome.cells, 8);
+    let leases: usize = workers
+        .into_iter()
+        .map(|w| w.join().unwrap().unwrap().leases)
+        .sum();
+    assert_eq!(leases, 4, "the two sessions jointly drained every lease");
+    let seen = at_first_cell.lock().unwrap().expect("a first cell");
+    assert_eq!(
+        seen, 2,
+        "only {seen} of 2 spool workers registered by the first merged cell"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -43,7 +43,10 @@ use stochdag_engine::SweepSpec;
 /// Which engine [`ExecBackend`](stochdag_engine::ExecBackend) a served
 /// campaign runs on. Per-campaign: one daemon can run an in-process
 /// campaign, a multi-process one, and a cross-host spool campaign
-/// concurrently over the same shared cache.
+/// concurrently over the same shared cache. The two worker-process
+/// backends need that cache on disk: a daemon without
+/// [`ServeConfig::cache`](crate::ServeConfig::cache) refuses them with
+/// kind `spec`.
 ///
 /// On the wire this is an optional `backend` object on `submit`;
 /// absent means [`InProcess`](BackendChoice::InProcess), so v1 clients
@@ -102,9 +105,8 @@ impl Deserialize for BackendChoice {
 /// One client request (see the module table).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Submit a campaign spec for execution. The server clears the
-    /// spec's `jobs` cap (per-campaign thread caps would serialize
-    /// concurrent campaigns process-wide); admission control and the
+    /// Submit a campaign spec for execution. The spec's `jobs` caps
+    /// this campaign's threads only; admission control and the
     /// per-campaign cell quota apply before the campaign is queued.
     Submit {
         /// The campaign to run (same spec model as `sweep --spec`).

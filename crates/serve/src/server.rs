@@ -60,7 +60,9 @@ pub struct ServeConfig {
     /// with [`Server::local_addr`]).
     pub addr: String,
     /// Directory for the shared on-disk cache tier; `None` keeps the
-    /// shared cache purely in memory.
+    /// shared cache purely in memory, and the daemon then refuses
+    /// multi-process and spool campaigns, whose worker processes could
+    /// not share it.
     pub cache: Option<PathBuf>,
     /// Worker pool size: campaigns executing concurrently. Workers
     /// start on demand, one per admitted campaign until this many
@@ -287,8 +289,9 @@ struct Entry {
 }
 
 /// Mutable server state behind one mutex: the campaign table, the
-/// admission queue and the pool workers started so far. Everything
-/// hot-path (counters, shutdown flag) is atomic and lives outside it.
+/// admission queue and the pool workers started so far. The hot path
+/// (the shutdown flag, the telemetry counters that `status` reports)
+/// lives outside it.
 struct State {
     campaigns: BTreeMap<u64, Entry>,
     queue: VecDeque<u64>,
@@ -312,15 +315,10 @@ struct Inner {
     /// `shutdown` requests whose ack is not written yet: the accept
     /// loop keeps the daemon alive until they are.
     unacked_shutdowns: AtomicUsize,
-    submissions: AtomicU64,
-    admission_rejected: AtomicU64,
-    quota_rejected: AtomicU64,
+    /// Campaigns completed: the clock of the retention window, counted
+    /// under the state lock. Every other `status` total is a `serve.*`
+    /// counter of `telemetry`.
     completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    cells_computed: AtomicU64,
-    cells_memory_hits: AtomicU64,
-    cells_disk_hits: AtomicU64,
 }
 
 /// A cheap, cloneable handle for controlling a running [`Server`] from
@@ -391,15 +389,7 @@ impl Server {
             next_id: AtomicU64::new(1),
             stop: AtomicU8::new(RUN),
             unacked_shutdowns: AtomicUsize::new(0),
-            submissions: AtomicU64::new(0),
-            admission_rejected: AtomicU64::new(0),
-            quota_rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            cells_computed: AtomicU64::new(0),
-            cells_memory_hits: AtomicU64::new(0),
-            cells_disk_hits: AtomicU64::new(0),
         });
         Ok(Server { listener, inner })
     }
@@ -475,17 +465,23 @@ impl Server {
 
 impl Inner {
     /// Admission path shared by `submit` and `resume`.
-    fn submit(self: &Arc<Self>, mut spec: SweepSpec, backend: BackendChoice) -> Response {
+    fn submit(self: &Arc<Self>, spec: SweepSpec, backend: BackendChoice) -> Response {
         if self.stop.load(Ordering::Relaxed) != RUN {
             return self.shutting_down();
         }
-        // A per-spec jobs cap serializes capped campaigns process-wide
-        // (the engine guards them with a global mutex), which would
-        // defeat the whole point of a multiplexing service — strip it.
-        spec.jobs = None;
         // Reject malformed backend choices before admission, with the
         // same structured kind a bad spec would get.
         match &backend {
+            BackendChoice::MultiProcess { .. } | BackendChoice::SharedFs { .. }
+                if self.config.cache.is_none() =>
+            {
+                return Response::Error {
+                    kind: "spec".into(),
+                    message: "multi-process and spool campaigns run their workers over the \
+                              daemon's on-disk cache; start the daemon with --cache DIR"
+                        .into(),
+                }
+            }
             BackendChoice::MultiProcess { workers: 0 } => {
                 return Response::Error {
                     kind: "spec".into(),
@@ -517,7 +513,6 @@ impl Inner {
         };
         if let Some(quota) = self.config.max_cells {
             if dry.cells > quota {
-                self.quota_rejected.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.count("serve.quota_rejected", 1);
                 return Response::Error {
                     kind: "quota".into(),
@@ -533,7 +528,6 @@ impl Inner {
             return self.shutting_down();
         }
         if state.queue.len() >= self.config.max_queued {
-            self.admission_rejected.fetch_add(1, Ordering::Relaxed);
             self.telemetry.count("serve.admission_rejected", 1);
             return Response::Error {
                 kind: "admission".into(),
@@ -580,7 +574,6 @@ impl Inner {
         state.queue.push_back(id);
         let queue_depth = state.queue.len();
         drop(state);
-        self.submissions.fetch_add(1, Ordering::Relaxed);
         self.telemetry.count("serve.submissions", 1);
         self.telemetry
             .count("serve.queue_depth_on_submit", queue_depth as u64);
@@ -621,6 +614,8 @@ impl Inner {
             .count();
         let queued = state.queue.len();
         drop(state);
+        let counters = self.telemetry.snapshot().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
         Response::Status(StatusReport {
             server: ServerStatus {
                 running,
@@ -628,15 +623,15 @@ impl Inner {
                 max_running: self.config.max_running.max(1),
                 max_queued: self.config.max_queued,
                 max_cells: self.config.max_cells,
-                submissions: self.submissions.load(Ordering::Relaxed),
-                admission_rejected: self.admission_rejected.load(Ordering::Relaxed),
-                quota_rejected: self.quota_rejected.load(Ordering::Relaxed),
+                submissions: count("serve.submissions"),
+                admission_rejected: count("serve.admission_rejected"),
+                quota_rejected: count("serve.quota_rejected"),
                 completed: self.completed.load(Ordering::Relaxed),
-                failed: self.failed.load(Ordering::Relaxed),
-                cancelled: self.cancelled.load(Ordering::Relaxed),
-                cells_computed: self.cells_computed.load(Ordering::Relaxed),
-                cells_memory_hits: self.cells_memory_hits.load(Ordering::Relaxed),
-                cells_disk_hits: self.cells_disk_hits.load(Ordering::Relaxed),
+                failed: count("serve.campaigns_failed"),
+                cancelled: count("serve.campaigns_cancelled"),
+                cells_computed: count("serve.cells_computed"),
+                cells_memory_hits: count("serve.cells_memory_hits"),
+                cells_disk_hits: count("serve.cells_disk_hits"),
             },
             campaigns,
         })
@@ -659,7 +654,6 @@ impl Inner {
                 finish_log_with_error(&entry.log, &EngineError::cancelled());
                 state.queue.retain(|qid| *qid != id);
                 drop(state);
-                self.cancelled.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.count("serve.campaigns_cancelled", 1);
                 Response::Ack {
                     message: format!("cancelled queued campaign {id}"),
@@ -778,7 +772,6 @@ impl Inner {
     }
 
     fn shutting_down(&self) -> Response {
-        self.admission_rejected.fetch_add(1, Ordering::Relaxed);
         self.telemetry.count("serve.admission_rejected", 1);
         Response::Error {
             kind: "admission".into(),
@@ -808,7 +801,6 @@ impl Inner {
                 entry.state = CampaignState::Cancelled;
                 entry.error = Some(EngineError::cancelled().to_string());
                 finish_log_with_error(&entry.log, &EngineError::cancelled());
-                self.cancelled.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.count("serve.campaigns_cancelled", 1);
             }
         }
@@ -934,10 +926,11 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
             log: log.clone(),
             rows,
         });
-    // Per-campaign execution backend (ROADMAP round 2 (c)): the
-    // default stays in-process on the shared pool; multi-process and
-    // cross-host spool campaigns run their workers against the same
-    // shared cache, so the cross-campaign cache dividend is unchanged.
+    // Per-campaign execution backend: the default stays in-process on
+    // the shared pool; multi-process and cross-host spool campaigns
+    // (admitted only with an on-disk cache) run their workers against
+    // the same shared cache, so the cross-campaign cache dividend is
+    // unchanged.
     builder = match backend {
         BackendChoice::InProcess => builder,
         BackendChoice::MultiProcess { workers } => builder.backend(MultiProcess::new(workers)),
@@ -959,15 +952,6 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
             entry.delivered = log.close();
             inner.retire(&mut state);
             drop(state);
-            inner
-                .cells_computed
-                .fetch_add(outcome.cells_computed as u64, Ordering::Relaxed);
-            inner
-                .cells_memory_hits
-                .fetch_add(outcome.cells_memory_hits as u64, Ordering::Relaxed);
-            inner
-                .cells_disk_hits
-                .fetch_add(outcome.cells_disk_hits as u64, Ordering::Relaxed);
             inner.telemetry.count("serve.campaigns_completed", 1);
             inner
                 .telemetry
@@ -990,10 +974,8 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
             finish_log_with_error(&log, &error);
             drop(state);
             if was_cancel {
-                inner.cancelled.fetch_add(1, Ordering::Relaxed);
                 inner.telemetry.count("serve.campaigns_cancelled", 1);
             } else {
-                inner.failed.fetch_add(1, Ordering::Relaxed);
                 inner.telemetry.count("serve.campaigns_failed", 1);
             }
         }

@@ -12,8 +12,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use stochdag_engine::{
-    Campaign, CsvSink, JsonlSink, ProgressMode, ResultCache, ResultSink, SweepOutcome, SweepSpec,
-    VecSink,
+    Campaign, CampaignEvent, CsvSink, JsonlSink, ProgressMode, ResultCache, ResultSink,
+    SweepOutcome, SweepSpec, VecSink,
 };
 use stochdag_serve::{
     BackendChoice, CampaignState, ServeClient, ServeConfig, ServeHandle, Server, ShutdownMode,
@@ -355,6 +355,40 @@ fn quota_and_admission_rejections_are_structured() {
 }
 
 #[test]
+fn a_daemon_without_a_disk_cache_refuses_worker_process_backends() {
+    // Worker processes share the daemon's cache only through its disk
+    // tier; without one they would each compute on a private cache.
+    let (addr, daemon) = start(ServeConfig::default());
+    let client = ServeClient::connect_to(&addr);
+    for backend in [
+        BackendChoice::MultiProcess { workers: 2 },
+        BackendChoice::SharedFs {
+            spool: "never-created-spool".into(),
+        },
+    ] {
+        let err = client
+            .submit_on(&spec_for_quota("no-disk", 0.01), backend)
+            .unwrap_err();
+        assert_eq!(err.kind, "spec", "{err}");
+        assert!(err.message.contains("--cache DIR"), "{err}");
+    }
+    // An in-process campaign is admitted, and its `jobs` is its own.
+    let mut spec = spec_for_quota("in-process", 0.01);
+    spec.jobs = Some(1);
+    let ticket = client.submit(&spec).unwrap();
+    let hello = client.events(ticket.id).unwrap().find_map(|ev| match ev {
+        Ok(CampaignEvent::Hello { jobs, .. }) => Some(jobs),
+        _ => None,
+    });
+    assert_eq!(hello, Some(1), "the served spec's jobs cap");
+    assert_eq!(stream(&client, ticket.id).rows.len(), 1);
+
+    client.shutdown(ShutdownMode::Drain).unwrap();
+    let report = daemon.join().unwrap();
+    assert_eq!(report.server.submissions, 1, "refusals are not admitted");
+}
+
+#[test]
 fn a_zero_makespan_trace_is_answered_with_a_spec_error() {
     let dir = scratch("zero-makespan");
     let zero = dir.join("zero.dot");
@@ -662,6 +696,9 @@ fn streamed_campaigns_are_retired_after_the_window_and_unread_ones_are_kept() {
     const WINDOW: usize = 2;
     let dir = scratch("retention");
     let (addr, daemon) = start(ServeConfig {
+        // The failed campaign below runs on a spool, which needs a
+        // disk cache.
+        cache: Some(dir.join("cache")),
         max_running: 1,
         max_queued: WINDOW,
         ..ServeConfig::default()

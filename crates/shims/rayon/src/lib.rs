@@ -12,11 +12,15 @@
 //! are deterministic regardless of thread interleaving — the property
 //! the Monte-Carlo and scheduling statistics rely on.
 //!
-//! [`ThreadPoolBuilder`] mirrors rayon's global pool configuration as a
-//! process-wide worker cap (the `--jobs` knob of the sweep engine);
-//! because results are order-deterministic, changing the cap never
-//! changes any computed value.
+//! [`ThreadPoolBuilder::build`] and [`ThreadPool::install`] mirror
+//! rayon's scoped pools as a worker cap: inside `install`, every
+//! parallel job of the calling thread, and of the workers those jobs
+//! spawn, uses at most the pool's thread count. The cap belongs to the
+//! threads under `install`, so capped and uncapped callers can run side
+//! by side in one process (the sweep engine's per-campaign `--jobs`);
+//! because results are order-deterministic, no cap changes any value.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -26,11 +30,12 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
-/// Global worker-count cap set by [`ThreadPoolBuilder::build_global`];
-/// `0` means "no cap" (use all hardware parallelism).
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's worker cap from [`ThreadPool::install`]; `0` = none.
+    static THREAD_CAP: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Error type of [`ThreadPoolBuilder::build_global`], mirroring
+/// Error type of [`ThreadPoolBuilder::build`], mirroring
 /// `rayon::ThreadPoolBuildError`. The shim never actually fails, but
 /// callers written against real rayon expect a `Result`.
 #[derive(Debug)]
@@ -38,20 +43,13 @@ pub struct ThreadPoolBuildError;
 
 impl std::fmt::Display for ThreadPoolBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("global thread pool configuration failed")
+        f.write_str("thread pool configuration failed")
     }
 }
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-/// Builder for the global worker configuration, mirroring
-/// `rayon::ThreadPoolBuilder`.
-///
-/// Divergence from upstream: the shim has no persistent pool, only a
-/// worker cap consulted when each parallel job spawns its scoped
-/// threads, so repeated [`ThreadPoolBuilder::build_global`] calls
-/// *reconfigure* the cap instead of erroring. The sweep engine relies
-/// on that to apply a per-campaign `--jobs` knob.
+/// Builder for a [`ThreadPool`], mirroring `rayon::ThreadPoolBuilder`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -63,34 +61,54 @@ impl ThreadPoolBuilder {
         ThreadPoolBuilder::default()
     }
 
-    /// Cap the number of worker threads; `0` restores "use all cores".
+    /// Cap the number of worker threads; `0` means "use all cores".
     pub fn num_threads(mut self, n: usize) -> ThreadPoolBuilder {
         self.num_threads = n;
         self
     }
 
-    /// Install the configuration globally.
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        MAX_THREADS.store(self.num_threads, Ordering::SeqCst);
-        Ok(())
+    /// Build the pool.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        Ok(ThreadPool {
+            num_threads: self.num_threads,
+        })
     }
 }
 
-/// The raw global worker cap (`0` = uncapped) — a shim extension with
-/// no upstream rayon equivalent, letting callers that reconfigure the
-/// cap temporarily (the sweep engine's per-campaign `--jobs`) save and
-/// restore the previous value.
-pub fn current_thread_cap() -> usize {
-    MAX_THREADS.load(Ordering::SeqCst)
+/// A worker cap, mirroring `rayon::ThreadPool`. Unlike upstream, it
+/// keeps no threads: [`install`](ThreadPool::install) runs `op` on the
+/// calling thread, and many threads may share one pool.
+#[derive(Debug)]
+pub struct ThreadPool {
+    num_threads: usize,
 }
 
-/// Number of threads a saturating parallel job would use right now,
-/// mirroring `rayon::current_num_threads`.
+impl ThreadPool {
+    /// Run `op` under this pool's cap; the calling thread's previous
+    /// cap is back when `op` returns or unwinds.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                THREAD_CAP.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(THREAD_CAP.with(|c| c.replace(self.num_threads)));
+        op()
+    }
+}
+
+/// Number of threads a saturating parallel job of this thread would
+/// use right now, mirroring `rayon::current_num_threads`.
 pub fn current_num_threads() -> usize {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    match MAX_THREADS.load(Ordering::SeqCst) {
+    match THREAD_CAP.with(Cell::get) {
         0 => hw,
         cap => hw.min(cap),
     }
@@ -120,17 +138,22 @@ where
     let n_chunks = len.div_ceil(chunk_size);
     let next = AtomicUsize::new(0);
     let out: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_chunks));
+    // Workers inherit the caller's cap, as a pool's own threads would.
+    let cap = THREAD_CAP.with(Cell::get);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
+            scope.spawn(|| {
+                THREAD_CAP.with(|c| c.set(cap));
+                loop {
+                    let c = next.fetch_add(1, Ordering::Relaxed);
+                    if c >= n_chunks {
+                        break;
+                    }
+                    let lo = c * chunk_size;
+                    let hi = (lo + chunk_size).min(len);
+                    let part = produce(lo..hi);
+                    out.lock().expect("worker panicked").push((c, part));
                 }
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(len);
-                let part = produce(lo..hi);
-                out.lock().expect("worker panicked").push((c, part));
             });
         }
     });
@@ -467,21 +490,24 @@ mod tests {
     }
 
     #[test]
-    fn global_thread_cap_applies_and_clears() {
-        // Runs alongside other tests in this binary; the cap only
-        // changes how many workers spawn, never the (deterministic)
-        // results, so briefly capping is safe.
-        crate::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build_global()
-            .unwrap();
-        assert_eq!(crate::current_num_threads(), 1);
-        let v: Vec<u64> = (0..100u64).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(v[99], 100);
-        crate::ThreadPoolBuilder::new()
-            .num_threads(0)
-            .build_global()
-            .unwrap();
-        assert!(crate::current_num_threads() >= 1);
+    fn install_caps_its_own_thread_only_and_restores() {
+        let pool = crate::ThreadPoolBuilder::new().num_threads(1).build();
+        let uncapped = crate::current_num_threads();
+        let inside = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                inside.wait();
+                assert_eq!(crate::current_num_threads(), uncapped, "other threads");
+                inside.wait();
+            });
+            pool.unwrap().install(|| {
+                inside.wait();
+                assert_eq!(crate::current_num_threads(), 1);
+                let v: Vec<u64> = (0..100u64).into_par_iter().map(|i| i + 1).collect();
+                assert_eq!(v[99], 100);
+                inside.wait();
+            });
+        });
+        assert_eq!(crate::current_num_threads(), uncapped);
     }
 }
