@@ -51,8 +51,8 @@ impl CampaignObserver for CrashAfterEvents {
     fn on_event(&mut self, _event: &CampaignEvent) -> Result<(), EngineError> {
         if self.remaining == 0 {
             // Simulates a worker dying mid-lease: some events are
-            // already on the wire, the stream has no `done`, and the
-            // exit status is non-zero.
+            // already on the wire, the lease has no `lease_done`, and
+            // the exit status is non-zero.
             std::process::exit(87);
         }
         self.remaining -= 1;
@@ -113,8 +113,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             .cache(cache)
             .observer(WireObserver::new(std::io::stdout()));
         // The coordinator passes --telemetry when its own telemetry is
-        // enabled: the worker then collects spans/counters and streams a
-        // `telemetry` event home just before `done`.
+        // enabled: the worker then sends each lease's spans and
+        // counters home on its `lease_done`.
         if opts.flag("telemetry") {
             builder = builder.telemetry(Telemetry::enabled());
         }

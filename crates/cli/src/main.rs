@@ -16,7 +16,6 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("run `stochdag help` for usage");
             ExitCode::FAILURE
         }
     }
@@ -59,7 +58,9 @@ fn run(argv: &[String]) -> Result<(), String> {
             print_help();
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(format!(
+            "unknown command {other:?}; run `stochdag help` for usage"
+        )),
     }
 }
 

@@ -336,7 +336,8 @@ fn sweep_worker_speaks_the_lease_protocol() {
     };
 
     // Every planned lease on stdin, then EOF: the worker drains them
-    // and reports each cell once, framed by hello and done.
+    // and reports each cell once, after its hello; the last lease's
+    // lease_done ends the stream.
     let (ok, stdout, stderr) = worker(lease_lines.join("\n") + "\n");
     assert!(ok, "{stderr}");
     let events: Vec<CampaignEvent> = stdout
@@ -351,8 +352,8 @@ fn sweep_worker_speaks_the_lease_protocol() {
         other => panic!("expected hello first, got {other:?}"),
     }
     assert!(
-        matches!(events.last(), Some(CampaignEvent::Done { .. })),
-        "done last"
+        matches!(events.last(), Some(CampaignEvent::LeaseDone { .. })),
+        "a lease_done last"
     );
     let mut cells = std::collections::BTreeSet::new();
     for ev in &events {

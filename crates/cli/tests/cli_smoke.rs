@@ -64,6 +64,18 @@ fn unknown_command_fails_cleanly() {
 }
 
 #[test]
+fn only_an_unknown_command_points_at_the_help() {
+    let (ok, _, stderr) = stochdag(&["nosuch"]);
+    assert!(!ok);
+    assert!(stderr.contains("stochdag help"), "{stderr}");
+    // A command that failed for another reason says only why.
+    let (ok, _, stderr) = stochdag(&["sweep", "--spec", "/nonexistent.toml"]);
+    assert!(!ok);
+    assert!(stderr.contains("/nonexistent.toml"), "{stderr}");
+    assert!(!stderr.contains("stochdag help"), "{stderr}");
+}
+
+#[test]
 fn info_reports_paper_task_counts() {
     let (ok, stdout, _) = stochdag(&["info", "--class", "lu", "-k", "12"]);
     assert!(ok, "{stdout}");

@@ -94,6 +94,51 @@ fn metrics_report_is_deterministic_and_worker_invariant() {
 }
 
 #[test]
+fn worker_process_spans_reach_the_metrics_report() {
+    // Each worker process sends every lease's spans and counters on
+    // its lease_done, so a cold `--workers 2` report counts the work of
+    // both workers exactly once.
+    let (dir, spec) = scratch("worker-spans");
+    let metrics = dir.join("metrics.json");
+    let (ok, stdout, stderr) = stochdag(&[
+        "sweep",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--out",
+        dir.join("out").to_str().unwrap(),
+        "--cache",
+        dir.join("cache").to_str().unwrap(),
+        "--workers",
+        "2",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stdout}\n{stderr}");
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    let v = serde::json::parse(&text).unwrap();
+    let telemetry = v.require("detail").unwrap().require("telemetry").unwrap();
+    let count = |section: &str, name: &str, field: Option<&str>| {
+        let mut value = telemetry.require(section).unwrap().require(name).unwrap();
+        if let Some(field) = field {
+            value = value.require(field).unwrap();
+        }
+        value.as_u64()
+    };
+    assert_eq!(
+        count("spans", "estimate_cell", Some("count")),
+        Some(24),
+        "{text}"
+    );
+    assert_eq!(
+        count("counters", "cells_computed", None),
+        Some(24),
+        "{text}"
+    );
+    assert_eq!(count("counters", "worker_spawns", None), Some(2), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn trace_out_streams_parseable_spans_and_counters() {
     let (dir, spec) = scratch("trace");
     let trace = dir.join("trace.jsonl");

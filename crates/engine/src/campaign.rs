@@ -49,12 +49,6 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Event source tag of the coordinator itself (the [`Plan`] event);
-/// backends tag events with their worker slot instead.
-///
-/// [`Plan`]: CampaignEvent::Plan
-pub(crate) const COORDINATOR_SOURCE: usize = usize::MAX;
-
 /// What a backend needs to execute a campaign: the validated spec, the
 /// shared estimator registry and result cache, and the expanded plan.
 pub struct BackendContext<'a> {
@@ -68,7 +62,7 @@ pub struct BackendContext<'a> {
     /// The campaign's telemetry collector (disabled by default).
     /// Backends pass it to lease executors; process-spawning backends
     /// additionally check [`Telemetry::is_enabled`] to decide whether
-    /// workers should collect and report snapshots.
+    /// workers should collect and report per-lease deltas.
     pub telemetry: &'a Telemetry,
     /// Cooperative stop flag. In-process backends hand it to the lease
     /// executor (checked between cells); process-spawning backends
@@ -81,7 +75,7 @@ pub struct BackendContext<'a> {
     pub plan: &'a CampaignPlan,
 }
 
-/// Event delivery callback handed to backends: `(source slot, event)`.
+/// Event delivery callback handed to backends.
 ///
 /// Callable from any backend thread. The campaign merges the event,
 /// runs its observers and writes any rows it completes to the sinks on
@@ -89,7 +83,7 @@ pub struct BackendContext<'a> {
 /// under one lock; concurrent callers wait for it. So an observer that
 /// flips the campaign's [`CancelToken`] has run before the executor
 /// checks the token again.
-pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> + Sync + 'a;
+pub type Deliver<'a> = dyn Fn(CampaignEvent) -> Result<(), EngineError> + Sync + 'a;
 
 /// An execution strategy for a campaign's cells (**work-leasing**).
 ///
@@ -132,11 +126,11 @@ pub trait ExecBackend: Send + Sync {
         1
     }
 
-    /// Drain `leases`, delivering each event (tagged with its source
-    /// worker slot) as it happens. Grant batches with
-    /// [`LeaseQueue::next`]/[`LeaseQueue::poll_next`], retire them with
-    /// [`LeaseQueue::complete`] when their `LeaseDone` arrives, and
-    /// [`LeaseQueue::requeue`] the batches of a crashed worker.
+    /// Drain `leases`, delivering each event as it happens. Grant
+    /// batches with [`LeaseQueue::next`]/[`LeaseQueue::poll_next`],
+    /// retire them with [`LeaseQueue::complete`] when their `LeaseDone`
+    /// arrives, and [`LeaseQueue::requeue`] the batches of a crashed
+    /// worker.
     fn execute(
         &self,
         ctx: &BackendContext<'_>,
@@ -168,11 +162,10 @@ impl ExecBackend for InProcess {
             return Err(EngineError::cancelled());
         }
         // In-process failures (cancellation, a sink/observer error
-        // surfaced through emit) are fatal: there is no crashed process
-        // to retry around.
-        let emit = |ev: CampaignEvent| deliver(0, ev);
+        // surfaced through delivery) are fatal: there is no crashed
+        // process to retry around.
         let executor = LeaseExecutor::new(ctx);
-        executor.session(0, |_| Ok(leases.next()), |id| leases.complete(id), &emit)
+        executor.session(0, |_| Ok(leases.next()), |id| leases.complete(id), deliver)
     }
 }
 
@@ -235,7 +228,8 @@ impl MultiProcess {
     /// `current_exe() sweep-worker`. The backend appends
     /// `--spec-json PATH --leases --worker I --jobs J` plus
     /// `--cache DIR` / `--no-cache`, and `--telemetry` when the
-    /// campaign runs with an enabled [`Telemetry`] collector.
+    /// campaign runs with an enabled [`Telemetry`] collector (the
+    /// worker then sends each lease's delta on its `lease_done`).
     pub fn launcher(mut self, program: impl Into<PathBuf>, args: Vec<String>) -> MultiProcess {
         self.launcher = Some((program.into(), args));
         self
@@ -333,7 +327,7 @@ impl MultiProcess {
         // Handshake: the worker validates the spec and says hello
         // before the first lease is written.
         match Self::next_event(&mut lines, ctx.telemetry) {
-            EventRead::Event(ev @ CampaignEvent::Hello { .. }) => deliver(slot, ev)?,
+            EventRead::Event(ev @ CampaignEvent::Hello { .. }) => deliver(ev)?,
             EventRead::Event(_) => {
                 return Ok(SlotEnd::Failed {
                     why: "protocol violation: first event was not hello".into(),
@@ -393,28 +387,15 @@ impl MultiProcess {
                 continue;
             }
             match Self::next_event(&mut lines, ctx.telemetry) {
-                EventRead::Event(CampaignEvent::LeaseDone {
-                    lease_id,
-                    cells,
-                    hits,
-                    misses,
-                }) => {
+                EventRead::Event(ev @ CampaignEvent::LeaseDone { lease_id, .. }) => {
                     held.remove(&lease_id);
-                    deliver(
-                        slot,
-                        CampaignEvent::LeaseDone {
-                            lease_id,
-                            cells,
-                            hits,
-                            misses,
-                        },
-                    )?;
+                    deliver(ev)?;
                     leases.complete(lease_id);
                     if ctx.cancel.is_cancelled() {
                         return Err(EngineError::cancelled());
                     }
                 }
-                EventRead::Event(ev) => deliver(slot, ev)?,
+                EventRead::Event(ev) => deliver(ev)?,
                 EventRead::Failed(why) => {
                     return Ok(SlotEnd::Failed {
                         why,
@@ -429,21 +410,10 @@ impl MultiProcess {
                 }
             }
         }
-        // Queue drained: close the worker's stdin so it exits, then
-        // drain its trailing telemetry/done events.
+        // Queue drained and every lease this worker held is merged:
+        // close its stdin so it exits, and read its stream to EOF.
         drop(stdin);
-        loop {
-            match Self::next_event(&mut lines, ctx.telemetry) {
-                EventRead::Event(ev) => deliver(slot, ev)?,
-                EventRead::Failed(why) => {
-                    return Ok(SlotEnd::Failed {
-                        why,
-                        lost: Vec::new(),
-                    })
-                }
-                EventRead::Eof => break,
-            }
-        }
+        lines.for_each(drop);
         match child.wait() {
             Ok(status) if status.success() => {}
             // Every lease is completed and merged; a worker that
@@ -483,17 +453,7 @@ impl MultiProcess {
                     let _ = child.kill();
                     let _ = child.wait();
                     for lease in &lost {
-                        if !leases.requeue(lease.lease_id) {
-                            leases.close();
-                            return Err(EngineError::worker(
-                                slot,
-                                format!(
-                                    "lease {} failed after {} attempts (last: {why})",
-                                    lease.lease_id,
-                                    leases.attempts(lease.lease_id)
-                                ),
-                            ));
-                        }
+                        leases.requeue(lease.lease_id, format_args!("worker {slot}: {why}"))?;
                     }
                     if budget == 0 {
                         // Re-queued leases go to surviving slots; if
@@ -651,9 +611,9 @@ impl Merge {
 
     /// Returns `true` when this event re-delivers something already
     /// merged — a re-queued lease's duplicate, a re-spawned worker's
-    /// `hello`/`telemetry`/`done` — so neither observers (progress
-    /// counters!) nor the row pipeline see it twice.
-    pub(crate) fn is_duplicate(&mut self, source: usize, event: &CampaignEvent) -> bool {
+    /// `hello` — so neither observers (progress counters!) nor the row
+    /// pipeline see it twice.
+    pub(crate) fn is_duplicate(&mut self, event: &CampaignEvent) -> bool {
         let key = match event {
             CampaignEvent::Cell { index, .. } => return self.seen_cells.contains(index),
             CampaignEvent::LeaseDone { lease_id, .. } => return self.lease_done.contains(lease_id),
@@ -662,22 +622,14 @@ impl Merge {
             CampaignEvent::Reference {
                 scenario: Some(g), ..
             } => ("reference", *g),
-            CampaignEvent::Done { .. } => ("done", source),
-            CampaignEvent::Telemetry { shard, .. } => ("telemetry", *shard),
             CampaignEvent::Reference { scenario: None, .. }
-            | CampaignEvent::LeaseStart { .. }
             | CampaignEvent::Error { .. }
             | CampaignEvent::Unknown { .. } => return false,
         };
         !self.delivered.insert(key)
     }
 
-    pub(crate) fn observe(
-        &mut self,
-        source: usize,
-        event: CampaignEvent,
-        sinks: &mut [&mut dyn ResultSink],
-    ) {
+    pub(crate) fn observe(&mut self, event: CampaignEvent, sinks: &mut [&mut dyn ResultSink]) {
         match event {
             CampaignEvent::Plan {
                 cells, references, ..
@@ -687,7 +639,7 @@ impl Merge {
             } => {
                 if !self.seen_cells.insert(index) {
                     self.record_error(EngineError::worker(
-                        source,
+                        None,
                         format!("cell {index} delivered twice"),
                     ));
                     return;
@@ -731,17 +683,12 @@ impl Merge {
                 }
             }
             CampaignEvent::Error { message, .. } => {
-                self.record_error(EngineError::worker(source, message));
+                self.record_error(EngineError::worker(None, message));
             }
-            // Snapshot merging is the campaign core's business (it
-            // owns the Telemetry handle); unknown events are a newer
-            // writer's vocabulary — none of these affect row
-            // bookkeeping.
+            // Unknown events are another build's vocabulary — none of
+            // these affect row bookkeeping.
             CampaignEvent::Hello { .. }
-            | CampaignEvent::LeaseStart { .. }
             | CampaignEvent::Reference { .. }
-            | CampaignEvent::Done { .. }
-            | CampaignEvent::Telemetry { .. }
             | CampaignEvent::Unknown { .. } => {}
         }
     }
@@ -828,7 +775,7 @@ pub fn merge_event_streams<R: BufRead>(
         match event {
             Ok(ev) => {
                 progress.observe(&ev);
-                merge.observe(0, ev, sinks);
+                merge.observe(ev, sinks);
             }
             Err(e) => {
                 merge.record_error(EngineError::worker(None, e));
@@ -1002,8 +949,7 @@ impl Campaign {
     /// worker process attaches a
     /// [`WireObserver`](crate::WireObserver) on stdout. Returns when
     /// `input` reaches EOF (the coordinator closed the pipe after the
-    /// queue drained). `worker` tags this worker's `Hello`/`Telemetry`
-    /// events.
+    /// queue drained). `worker` tags this worker's `Hello`.
     pub fn serve_leases(
         mut self,
         worker: usize,
@@ -1056,7 +1002,7 @@ impl Campaign {
     /// plans the campaign, announces the plan, runs the backend over
     /// the lease queue on the calling thread, merges its event stream
     /// (dedup, re-sequencing, completeness) as it is delivered, feeds
-    /// observers and sinks, and folds worker telemetry snapshots into
+    /// observers and sinks, and folds each lease's telemetry delta into
     /// the campaign's collector.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_core(
@@ -1081,7 +1027,7 @@ impl Campaign {
             observers,
             sinks,
         });
-        let deliver = |source: usize, event: CampaignEvent| -> Result<(), EngineError> {
+        let deliver = |event: CampaignEvent| -> Result<(), EngineError> {
             // Only time the lock when telemetry is on: the disabled
             // path stays clock-free.
             let mut core = if telemetry.is_enabled() {
@@ -1092,20 +1038,17 @@ impl Campaign {
             } else {
                 core.lock().expect("campaign merge")
             };
-            core.dispatch(source, event, telemetry);
+            core.dispatch(event, telemetry);
             Ok(())
         };
         // The coordinator announces the authoritative totals before
         // any worker starts — under leasing no worker can (it does not
         // know how many leases it will win).
-        deliver(
-            COORDINATOR_SOURCE,
-            CampaignEvent::Plan {
-                cells: plan.cells(),
-                references: plan.references(),
-                leases: leases.total(),
-            },
-        )?;
+        deliver(CampaignEvent::Plan {
+            cells: plan.cells(),
+            references: plan.references(),
+            leases: leases.total(),
+        })?;
         let ctx = BackendContext {
             spec,
             registry,
@@ -1142,7 +1085,7 @@ struct Delivery<'o, 's, 'r> {
 }
 
 impl Delivery<'_, '_, '_> {
-    fn dispatch(&mut self, source: usize, event: CampaignEvent, telemetry: &Telemetry) {
+    fn dispatch(&mut self, mut event: CampaignEvent, collector: &Telemetry) {
         // After the first error (a sink or observer failure) the
         // campaign's fate is sealed: stop dispatching to observers and
         // sinks and just drain. The backend cannot be cancelled
@@ -1154,21 +1097,24 @@ impl Delivery<'_, '_, '_> {
         // A re-queued lease re-delivers events its crashed attempt
         // already sent; drop them before observers so progress
         // counters and custom monitors stay exact.
-        if self.merge.is_duplicate(source, &event) {
+        if self.merge.is_duplicate(&event) {
             return;
         }
-        // Fold each worker's aggregate into the campaign's collector —
-        // the same path whether the snapshot came from an in-process
-        // session or over a worker pipe.
-        if let CampaignEvent::Telemetry { snapshot, .. } = &event {
-            telemetry.merge(snapshot);
+        // Fold each lease's delta into the campaign's collector, once
+        // per lease id like its cache totals — the same path whether it
+        // came from an in-process lease, a worker pipe or a spool
+        // stream. Observers get the event without it.
+        if let CampaignEvent::LeaseDone { telemetry, .. } = &mut event {
+            if let Some(delta) = telemetry.take() {
+                collector.merge(&delta);
+            }
         }
         for obs in self.observers.iter_mut() {
             if let Err(e) = obs.on_event(&event) {
                 self.merge.record_error(e);
             }
         }
-        self.merge.observe(source, event, self.sinks);
+        self.merge.observe(event, self.sinks);
     }
 }
 
@@ -1240,8 +1186,9 @@ impl CampaignBuilder {
     /// keep the original: after [`Campaign::run`] it holds the merged
     /// spans and counters of every worker, ready for
     /// [`Telemetry::report`]. With an enabled collector,
-    /// [`MultiProcess`] workers are spawned with `--telemetry` and
-    /// their snapshots merge in over the wire.
+    /// [`MultiProcess`] workers are spawned with `--telemetry`, spool
+    /// workers read the same from `meta.json`, and every lease's delta
+    /// merges in from its `lease_done`.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self

@@ -6,8 +6,8 @@
 //! [`LeaseQueue`] of [`WorkLease`] cell batches — one lease per
 //! (instance × estimator) group, so the per-group estimator
 //! preparation amortizes — and workers *pull* the next batch whenever
-//! they finish one. A lease whose worker crashes is re-queued (bounded
-//! by [`LeaseQueue::with_max_attempts`]) and any worker may pick it up:
+//! they finish one. A lease whose worker crashes is re-queued (each
+//! lease is granted at most twice) and any worker may pick it up:
 //! results are deterministic and the campaign merge deduplicates by
 //! cell index, so duplicated attempts are harmless.
 //!
@@ -20,7 +20,8 @@
 //! * [`LeaseQueue`] — the thread-safe ready queue: [`LeaseQueue::next`]
 //!   / [`LeaseQueue::poll_next`] hand out batches,
 //!   [`LeaseQueue::complete`] retires them, [`LeaseQueue::requeue`]
-//!   returns a crashed worker's batch for another attempt.
+//!   returns a crashed worker's batch for another attempt or fails the
+//!   campaign.
 //! * [`LeaseExecutor`] — the cache-first cell evaluator shared by every
 //!   consumer, which is what keeps lease interleavings byte-identical
 //!   to a single-process run.
@@ -28,8 +29,8 @@
 //!   calling thread plus scoped helpers, each under a rayon pool capped
 //!   at the session's `--jobs`. In-process campaigns (source: the
 //!   queue), `sweep-worker --leases` (source: stdin lines) and spool
-//!   workers (source: spool claims) all run it; the first two wrap it
-//!   in the executor's `hello` → leases → `telemetry` → `done` session.
+//!   workers (source: spool claims) all run it; the first two open it
+//!   with the executor's `hello`.
 //!   The cap is a value of the session, not of the process, so capped
 //!   campaigns in one process run side by side.
 //!
@@ -49,7 +50,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use stochdag_core::{Estimate, Estimator, MonteCarloEstimator, PreparedEstimator};
 use stochdag_dag::{structural_hash, PreparedDag};
 
@@ -99,6 +100,9 @@ pub fn decode_lease(line: &str) -> Result<WorkLease, String> {
         .map_err(|e| format!("bad lease request {line:?}: {e}"))
 }
 
+/// Grants per lease: the initial attempt plus one retry.
+const MAX_ATTEMPTS: usize = 2;
+
 /// What [`LeaseQueue::poll_next`] observed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LeasePoll {
@@ -114,11 +118,9 @@ pub enum LeasePoll {
 struct QueueInner {
     ready: VecDeque<usize>,
     by_id: HashMap<usize, WorkLease>,
-    outstanding: HashSet<usize>,
     completed: HashSet<usize>,
     attempts: HashMap<usize, usize>,
     total: usize,
-    max_attempts: usize,
     closed: bool,
 }
 
@@ -126,7 +128,6 @@ impl QueueInner {
     fn grant(&mut self) -> Option<WorkLease> {
         let id = self.ready.pop_front()?;
         *self.attempts.entry(id).or_insert(0) += 1;
-        self.outstanding.insert(id);
         Some(self.by_id[&id].clone())
     }
 
@@ -145,9 +146,8 @@ impl QueueInner {
 /// to pull a batch, and [`complete`](LeaseQueue::complete) when its
 /// `LeaseDone` arrives. When a consumer dies mid-lease,
 /// [`requeue`](LeaseQueue::requeue) puts the batch back for any other
-/// consumer — up to `max_attempts` grants per lease (default 2: the
-/// initial attempt plus one retry), after which `requeue` refuses and
-/// the campaign fails.
+/// consumer — up to two grants per lease (the initial attempt plus one
+/// retry), after which `requeue` fails the campaign.
 ///
 /// All methods take `&self`; the queue is fully thread-safe.
 pub struct LeaseQueue {
@@ -167,20 +167,12 @@ impl LeaseQueue {
                 total: by_id.len(),
                 ready,
                 by_id,
-                outstanding: HashSet::new(),
                 completed: HashSet::new(),
                 attempts: HashMap::new(),
-                max_attempts: 2,
                 closed: false,
             }),
             cvar: Condvar::new(),
         }
-    }
-
-    /// Change the per-lease grant cap (minimum 1).
-    pub fn with_max_attempts(self, max_attempts: usize) -> LeaseQueue {
-        self.inner.lock().expect("lease queue").max_attempts = max_attempts.max(1);
-        self
     }
 
     /// Grant the next ready lease, or `None` when nothing is ready
@@ -218,30 +210,35 @@ impl LeaseQueue {
     /// Retire a finished lease (its `LeaseDone` arrived).
     pub fn complete(&self, lease_id: usize) {
         let mut inner = self.inner.lock().expect("lease queue");
-        inner.outstanding.remove(&lease_id);
         inner.completed.insert(lease_id);
         self.cvar.notify_all();
     }
 
-    /// Return a crashed consumer's lease for another attempt. `true`
-    /// when the lease is back in the queue (or already completed by a
-    /// duplicate attempt — a stale spool reclaim, for instance);
-    /// `false` when the lease has exhausted its grant cap and the
-    /// campaign must fail.
-    pub fn requeue(&self, lease_id: usize) -> bool {
+    /// Return a failed attempt's lease for another attempt: `Ok` when
+    /// the lease is back in the queue (or already completed by a
+    /// duplicate attempt — a stale spool reclaim, for instance). Once
+    /// the lease has used both its grants, the queue closes and the
+    /// campaign's error is returned: `lease N failed after K attempts
+    /// (last: why)`.
+    pub fn requeue(&self, lease_id: usize, why: impl std::fmt::Display) -> Result<(), EngineError> {
         let mut inner = self.inner.lock().expect("lease queue");
         if inner.completed.contains(&lease_id) || !inner.by_id.contains_key(&lease_id) {
-            return true;
+            return Ok(());
         }
-        if inner.attempts.get(&lease_id).copied().unwrap_or(0) >= inner.max_attempts {
-            return false;
+        let attempts = inner.attempts.get(&lease_id).copied().unwrap_or(0);
+        if attempts >= MAX_ATTEMPTS {
+            inner.closed = true;
+            self.cvar.notify_all();
+            return Err(EngineError::worker(
+                None,
+                format!("lease {lease_id} failed after {attempts} attempts (last: {why})"),
+            ));
         }
-        inner.outstanding.remove(&lease_id);
         if !inner.ready.contains(&lease_id) {
             inner.ready.push_back(lease_id);
         }
         self.cvar.notify_all();
-        true
+        Ok(())
     }
 
     /// Stop handing out leases: every subsequent poll observes
@@ -281,11 +278,6 @@ impl LeaseQueue {
     /// Total number of leases in the campaign.
     pub fn total(&self) -> usize {
         self.inner.lock().expect("lease queue").total
-    }
-
-    /// Leases granted but neither completed nor re-queued.
-    pub fn outstanding_count(&self) -> usize {
-        self.inner.lock().expect("lease queue").outstanding.len()
     }
 
     /// Leases completed so far.
@@ -452,7 +444,7 @@ pub struct LeaseExecutor<'a> {
     spec: &'a SweepSpec,
     registry: &'a EstimatorRegistry,
     cache: &'a ResultCache,
-    tel: Telemetry,
+    telemetry: &'a Telemetry,
     cancel: &'a CancelToken,
     plan: &'a CampaignPlan,
     prepared: Vec<OnceLock<PreparedDag>>,
@@ -460,16 +452,16 @@ pub struct LeaseExecutor<'a> {
 }
 
 impl<'a> LeaseExecutor<'a> {
-    /// Executor over the context's plan. Telemetry goes to a child
-    /// collector of the campaign's (see
-    /// [`telemetry`](LeaseExecutor::telemetry)).
+    /// Executor over the context's plan. Each lease collects into its
+    /// own [`Telemetry::child`] of the campaign's collector and reports
+    /// it on its `lease_done`.
     pub fn new(ctx: &BackendContext<'a>) -> LeaseExecutor<'a> {
         let plan = ctx.plan;
         LeaseExecutor {
             spec: ctx.spec,
             registry: ctx.registry,
             cache: ctx.cache,
-            tel: ctx.telemetry.child(),
+            telemetry: ctx.telemetry,
             cancel: ctx.cancel,
             plan,
             prepared: (0..plan.expansion.instances.len())
@@ -479,19 +471,11 @@ impl<'a> LeaseExecutor<'a> {
         }
     }
 
-    /// The executor's session-local telemetry collector (a
-    /// [`Telemetry::child`] of the campaign's): snapshot it into a
-    /// [`Telemetry`](CampaignEvent::Telemetry) event when the session
-    /// ends, as the shipped backends do.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
     /// One worker session: `hello` (worker slot `shard`, thread cap
     /// `jobs`: the spec's, else this host's cores), then the leases
     /// `next` hands out on [`session_threads`] threads under that cap
     /// ([`drain`]), each passed to `complete` once its `lease_done` is
-    /// emitted, then the session's telemetry (when enabled) and `done`.
+    /// emitted.
     pub(crate) fn session(
         &self,
         shard: usize,
@@ -499,7 +483,6 @@ impl<'a> LeaseExecutor<'a> {
         complete: impl Fn(usize) + Sync,
         emit: &(dyn Fn(CampaignEvent) -> Result<(), EngineError> + Sync),
     ) -> Result<(), EngineError> {
-        let start = Instant::now();
         let jobs = self.spec.jobs.unwrap_or_else(cores);
         emit(CampaignEvent::Hello { shard, jobs })?;
         let threads = session_threads(jobs, self.plan.leases().len());
@@ -507,32 +490,22 @@ impl<'a> LeaseExecutor<'a> {
             self.run(&lease, emit)?;
             complete(lease.lease_id);
             Ok(())
-        })?;
-        if self.tel.is_enabled() {
-            self.tel
-                .record_span_duration("worker_shard", start.elapsed());
-            emit(CampaignEvent::Telemetry {
-                shard,
-                snapshot: self.tel.snapshot(),
-            })?;
-        }
-        emit(CampaignEvent::Done {
-            wall_s: start.elapsed().as_secs_f64(),
         })
     }
 
-    fn prepared_dag(&self, i: usize) -> &PreparedDag {
+    fn prepared_dag(&self, i: usize, tel: &Telemetry) -> &PreparedDag {
         self.prepared[i].get_or_init(|| {
-            let _freeze = self.tel.span("prepare_dag");
+            let _freeze = tel.span("prepare_dag");
             PreparedDag::new(self.plan.expansion.instances[i].dag.clone())
         })
     }
 
-    /// Execute one lease, emitting `LeaseStart`, one event per
-    /// reference/cell, and `LeaseDone` with the attempt's cache
-    /// totals. Cancellation is polled between cells; an `emit` error
-    /// aborts the lease (already-computed cells are in the cache, so a
-    /// re-queued attempt resumes cheaply).
+    /// Execute one lease, emitting one event per reference/cell and
+    /// `LeaseDone` with the attempt's cache totals and, when the
+    /// campaign collects telemetry, the lease's own spans and counters.
+    /// Cancellation is polled between cells; an `emit` error aborts the
+    /// lease (already-computed cells are in the cache, so a re-queued
+    /// attempt resumes cheaply).
     pub fn run(
         &self,
         lease: &WorkLease,
@@ -546,10 +519,7 @@ impl<'a> LeaseExecutor<'a> {
         } = &self.plan.expansion;
         let (m_count, e_count) = (self.plan.m_count, self.plan.e_count);
         let total = self.plan.cells();
-        emit(CampaignEvent::LeaseStart {
-            lease_id: lease.lease_id,
-            cells: lease.cells.len(),
-        })?;
+        let tel = self.telemetry.child();
         let mut hits = 0usize;
         let mut misses = 0usize;
         let mut count = |tier: Option<CacheTier>| {
@@ -577,7 +547,7 @@ impl<'a> LeaseExecutor<'a> {
             let e = idx % e_count;
             let m = (idx / e_count) % m_count;
             let i = idx / (e_count * m_count);
-            let pdag = self.prepared_dag(i);
+            let pdag = self.prepared_dag(i, &tel);
             let entry = &models[i][m];
             let (model, label) = (&entry.model, &entry.label);
             let scenario = i * m_count + m;
@@ -598,7 +568,7 @@ impl<'a> LeaseExecutor<'a> {
                         let sampling = self.spec.reference_sampling;
                         let mut ref_prep: Option<Box<dyn PreparedEstimator>> = None;
                         let (est, tier) = evaluate_unit(
-                            &self.tel,
+                            &tel,
                             "reference_mc",
                             self.cache,
                             &key,
@@ -612,7 +582,7 @@ impl<'a> LeaseExecutor<'a> {
                                     .prepare(pdag)
                             },
                         )?;
-                        self.tel.count_lookup("references", tier);
+                        tel.count_lookup("references", tier);
                         count(tier);
                         emit(CampaignEvent::Reference {
                             cached: tier.is_some(),
@@ -632,7 +602,7 @@ impl<'a> LeaseExecutor<'a> {
                 prep_group = Some((i, e));
             }
             let (est, tier) = evaluate_unit(
-                &self.tel,
+                &tel,
                 "estimate_cell",
                 self.cache,
                 &key,
@@ -647,7 +617,7 @@ impl<'a> LeaseExecutor<'a> {
                         .prepare(pdag)
                 },
             )?;
-            self.tel.count_lookup("cells", tier);
+            tel.count_lookup("cells", tier);
             count(tier);
             let row = make_row(
                 &instances[i].id,
@@ -671,6 +641,7 @@ impl<'a> LeaseExecutor<'a> {
             cells: lease.cells.len(),
             hits,
             misses,
+            telemetry: tel.is_enabled().then(|| tel.snapshot()),
         })
     }
 }
@@ -707,7 +678,6 @@ mod tests {
         let a = q.next().unwrap();
         let b = q.next().unwrap();
         assert_eq!((a.lease_id, b.lease_id), (0, 1));
-        assert_eq!(q.outstanding_count(), 2);
         q.complete(a.lease_id);
         q.complete(b.lease_id);
         assert!(!q.is_drained());
@@ -741,21 +711,27 @@ mod tests {
         let q = LeaseQueue::new(vec![lease(0), lease(1)]);
         let first = q.next().unwrap();
         assert_eq!(q.attempts(first.lease_id), 1);
-        assert!(q.requeue(first.lease_id), "first retry is allowed");
+        q.requeue(first.lease_id, "crashed")
+            .expect("first retry is allowed");
         let again = q.next().unwrap();
         assert_eq!(again.lease_id, 1, "requeued lease goes to the back");
         let retried = q.next().unwrap();
         assert_eq!(retried.lease_id, first.lease_id);
         assert_eq!(q.attempts(first.lease_id), 2);
-        assert!(
-            !q.requeue(first.lease_id),
-            "second failure exhausts the default cap"
-        );
         // A completed lease's stale requeue (e.g. a spool reclaim that
         // raced a slow worker) is a harmless no-op.
         q.complete(again.lease_id);
-        assert!(q.requeue(again.lease_id));
+        q.requeue(again.lease_id, "stale").unwrap();
         assert_eq!(q.completed_count(), 1);
+        // The second failure exhausts the cap: the campaign's error
+        // names the last failure, and the queue hands out nothing more.
+        let err = q.requeue(first.lease_id, "crashed again").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "lease 0 failed after 2 attempts (last: crashed again)"
+        );
+        assert_eq!(q.poll_next(Duration::ZERO), LeasePoll::Drained);
+        assert!(!q.is_drained(), "a failed campaign is not drained");
     }
 
     #[test]

@@ -147,11 +147,8 @@ impl ProgressReporter {
                 self.lookups += 1;
                 self.cache_hits += usize::from(*cached);
             }
-            CampaignEvent::LeaseStart { .. }
-            | CampaignEvent::LeaseDone { .. }
-            | CampaignEvent::Done { .. }
+            CampaignEvent::LeaseDone { .. }
             | CampaignEvent::Error { .. }
-            | CampaignEvent::Telemetry { .. }
             | CampaignEvent::Unknown { .. } => {}
         }
         self.render(false);
@@ -395,10 +392,6 @@ mod tests {
         for w in 0..2 {
             p.observe(&CampaignEvent::Hello { shard: w, jobs: 2 });
         }
-        p.observe(&CampaignEvent::LeaseStart {
-            lease_id: 0,
-            cells: 2,
-        });
         p.observe(&CampaignEvent::Reference {
             cached: true,
             scenario: Some(0),
@@ -408,6 +401,7 @@ mod tests {
             cells: 2,
             hits: 1,
             misses: 2,
+            telemetry: None,
         });
         p.finish();
         let text = buf.text();

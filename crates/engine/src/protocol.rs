@@ -15,24 +15,28 @@
 //! |-------|-----------|---------|
 //! | `plan` | coordinator → observers | campaign totals + lease count |
 //! | `hello` | worker → coordinator | worker accepted the spec; ready for leases |
-//! | `lease_start` | worker → coordinator | a work lease began executing |
 //! | `reference` | worker → coordinator | one MC reference scenario done |
 //! | `cell` | worker → coordinator | one estimator cell done (full row) |
-//! | `lease_done` | worker → coordinator | lease complete; batch cache totals |
-//! | `done` | worker → coordinator | worker session finished |
+//! | `lease_done` | worker → coordinator | lease complete; batch cache totals, telemetry delta |
 //! | `error` | worker → coordinator | worker aborted with a message |
-//! | `telemetry` | worker → coordinator | worker's metrics snapshot |
+//!
+//! A worker session is `hello` followed by its leases; the end of its
+//! stream ends the session. `lease_done` carries the lease's telemetry
+//! delta when the campaign collects telemetry; the coordinator folds
+//! it into the campaign's collector and hands observers the event
+//! without it.
 //!
 //! The vocabulary is **additively extensible**: a decoder maps an
 //! unrecognised `"event"` tag to [`CampaignEvent::Unknown`] instead of
-//! failing, so a coordinator built before `telemetry` existed replays
-//! newer streams unharmed (malformed JSON and missing fields of known
-//! events are still hard errors). The optional `cell.tier`,
-//! `error.kind` and `reference.scenario` decode as `None` when absent,
-//! and `hello.jobs` as `0` (not reported: older builds left it out of
-//! uncapped sessions). Keys a decoder does not know are ignored, so a
-//! `hello` or `done` line of an older build, which carried
-//! since-retired keys, still decodes.
+//! failing, so older builds replay newer streams unharmed (malformed
+//! JSON and missing fields of known events are still hard errors).
+//! The retired `lease_start`, `telemetry` and `done` tags of older
+//! builds' streams decode as `Unknown` too. The optional `cell.tier`,
+//! `error.kind`, `reference.scenario` and `lease_done.telemetry`
+//! decode as `None` when absent, and `hello.jobs` as `0` (not
+//! reported: older builds left it out of uncapped sessions). Keys a
+//! decoder does not know are ignored, so a `hello` line of an older
+//! build, which carried since-retired keys, still decodes.
 //!
 //! `cell` events carry the complete [`SweepRow`], so the coordinator
 //! can re-sequence rows into deterministic cell order and write the
@@ -81,13 +85,6 @@ pub enum CampaignEvent {
         /// when not reported (an older build's uncapped session).
         jobs: usize,
     },
-    /// A worker started executing a leased cell batch.
-    LeaseStart {
-        /// Lease id (stable across re-queued attempts).
-        lease_id: usize,
-        /// Number of cells in the batch.
-        cells: usize,
-    },
     /// One reference scenario finished (cached or computed).
     Reference {
         /// Whether the result came from the shared cache.
@@ -110,10 +107,11 @@ pub enum CampaignEvent {
         /// The full result row, ready for the sinks.
         row: SweepRow,
     },
-    /// A leased cell batch finished. The cache totals cover exactly the
-    /// probes this attempt performed (cells plus any reference
-    /// scenarios it resolved first); the coordinator deduplicates by
-    /// `lease_id`, so a re-queued lease's totals count once.
+    /// A leased cell batch finished. The cache totals and the
+    /// telemetry delta cover exactly what this attempt did (cells plus
+    /// any reference scenarios it resolved first); the coordinator
+    /// deduplicates by `lease_id`, so a re-queued lease's totals count
+    /// once.
     LeaseDone {
         /// Lease id.
         lease_id: usize,
@@ -123,12 +121,10 @@ pub enum CampaignEvent {
         hits: usize,
         /// Cache misses (computed fresh).
         misses: usize,
-    },
-    /// Last event of a successful worker session (cache totals travel
-    /// per lease, on [`LeaseDone`](CampaignEvent::LeaseDone)).
-    Done {
-        /// Worker wall-clock seconds for the session.
-        wall_s: f64,
+        /// The lease's spans and counters, when the campaign runs with
+        /// an enabled [`Telemetry`](crate::Telemetry) collector. The
+        /// campaign core folds it in and strips it before observers.
+        telemetry: Option<MetricsSnapshot>,
     },
     /// A worker aborted. [`MultiProcess`](crate::MultiProcess)
     /// re-queues that worker's leases; anywhere else the campaign
@@ -140,16 +136,6 @@ pub enum CampaignEvent {
         /// of the failure (`None` from pre-telemetry workers), so the
         /// coordinator can tally failures by kind.
         kind: Option<String>,
-    },
-    /// A worker session's telemetry aggregate, emitted just before
-    /// `done` when the campaign runs with an enabled
-    /// [`Telemetry`](crate::Telemetry) collector.
-    Telemetry {
-        /// Worker slot (0-based), the coordinator's dedup key across a
-        /// re-spawned worker's sessions.
-        shard: usize,
-        /// The session collector's final aggregates.
-        snapshot: MetricsSnapshot,
     },
     /// An event this build does not understand — a newer writer's
     /// vocabulary. Merges and observers skip it; re-encoding preserves
@@ -177,11 +163,6 @@ impl Serialize for CampaignEvent {
                 ("event", Value::Str("hello".into())),
                 ("shard", shard.serialize()),
                 ("jobs", jobs.serialize()),
-            ]),
-            CampaignEvent::LeaseStart { lease_id, cells } => Value::obj([
-                ("event", Value::Str("lease_start".into())),
-                ("lease_id", lease_id.serialize()),
-                ("cells", cells.serialize()),
             ]),
             CampaignEvent::Reference { cached, scenario } => {
                 let mut fields = vec![
@@ -215,17 +196,20 @@ impl Serialize for CampaignEvent {
                 cells,
                 hits,
                 misses,
-            } => Value::obj([
-                ("event", Value::Str("lease_done".into())),
-                ("lease_id", lease_id.serialize()),
-                ("cells", cells.serialize()),
-                ("hits", hits.serialize()),
-                ("misses", misses.serialize()),
-            ]),
-            CampaignEvent::Done { wall_s } => Value::obj([
-                ("event", Value::Str("done".into())),
-                ("wall_s", wall_s.serialize()),
-            ]),
+                telemetry,
+            } => {
+                let mut fields = vec![
+                    ("event", Value::Str("lease_done".into())),
+                    ("lease_id", lease_id.serialize()),
+                    ("cells", cells.serialize()),
+                    ("hits", hits.serialize()),
+                    ("misses", misses.serialize()),
+                ];
+                if let Some(telemetry) = telemetry {
+                    fields.push(("telemetry", telemetry.serialize()));
+                }
+                Value::obj(fields)
+            }
             CampaignEvent::Error { message, kind } => {
                 let mut fields = vec![
                     ("event", Value::Str("error".into())),
@@ -236,11 +220,6 @@ impl Serialize for CampaignEvent {
                 }
                 Value::obj(fields)
             }
-            CampaignEvent::Telemetry { shard, snapshot } => Value::obj([
-                ("event", Value::Str("telemetry".into())),
-                ("shard", shard.serialize()),
-                ("snapshot", snapshot.serialize()),
-            ]),
             CampaignEvent::Unknown { tag } => Value::obj([("event", Value::Str(tag.clone()))]),
         }
     }
@@ -258,10 +237,6 @@ impl Deserialize for CampaignEvent {
             "hello" => Ok(CampaignEvent::Hello {
                 shard: usize::deserialize(v.require("shard")?)?,
                 jobs: v.get("jobs").map_or(Ok(0), usize::deserialize)?,
-            }),
-            "lease_start" => Ok(CampaignEvent::LeaseStart {
-                lease_id: usize::deserialize(v.require("lease_id")?)?,
-                cells: usize::deserialize(v.require("cells")?)?,
             }),
             "reference" => Ok(CampaignEvent::Reference {
                 cached: bool::deserialize(v.require("cached")?)?,
@@ -289,9 +264,10 @@ impl Deserialize for CampaignEvent {
                 cells: usize::deserialize(v.require("cells")?)?,
                 hits: usize::deserialize(v.require("hits")?)?,
                 misses: usize::deserialize(v.require("misses")?)?,
-            }),
-            "done" => Ok(CampaignEvent::Done {
-                wall_s: f64::deserialize(v.require("wall_s")?)?,
+                telemetry: match v.get("telemetry") {
+                    None | Some(Value::Null) => None,
+                    Some(t) => Some(MetricsSnapshot::deserialize(t)?),
+                },
             }),
             "error" => Ok(CampaignEvent::Error {
                 message: String::deserialize(v.require("message")?)?,
@@ -300,13 +276,10 @@ impl Deserialize for CampaignEvent {
                     Some(k) => Some(String::deserialize(k)?),
                 },
             }),
-            "telemetry" => Ok(CampaignEvent::Telemetry {
-                shard: usize::deserialize(v.require("shard")?)?,
-                snapshot: MetricsSnapshot::deserialize(v.require("snapshot")?)?,
-            }),
-            // Forward compatibility: a tag this build has never heard
-            // of is a newer writer's event, not corruption — surface it
-            // as `Unknown` so replays of future streams keep working.
+            // Forward compatibility: a tag this build does not know is
+            // a newer writer's event (or an older one's retired tag),
+            // not corruption — surface it as `Unknown` so replays keep
+            // working.
             _ => Ok(CampaignEvent::Unknown { tag }),
         }
     }
@@ -379,10 +352,6 @@ mod tests {
                 leases: 12,
             },
             CampaignEvent::Hello { shard: 1, jobs: 4 },
-            CampaignEvent::LeaseStart {
-                lease_id: 7,
-                cells: 2,
-            },
             CampaignEvent::Reference {
                 cached: true,
                 scenario: None,
@@ -396,6 +365,19 @@ mod tests {
                 cells: 2,
                 hits: 1,
                 misses: 2,
+                telemetry: None,
+            },
+            CampaignEvent::LeaseDone {
+                lease_id: 8,
+                cells: 2,
+                hits: 0,
+                misses: 3,
+                telemetry: Some({
+                    let t = crate::telemetry::Telemetry::enabled();
+                    t.count("references_computed", 1);
+                    t.record_span_duration("estimate_cell", std::time::Duration::from_nanos(99));
+                    t.snapshot()
+                }),
             },
             CampaignEvent::Cell {
                 index: 17,
@@ -409,7 +391,6 @@ mod tests {
                 tier: Some(CacheTier::Disk),
                 row: sample_row(),
             },
-            CampaignEvent::Done { wall_s: 1.25 },
             CampaignEvent::Error {
                 message: "disk on fire".into(),
                 kind: None,
@@ -417,15 +398,6 @@ mod tests {
             CampaignEvent::Error {
                 message: "spec exploded".into(),
                 kind: Some("spec".into()),
-            },
-            CampaignEvent::Telemetry {
-                shard: 2,
-                snapshot: {
-                    let t = crate::telemetry::Telemetry::enabled();
-                    t.count("references_computed", 3);
-                    t.record_span_duration("estimate_cell", std::time::Duration::from_nanos(99));
-                    t.snapshot()
-                },
             },
             CampaignEvent::Unknown {
                 tag: "hyperdrive".into(),
@@ -443,12 +415,31 @@ mod tests {
         assert!(decode_event("").is_err());
         assert!(decode_event("{not json").is_err());
         assert!(decode_event("{\"event\":\"cell\",\"index\":0}").is_err());
-        // A future writer's event tag decodes as Unknown, not an error:
-        // replaying a newer stream must not abort (see module docs).
-        assert_eq!(
-            decode_event("{\"event\":\"warp\",\"factor\":9}").unwrap(),
-            CampaignEvent::Unknown { tag: "warp".into() }
-        );
+        // A future writer's event tag, or an older build's retired one,
+        // decodes as Unknown, not an error: replaying its stream must
+        // not abort (see module docs).
+        for (line, tag) in [
+            ("{\"event\":\"warp\",\"factor\":9}", "warp"),
+            (
+                "{\"event\":\"lease_start\",\"lease_id\":0,\"cells\":2}",
+                "lease_start",
+            ),
+            (
+                "{\"event\":\"telemetry\",\"shard\":0,\
+                 \"snapshot\":{\"counters\":{},\"spans\":{}}}",
+                "telemetry",
+            ),
+            (
+                "{\"event\":\"done\",\"hits\":0,\"misses\":0,\"wall_s\":0.5}",
+                "done",
+            ),
+        ] {
+            assert_eq!(
+                decode_event(line).unwrap(),
+                CampaignEvent::Unknown { tag: tag.into() },
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -478,8 +469,9 @@ mod tests {
             }
         );
         // A v1 hello (no version, no jobs) decodes with jobs 0, not
-        // reported; an older build's hello and done decode with their
-        // since-retired keys; a v1 reference (no scenario) defaults it.
+        // reported; an older build's hello decodes with its
+        // since-retired keys; a v1 reference (no scenario) defaults it,
+        // and a lease_done without telemetry carries none.
         assert_eq!(
             decode_event(
                 "{\"event\":\"hello\",\"shard\":2,\"shard_count\":3,\
@@ -497,22 +489,36 @@ mod tests {
             CampaignEvent::Hello { shard: 2, jobs: 3 }
         );
         assert_eq!(
-            decode_event("{\"event\":\"done\",\"hits\":0,\"misses\":0,\"wall_s\":0.5}").unwrap(),
-            CampaignEvent::Done { wall_s: 0.5 }
-        );
-        assert_eq!(
             decode_event("{\"event\":\"reference\",\"cached\":false}").unwrap(),
             CampaignEvent::Reference {
                 cached: false,
                 scenario: None,
             }
         );
+        assert_eq!(
+            decode_event(
+                "{\"event\":\"lease_done\",\"lease_id\":1,\"cells\":2,\"hits\":0,\"misses\":2}"
+            )
+            .unwrap(),
+            CampaignEvent::LeaseDone {
+                lease_id: 1,
+                cells: 2,
+                hits: 0,
+                misses: 2,
+                telemetry: None,
+            }
+        );
+        // A malformed delta is corruption, not tolerance.
+        assert!(decode_event(
+            "{\"event\":\"lease_done\",\"lease_id\":1,\"cells\":2,\"hits\":0,\
+             \"misses\":2,\"telemetry\":{\"spans\":{}}}"
+        )
+        .is_err());
     }
 
     #[test]
     fn lease_events_require_their_fields() {
         assert!(decode_event("{\"event\":\"plan\",\"cells\":4}").is_err());
-        assert!(decode_event("{\"event\":\"lease_start\",\"cells\":2}").is_err());
         assert!(decode_event("{\"event\":\"lease_done\",\"lease_id\":1,\"cells\":2}").is_err());
         assert_eq!(
             decode_event("{\"event\":\"plan\",\"cells\":4,\"references\":2,\"leases\":2}").unwrap(),

@@ -11,7 +11,7 @@
 //! ```text
 //! spool/
 //!   spec.json                    campaign spec (coordinator, at start)
-//!   meta.json                    campaign name, shared cache dir, spool layout
+//!   meta.json                    campaign name, shared cache dir, spool layout, telemetry
 //!   workers/{name}.json          worker registration {name, jobs, pid}
 //!   leases/open/
 //!     lease-000007-a1.json       grantable lease, attempt 1
@@ -52,21 +52,23 @@
 //! waited W notices progress within W/4 + 1 ms, while an idle spool
 //! costs each loop at most one directory scan per 50 ms.
 //!
-//! Spool workers run with telemetry disabled (snapshots would need
-//! another spool channel for little insight — worker timings are in
-//! the event streams' wake); the coordinator's own spans and counters
-//! (`worker_retries`, per-event progress) work as usual. It counts the
-//! streams it merges as `spool_leases_{name}` / `spool_cells_{name}`,
-//! the name being everything after the stream's first `.` (lease stems
-//! contain none), so they sum to the campaign's leases and cells; a
-//! skipped duplicate counts for nobody (its worker's [`SpoolSummary`]
-//! still counts it). Reclaims count as `spool_reclaims`.
+//! `meta.json`'s `telemetry` says whether the campaign collects
+//! telemetry; a worker then collects each lease's spans and counters
+//! and sends them on the lease's `lease_done`, so a spool report
+//! carries worker spans exactly as an in-process one does. Besides its
+//! own spans and counters (`worker_retries`, per-event progress), the
+//! coordinator counts the streams it merges as `spool_leases_{name}` /
+//! `spool_cells_{name}`, the name being everything after the stream's
+//! first `.` (lease stems contain none), so they sum to the campaign's
+//! leases and cells; a skipped duplicate counts for nobody (its
+//! worker's [`SpoolSummary`] still counts it). Reclaims count as
+//! `spool_reclaims`.
 //!
 //! `meta.json` names the spool layout (2). A worker refuses any other,
 //! and the coordinator fails on a stream without a worker name, so
 //! releases that disagree fail at once, not after the lease timeout.
 
-use crate::campaign::{BackendContext, Deliver, ExecBackend, COORDINATOR_SOURCE};
+use crate::campaign::{BackendContext, Deliver, ExecBackend};
 use crate::error::EngineError;
 use crate::lease::{
     cores, decode_lease, drain, encode_lease, CampaignPlan, LeaseExecutor, LeaseQueue, WorkLease,
@@ -254,6 +256,10 @@ impl ExecBackend for SharedFs {
                 },
             ),
             ("layout", serde::Serialize::serialize(&SPOOL_LAYOUT)),
+            (
+                "telemetry",
+                serde::Serialize::serialize(&ctx.telemetry.is_enabled()),
+            ),
         ]);
         let mut meta_text = String::new();
         serde::json::write_value(&meta, &mut meta_text);
@@ -291,7 +297,7 @@ impl ExecBackend for SharedFs {
                     worker_slots.insert(name.to_string(), slot);
                     last_progress = Instant::now();
                     backoff.reset();
-                    deliver(slot, CampaignEvent::Hello { shard: slot, jobs })?;
+                    deliver(CampaignEvent::Hello { shard: slot, jobs })?;
                 }
                 // Attempt streams, `{lease stem}.{worker name}.jsonl`:
                 // complete, failed or duplicate.
@@ -364,7 +370,7 @@ impl ExecBackend for SharedFs {
                     };
                     if let Some(cells) = done_cells {
                         for ev in events {
-                            deliver(0, ev)?;
+                            deliver(ev)?;
                         }
                         leases.complete(lease_id);
                         ctx.telemetry.count(&format!("spool_leases_{worker}"), 1);
@@ -376,15 +382,7 @@ impl ExecBackend for SharedFs {
                         // is cache-first) and re-queue under the
                         // per-lease attempt cap.
                         let why = why.unwrap_or_else(|| "attempt ended without lease_done".into());
-                        if !leases.requeue(lease_id) {
-                            return Err(EngineError::worker(
-                                None,
-                                format!(
-                                    "lease {lease_id} failed after {} attempts (last: {why})",
-                                    leases.attempts(lease_id)
-                                ),
-                            ));
-                        }
+                        leases.requeue(lease_id, &why)?;
                         eprintln!("spool lease {lease_id} failed ({why}); re-queueing");
                         ctx.telemetry.count("worker_retries", 1);
                         self.publish_ready(leases)?;
@@ -414,16 +412,7 @@ impl ExecBackend for SharedFs {
                         if std::fs::remove_file(&claim).is_err() {
                             continue;
                         }
-                        if !leases.requeue(lease_id) {
-                            return Err(EngineError::worker(
-                                None,
-                                format!(
-                                    "lease {lease_id} failed after {} attempts \
-                                     (last: worker lost; claim went stale)",
-                                    leases.attempts(lease_id)
-                                ),
-                            ));
-                        }
+                        leases.requeue(lease_id, "worker lost; claim went stale")?;
                         eprintln!("spool lease {lease_id}: claim went stale; re-queueing");
                         ctx.telemetry.count("worker_retries", 1);
                         ctx.telemetry.count("spool_reclaims", 1);
@@ -461,13 +450,7 @@ impl ExecBackend for SharedFs {
             }
         })();
         self.stop(if result.is_ok() { "done" } else { "abort" });
-        result?;
-        deliver(
-            COORDINATOR_SOURCE,
-            CampaignEvent::Done {
-                wall_s: start.elapsed().as_secs_f64(),
-            },
-        )
+        result
     }
 }
 
@@ -631,7 +614,11 @@ impl SpoolWorker {
         let jobs = self.jobs.unwrap_or_else(cores);
         let registry = EstimatorRegistry::standard();
         let plan = CampaignPlan::new(&spec, &registry)?;
-        let telemetry = Telemetry::disabled();
+        let telemetry = if meta.get("telemetry").and_then(Value::as_bool) == Some(true) {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        };
         let cancel = crate::cancel::CancelToken::new();
         let ctx = BackendContext {
             spec: &spec,

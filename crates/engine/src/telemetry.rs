@@ -14,7 +14,6 @@
 //! | span | where | meaning |
 //! |------|-------|---------|
 //! | `campaign` | coordinator | whole campaign, build of the report |
-//! | `worker_shard` | lease executor | one worker session, hello to done |
 //! | `prepare_dag` | lease executor | freezing one `PreparedDag` |
 //! | `prepare_estimator` | cell evaluator | one lazy group preparation |
 //! | `estimate_cell` | cell evaluator | one estimator cell's computation |
@@ -25,17 +24,19 @@
 //!
 //! ## How metrics flow
 //!
-//! Each worker session's lease executor collects into a
-//! [`Telemetry::child`] of the campaign handle and reports its
-//! aggregate as a [`CampaignEvent::Telemetry`](crate::CampaignEvent)
-//! just before its `done` event — in-process via the ordinary delivery
-//! callback, in a worker process as one wire line. The campaign core
-//! merges every snapshot (once per worker slot, retry-safe) into the
-//! campaign handle, which also records the coordinator-side spans. The
-//! merged result becomes a [`MetricsReport`] (`sweep --metrics-out`),
-//! split into a **stable** section (backend-invariant, timestamp-free
-//! — snapshot-testable bytes) and a **detail** section (timings,
-//! per-phase aggregates, worker bookkeeping).
+//! Each lease collects into its own [`Telemetry::child`] of the
+//! campaign handle and sends that delta on its
+//! [`LeaseDone`](crate::CampaignEvent::LeaseDone) event — in-process
+//! via the ordinary delivery callback, from a worker process as part
+//! of one wire line, from a spool worker in the lease's event stream.
+//! The campaign core merges each delta once per lease id (a re-queued
+//! lease counts once, like its cache totals) into the campaign handle,
+//! which also records the coordinator-side spans, and hands observers
+//! the event without it. The merged result becomes a [`MetricsReport`]
+//! (`sweep --metrics-out`), split into a **stable** section
+//! (backend-invariant, timestamp-free — snapshot-testable bytes) and a
+//! **detail** section (timings, per-phase aggregates, worker
+//! bookkeeping).
 
 use crate::cache::CacheTier;
 use crate::runner::SweepOutcome;
@@ -167,10 +168,10 @@ impl Deserialize for SpanStat {
 }
 
 /// A point-in-time copy of a [`Telemetry`] collector's aggregates:
-/// sorted counters plus per-span statistics. This is what crosses the
-/// wire from a worker process to the coordinator
-/// ([`CampaignEvent::Telemetry`](crate::CampaignEvent)) and what the
-/// detail section of a [`MetricsReport`] renders.
+/// sorted counters plus per-span statistics. This is what a lease's
+/// [`LeaseDone`](crate::CampaignEvent::LeaseDone) carries to the
+/// coordinator and what the detail section of a [`MetricsReport`]
+/// renders.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter totals by name (sorted).
@@ -362,10 +363,10 @@ impl Telemetry {
     }
 
     /// A child collector: enabled iff `self` is, with **fresh**
-    /// aggregates but the **shared** sink. Lease executors collect
-    /// into a child so each worker session's totals can cross to the
-    /// coordinator as one [`MetricsSnapshot`] and be merged exactly
-    /// once — identically for in-process and worker-process sessions.
+    /// aggregates but the **shared** sink. Each lease collects into a
+    /// child so its totals can cross to the coordinator as one
+    /// [`MetricsSnapshot`] and be merged exactly once — identically for
+    /// in-process, worker-process and spool leases.
     pub fn child(&self) -> Telemetry {
         match &self.core {
             None => Telemetry::disabled(),
@@ -619,14 +620,14 @@ mod tests {
         for _ in 0..3 {
             let _s = t.span("estimate_cell");
         }
-        t.record_span_duration("worker_shard", Duration::from_micros(250));
+        t.record_span_duration("campaign", Duration::from_micros(250));
         t.count("rows", 2);
         t.count("rows", 1);
         let snap = t.snapshot();
         assert_eq!(snap.counters["rows"], 3);
         assert_eq!(snap.spans["estimate_cell"].count, 3);
-        assert_eq!(snap.spans["worker_shard"].total_ns, 250_000);
-        assert_eq!(snap.spans["worker_shard"].min_ns, 250_000);
+        assert_eq!(snap.spans["campaign"].total_ns, 250_000);
+        assert_eq!(snap.spans["campaign"].min_ns, 250_000);
     }
 
     #[test]

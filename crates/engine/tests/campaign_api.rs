@@ -154,13 +154,10 @@ fn observers_see_the_full_event_stream() {
             let tag = match ev {
                 CampaignEvent::Plan { .. } => "plan",
                 CampaignEvent::Hello { .. } => "hello",
-                CampaignEvent::LeaseStart { .. } => "lease_start",
                 CampaignEvent::Reference { .. } => "reference",
                 CampaignEvent::Cell { .. } => "cell",
                 CampaignEvent::LeaseDone { .. } => "lease_done",
-                CampaignEvent::Done { .. } => "done",
                 CampaignEvent::Error { .. } => "error",
-                CampaignEvent::Telemetry { .. } => "telemetry",
                 CampaignEvent::Unknown { .. } => "unknown",
             };
             sink_events.lock().unwrap().push(tag.to_string());
@@ -172,7 +169,7 @@ fn observers_see_the_full_event_stream() {
     let seen = events.lock().unwrap();
     assert_eq!(seen.first().map(String::as_str), Some("plan"));
     assert_eq!(seen.get(1).map(String::as_str), Some("hello"));
-    assert_eq!(seen.last().map(String::as_str), Some("done"));
+    assert_eq!(seen.last().map(String::as_str), Some("lease_done"));
     assert_eq!(seen.iter().filter(|t| *t == "cell").count(), outcome.cells);
     assert_eq!(
         seen.iter().filter(|t| *t == "reference").count(),
@@ -255,7 +252,10 @@ fn serve_leases_streams_the_wire_protocol_through_observers() {
         }
         other => panic!("expected hello first, got {other:?}"),
     }
-    assert!(matches!(events.last(), Some(CampaignEvent::Done { .. })));
+    assert!(matches!(
+        events.last(),
+        Some(CampaignEvent::LeaseDone { .. })
+    ));
     let cells: Vec<usize> = events
         .iter()
         .filter_map(|e| match e {

@@ -177,8 +177,8 @@ fn shard_streams_cover_every_cell_exactly_once() {
             "hello first, carrying the worker slot"
         );
         assert!(
-            matches!(events.last(), Some(CampaignEvent::Done { .. })),
-            "done last"
+            matches!(events.last(), Some(CampaignEvent::LeaseDone { .. })),
+            "a lease_done last"
         );
         for ev in events {
             if let CampaignEvent::Cell { index, .. } = ev {

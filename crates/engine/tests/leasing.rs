@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use stochdag_engine::{
     decode_event, decode_lease, encode_event, encode_lease, BackendContext, Campaign,
     CampaignEvent, CsvSink, Deliver, EngineError, ExecBackend, FnObserver, LeaseExecutor,
-    LeaseQueue, ResultCache, SweepSpec, WorkLease,
+    LeaseQueue, ResultCache, SweepSpec, Telemetry, WorkLease,
 };
 
 fn spec(name: &str) -> SweepSpec {
@@ -93,17 +93,10 @@ fn csv_under(name: &str, cache: &Arc<ResultCache>, backend: impl ExecBackend + '
 }
 
 fn hello(deliver: &Deliver<'_>, ctx: &BackendContext<'_>) -> Result<(), EngineError> {
-    deliver(
-        0,
-        CampaignEvent::Hello {
-            shard: 0,
-            jobs: ctx.spec.jobs.unwrap_or(1),
-        },
-    )
-}
-
-fn done(deliver: &Deliver<'_>) -> Result<(), EngineError> {
-    deliver(0, CampaignEvent::Done { wall_s: 0.0 })
+    deliver(CampaignEvent::Hello {
+        shard: 0,
+        jobs: ctx.spec.jobs.unwrap_or(1),
+    })
 }
 
 /// Grants every lease up front, then executes them in **reverse**
@@ -129,10 +122,10 @@ impl ExecBackend for ReverseOrder {
             granted.push(lease);
         }
         for lease in granted.iter().rev() {
-            executor.run(lease, &|ev| deliver(0, ev))?;
+            executor.run(lease, deliver)?;
             leases.complete(lease.lease_id);
         }
-        done(deliver)
+        Ok(())
     }
 }
 
@@ -168,7 +161,7 @@ impl ExecBackend for SlowAndFast {
                         if slow {
                             std::thread::sleep(Duration::from_millis(15));
                         }
-                        match executor.run(&lease, &|ev| deliver(0, ev)) {
+                        match executor.run(&lease, deliver) {
                             Ok(()) => leases.complete(lease.lease_id),
                             Err(e) => {
                                 first_error.lock().unwrap().get_or_insert(e);
@@ -182,7 +175,7 @@ impl ExecBackend for SlowAndFast {
         if let Some(e) = first_error.into_inner().unwrap() {
             return Err(e);
         }
-        done(deliver)
+        Ok(())
     }
 }
 
@@ -216,7 +209,7 @@ impl ExecBackend for CrashOnceMidLease {
             let cells_seen = AtomicUsize::new(0);
             let emit = |ev: CampaignEvent| {
                 let is_cell = matches!(ev, CampaignEvent::Cell { .. });
-                deliver(0, ev)?;
+                deliver(ev)?;
                 if is_cell && crash_this && cells_seen.fetch_add(1, Ordering::SeqCst) == 0 {
                     return Err(EngineError::spec("simulated mid-lease crash"));
                 }
@@ -224,16 +217,15 @@ impl ExecBackend for CrashOnceMidLease {
             };
             match executor.run(&lease, &emit) {
                 Ok(()) => leases.complete(lease.lease_id),
-                Err(_) if crash_this => {
-                    assert!(
-                        leases.requeue(lease.lease_id),
-                        "first crash must be re-queueable"
-                    );
+                Err(e) if crash_this => {
+                    leases
+                        .requeue(lease.lease_id, e)
+                        .expect("first crash must be re-queueable");
                 }
                 Err(e) => return Err(e),
             }
         }
-        done(deliver)
+        Ok(())
     }
 }
 
@@ -258,29 +250,20 @@ impl ExecBackend for AlwaysCrashFirstLease {
             if lease.lease_id == 0 {
                 let emit = |ev: CampaignEvent| {
                     let is_cell = matches!(ev, CampaignEvent::Cell { .. });
-                    deliver(0, ev)?;
+                    deliver(ev)?;
                     if is_cell {
                         return Err(EngineError::spec("simulated crash"));
                     }
                     Ok(())
                 };
                 let err = executor.run(&lease, &emit).unwrap_err();
-                if !leases.requeue(lease.lease_id) {
-                    return Err(EngineError::worker(
-                        None,
-                        format!(
-                            "lease {} failed after {} attempts (last: {err})",
-                            lease.lease_id,
-                            leases.attempts(lease.lease_id)
-                        ),
-                    ));
-                }
+                leases.requeue(lease.lease_id, err)?;
                 continue;
             }
-            executor.run(&lease, &|ev| deliver(0, ev))?;
+            executor.run(&lease, deliver)?;
             leases.complete(lease.lease_id);
         }
-        done(deliver)
+        Ok(())
     }
 }
 
@@ -352,7 +335,8 @@ fn requeue_exhaustion_fails_the_campaign_but_keeps_the_cache() {
         .run()
         .unwrap_err();
     assert!(
-        err.to_string().contains("failed after 2 attempts"),
+        err.to_string()
+            .contains("lease 0 failed after 2 attempts (last: simulated crash)"),
         "exhausted lease must fail the campaign: {err}"
     );
     // Everything the healthy leases finished (and the crashed lease's
@@ -386,7 +370,8 @@ proptest! {
     }
 
     // The lease lifecycle events of the v2 protocol round-trip
-    // through the shared event codec.
+    // through the shared event codec, `lease_done` with and without a
+    // telemetry delta.
     #[test]
     fn lease_protocol_events_round_trip(
         lease_id in 0usize..1_000_000,
@@ -395,11 +380,21 @@ proptest! {
         misses in 0usize..10_000,
         references in 0usize..10_000,
         leases in 0usize..10_000,
+        span_ns in 0u64..1_000_000_000,
     ) {
+        let delta = Telemetry::enabled();
+        delta.count("cells_computed", misses as u64);
+        delta.record_span_duration("estimate_cell", Duration::from_nanos(span_ns));
         for event in [
             CampaignEvent::Plan { cells, references, leases },
-            CampaignEvent::LeaseStart { lease_id, cells },
-            CampaignEvent::LeaseDone { lease_id, cells, hits, misses },
+            CampaignEvent::LeaseDone { lease_id, cells, hits, misses, telemetry: None },
+            CampaignEvent::LeaseDone {
+                lease_id,
+                cells,
+                hits,
+                misses,
+                telemetry: Some(delta.snapshot()),
+            },
         ] {
             let line = encode_event(&event);
             prop_assert!(!line.contains('\n'));

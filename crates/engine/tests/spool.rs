@@ -13,8 +13,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use stochdag_engine::{
-    Campaign, CampaignEvent, CsvSink, FnObserver, ResultCache, SharedFs, SpoolWorker, SweepSpec,
-    Telemetry,
+    decode_event, Campaign, CampaignEvent, CsvSink, FnObserver, ResultCache, SharedFs, SpoolWorker,
+    SweepSpec, Telemetry,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -258,6 +258,65 @@ fn capped_spool_workers_in_one_process_work_side_by_side() {
         seen, 2,
         "only {seen} of 2 spool workers registered by the first merged cell"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn spool_reports_carry_worker_spans_exactly_when_telemetry_is_enabled() {
+    let dir = scratch("spans");
+    for enabled in [true, false] {
+        let spool = dir.join(format!("spool-{enabled}"));
+        let worker = {
+            let spool = spool.clone();
+            std::thread::spawn(move || {
+                SpoolWorker::new(&spool)
+                    .name("w")
+                    .jobs(1)
+                    .max_wait(Duration::from_secs(30))
+                    .run()
+            })
+        };
+        let telemetry = if enabled {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        };
+        let outcome = Campaign::builder(spec("spans"))
+            .backend(SharedFs::new(&spool))
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(worker.join().unwrap().unwrap().cells, 8);
+        let meta = std::fs::read_to_string(spool.join("meta.json")).unwrap();
+        assert!(meta.contains(&format!("\"telemetry\":{enabled}")), "{meta}");
+        // The worker sends each lease's delta on its lease_done when,
+        // and only when, the coordinator collects telemetry.
+        let mut lease_dones = 0;
+        for stream in std::fs::read_dir(spool.join("events")).unwrap() {
+            let text = std::fs::read_to_string(stream.unwrap().path()).unwrap();
+            for line in text.lines() {
+                if let CampaignEvent::LeaseDone { telemetry, .. } = decode_event(line).unwrap() {
+                    assert_eq!(telemetry.is_some(), enabled, "{line}");
+                    lease_dones += 1;
+                }
+            }
+        }
+        assert_eq!(lease_dones, 4);
+        // So the report has the worker's spans, as an in-process one
+        // has its threads' spans.
+        let report = telemetry.report("spans", &outcome);
+        assert_eq!(report.cells_computed, 8, "a cold cache");
+        let snapshot = &report.snapshot;
+        if enabled {
+            assert_eq!(snapshot.spans["estimate_cell"].count, 8, "{snapshot:?}");
+            assert_eq!(snapshot.spans["reference_mc"].count, 4, "{snapshot:?}");
+            assert_eq!(snapshot.counters["cells_computed"], 8, "{snapshot:?}");
+        } else {
+            assert!(snapshot.is_empty(), "{snapshot:?}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,14 +1,14 @@
 //! Integration coverage of the telemetry layer: deterministic metrics
-//! reports, cache-tier accounting across runs, the wire `telemetry`
-//! event's emission contract, and the additive-protocol guarantee that
-//! the stream-merge replay path (`merge_event_streams`) tolerates
-//! newer event vocabularies.
+//! reports, cache-tier accounting across runs, the per-lease telemetry
+//! delta on `lease_done`, and the additive-protocol guarantee that the
+//! stream-merge replay path (`merge_event_streams`) tolerates newer
+//! event vocabularies and older builds' retired events.
 
 use std::io::Cursor;
 use std::sync::{Arc, Mutex};
 use stochdag_engine::{
-    decode_event, Campaign, CampaignEvent, ProgressReporter, ResultCache, ResultSink, SweepSpec,
-    Telemetry, VecSink, WireObserver,
+    decode_event, encode_lease, Campaign, CampaignEvent, CampaignPlan, CsvSink, EstimatorRegistry,
+    ProgressReporter, ResultCache, ResultSink, SweepSpec, Telemetry, VecSink, WireObserver,
 };
 
 /// The engine-side acceptance campaign: 24 cells (2 DAG kinds × 3
@@ -131,86 +131,140 @@ fn second_run_over_a_shared_cache_is_all_memory_tier() {
 }
 
 #[test]
-fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
-    let wire_events = |telemetry: Telemetry| {
+fn worker_streams_carry_a_delta_on_every_lease_done_only_when_enabled() {
+    // A worker session's wire stream (`sweep-worker --leases`).
+    let worker_events = |telemetry: Telemetry| {
+        let spec = campaign_spec();
+        let plan = CampaignPlan::new(&spec, &EstimatorRegistry::standard()).unwrap();
+        let input: String = plan
+            .leases()
+            .iter()
+            .map(|l| encode_lease(l) + "\n")
+            .collect();
         let buf = SharedBuf::default();
-        Campaign::builder(campaign_spec())
-            .cache(Arc::new(ResultCache::in_memory()))
+        Campaign::builder(spec)
             .telemetry(telemetry)
             .observer(WireObserver::new(buf.clone()))
             .build()
             .unwrap()
-            .run()
+            .serve_leases(0, Cursor::new(input))
             .unwrap();
-        buf.text()
-            .lines()
-            .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
+        decode_all(&buf.text())
+    };
+    let deltas = |events: &[CampaignEvent]| {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                CampaignEvent::LeaseDone { telemetry, .. } => Some(telemetry.clone()),
+                _ => None,
+            })
             .collect::<Vec<_>>()
     };
 
-    // Disabled (the default): no telemetry event at all.
-    let events = wire_events(Telemetry::disabled());
-    assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e, CampaignEvent::Telemetry { .. })),
-        "disabled telemetry must not widen the wire stream"
-    );
+    // Disabled (the default): no lease_done widens the wire stream.
+    let events = worker_events(Telemetry::disabled());
+    let off = deltas(&events);
+    assert_eq!(off.len(), 12, "one lease_done per lease");
+    assert!(off.iter().all(Option::is_none), "{off:?}");
 
-    // Enabled: exactly one snapshot, just before `done`, with the
-    // worker's collected spans and counters.
-    let events = wire_events(Telemetry::enabled());
-    let telemetry_events: Vec<_> = events
-        .iter()
-        .filter(|e| matches!(e, CampaignEvent::Telemetry { .. }))
-        .collect();
-    assert_eq!(telemetry_events.len(), 1);
-    assert!(
-        matches!(events.last(), Some(CampaignEvent::Done { .. })),
-        "done stays the stream terminator"
-    );
-    let CampaignEvent::Telemetry { shard, snapshot } = &events[events.len() - 2] else {
-        panic!("telemetry event rides immediately before done");
-    };
-    assert_eq!(*shard, 0);
-    assert!(!snapshot.is_empty(), "snapshot carries the worker's data");
-}
+    // Enabled: every lease_done carries its lease's own spans and
+    // counters, which add up to the session's work; the session ends
+    // with its last lease_done.
+    let events = worker_events(Telemetry::enabled());
+    assert!(matches!(
+        events.last(),
+        Some(CampaignEvent::LeaseDone { .. })
+    ));
+    let on = deltas(&events);
+    assert_eq!(on.len(), 12);
+    let total = Telemetry::enabled();
+    for delta in &on {
+        let delta = delta.as_ref().expect("a delta on every lease_done");
+        assert_eq!(delta.spans["estimate_cell"].count, 2, "two cells per lease");
+        total.merge(delta);
+    }
+    let total = total.snapshot();
+    assert_eq!(total.counters["cells_computed"], 24);
+    assert_eq!(total.spans["reference_mc"].count, 12);
+    assert_eq!(total.spans["prepare_dag"].count, 6, "each DAG freezes once");
 
-#[test]
-fn stream_merge_replays_telemetry_and_unknown_events() {
-    // Capture a campaign's log with telemetry enabled…
+    // A campaign's observers never see a delta: the core folds it into
+    // the campaign's collector and strips it first.
+    let telemetry = Telemetry::enabled();
     let buf = SharedBuf::default();
     Campaign::builder(campaign_spec())
-        .cache(Arc::new(ResultCache::in_memory()))
-        .telemetry(Telemetry::enabled())
+        .telemetry(telemetry.clone())
         .observer(WireObserver::new(buf.clone()))
         .build()
         .unwrap()
         .run()
         .unwrap();
+    let observed = deltas(&decode_all(&buf.text()));
+    assert_eq!(observed.len(), 12);
+    assert!(observed.iter().all(Option::is_none), "{observed:?}");
+    assert_eq!(telemetry.snapshot().spans["estimate_cell"].count, 24);
+}
+
+#[test]
+fn stream_merge_replays_retired_and_unknown_events() {
+    // Capture a campaign's log and its CSV…
+    let buf = SharedBuf::default();
+    let csv = SharedBuf::default();
+    Campaign::builder(campaign_spec())
+        .cache(Arc::new(ResultCache::in_memory()))
+        .telemetry(Telemetry::enabled())
+        .observer(WireObserver::new(buf.clone()))
+        .sink(CsvSink::new(csv.clone()))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
     let mut lines: Vec<String> = buf.text().lines().map(str::to_string).collect();
-    assert!(
-        lines
-            .iter()
-            .any(|l| matches!(decode_event(l), Ok(CampaignEvent::Telemetry { .. }))),
-        "stream carries the telemetry event"
+    // …splice in the session events older builds wrote (`lease_start`
+    // before a lease's first event, `telemetry` and `done` at the end)
+    // and an event from an imaginary future protocol rev.
+    let first_reference = lines
+        .iter()
+        .position(|l| l.contains("\"event\":\"reference\""))
+        .unwrap();
+    lines.insert(
+        first_reference,
+        r#"{"event":"lease_start","lease_id":0,"cells":2}"#.to_string(),
     );
-    // …and splice in an event from an imaginary future protocol rev.
     lines.insert(
         lines.len() - 1,
         r#"{"event":"warp","factor":9}"#.to_string(),
     );
+    lines.push(
+        r#"{"event":"telemetry","shard":0,"snapshot":{"counters":{"cells_computed":24},"spans":{}}}"#
+            .to_string(),
+    );
+    lines.push(r#"{"event":"done","wall_s":0.25}"#.to_string());
+    let tags: Vec<String> = decode_all(&lines.join("\n"))
+        .into_iter()
+        .filter_map(|e| match e {
+            CampaignEvent::Unknown { tag } => Some(tag),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(tags, ["lease_start", "warp", "telemetry", "done"]);
 
-    // The stream-merge replay path must take it in stride: unknown
-    // event tags are skipped, not fatal, so older builds replay newer
-    // logs.
+    // The stream-merge replay path takes them in stride: unknown event
+    // tags are skipped, not fatal, so this build replays archived logs
+    // and older builds replay newer ones, into the same bytes.
     let reader = Cursor::new((lines.join("\n") + "\n").into_bytes());
-    let mut vec_sink = VecSink::default();
+    let mut replayed = CsvSink::new(Vec::new());
     let outcome = {
-        let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut vec_sink];
+        let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut replayed];
         stochdag_engine::merge_event_streams(reader, &mut sinks, &mut ProgressReporter::disabled())
             .unwrap()
     };
     assert_eq!(outcome.cells, 24);
-    assert_eq!(vec_sink.rows.len(), 24);
+    assert_eq!(replayed.into_inner(), csv.0.lock().unwrap().clone());
+}
+
+fn decode_all(text: &str) -> Vec<CampaignEvent> {
+    text.lines()
+        .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
+        .collect()
 }

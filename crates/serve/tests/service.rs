@@ -389,6 +389,47 @@ fn a_daemon_without_a_disk_cache_refuses_worker_process_backends() {
 }
 
 #[test]
+fn a_served_stream_carries_only_plan_hello_and_lease_events() {
+    // The daemon collects telemetry for every campaign; its clients get
+    // no lease telemetry, and no session events beyond `hello`.
+    let (addr, daemon) = start(ServeConfig::default());
+    let client = ServeClient::connect_to(&addr);
+    let ticket = client.submit(&spec_18("lean-stream")).unwrap();
+    let events: Vec<CampaignEvent> = client
+        .events(ticket.id)
+        .unwrap()
+        .map(Result::unwrap)
+        .collect();
+    let Some(&CampaignEvent::Plan {
+        cells,
+        references,
+        leases,
+    }) = events.first()
+    else {
+        panic!("expected the plan first, got {:?}", events.first());
+    };
+    assert!(matches!(events[1], CampaignEvent::Hello { .. }));
+    assert!(matches!(
+        events.last(),
+        Some(CampaignEvent::LeaseDone { .. })
+    ));
+    assert_eq!(
+        events.len(),
+        2 + references + cells + leases,
+        "one line per reference, cell and lease"
+    );
+    for event in &events[2..] {
+        match event {
+            CampaignEvent::Reference { .. } | CampaignEvent::Cell { .. } => {}
+            CampaignEvent::LeaseDone { telemetry, .. } => assert!(telemetry.is_none()),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    client.shutdown(ShutdownMode::Drain).unwrap();
+    daemon.join().unwrap();
+}
+
+#[test]
 fn a_zero_makespan_trace_is_answered_with_a_spec_error() {
     let dir = scratch("zero-makespan");
     let zero = dir.join("zero.dot");

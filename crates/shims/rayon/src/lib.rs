@@ -23,7 +23,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Import surface mirroring `rayon::prelude`.
 pub mod prelude {
@@ -103,11 +103,13 @@ impl ThreadPool {
 }
 
 /// Number of threads a saturating parallel job of this thread would
-/// use right now, mirroring `rayon::current_num_threads`.
+/// use right now, mirroring `rayon::current_num_threads`. The core
+/// count is probed once per process, as rayon sizes its pool once:
+/// every `available_parallelism` call re-reads the affinity mask and
+/// the cgroup quota files.
 pub fn current_num_threads() -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let hw = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     match THREAD_CAP.with(Cell::get) {
         0 => hw,
         cap => hw.min(cap),
