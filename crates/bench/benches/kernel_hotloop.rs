@@ -3,9 +3,9 @@
 //!
 //! Three panels:
 //!
-//! * `dist_ops/{n}` — convolve / max / reduce_support at several
-//!   support sizes, with the allocating entry points next to their
-//!   scratch-arena variants so the arena's win stays visible.
+//! * `dist_ops/{n}` — convolve (the k-way merge over the operands'
+//!   cross product), max (one linear merge of the two supports) and
+//!   reduce_support at several support sizes.
 //! * `grid_kernels/{family}` — `estimate_grid` against a per-model
 //!   `estimate_for` loop, which it must match bit for bit. First- and
 //!   second-order override `estimate_grid` with a batched pass; for
@@ -23,7 +23,7 @@
 //! `BENCH_sweep.json` via the criterion shim's `CRITERION_JSON` hook.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use stochdag::dist::{DiscreteDist, DistScratch};
+use stochdag::dist::DiscreteDist;
 use stochdag::prelude::*;
 
 /// Deterministic synthetic distribution with `n` strictly increasing
@@ -65,15 +65,11 @@ fn bench_dist_ops(c: &mut Criterion) {
 
         let mut g = c.benchmark_group(format!("dist_ops/{n}"));
         g.sample_size(10);
-        g.bench_function("convolve_alloc", |b| {
+        g.bench_function("convolve", |b| {
             b.iter(|| black_box(&x).convolve(black_box(&y)))
         });
-        let mut scratch = DistScratch::new();
-        g.bench_function("convolve_scratch", |b| {
-            b.iter(|| black_box(&x).convolve_with(black_box(&y), &mut scratch))
-        });
-        g.bench_function("max_scratch", |b| {
-            b.iter(|| black_box(&x).max_independent_with(black_box(&y), &mut scratch))
+        g.bench_function("max", |b| {
+            b.iter(|| black_box(&x).max_independent(black_box(&y)))
         });
         g.bench_function("reduce_support", |b| {
             // The clone is part of the measured loop (the in-place

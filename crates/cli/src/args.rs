@@ -8,40 +8,59 @@ pub struct Options {
     flags: Vec<String>,
 }
 
-/// Flags that take no value.
+/// Options that take no value.
 const BARE_FLAGS: &[&str] = &[
-    "--weights",
-    "--fast",
-    "--csv-only",
-    "--no-cache",
-    "--resume-report",
-    "--dry-run",
-    "--telemetry",
-    "--detach",
-    "--now",
-    "--leases",
+    "weights",
+    "fast",
+    "no-cache",
+    "resume-report",
+    "dry-run",
+    "telemetry",
+    "detach",
+    "now",
+    "leases",
 ];
 
+/// An option name as typed: `-k` for one letter, `--name` otherwise.
+fn dashed(name: &str) -> String {
+    if name.len() == 1 {
+        format!("-{name}")
+    } else {
+        format!("--{name}")
+    }
+}
+
 impl Options {
-    /// Parse an argument list. Every `--key` is expected to be followed
-    /// by a value unless listed as a bare flag.
-    pub fn parse(argv: &[String]) -> Result<Options, String> {
+    /// Parse an argument list against the option names its command
+    /// accepts (without dashes, bare flags included). Every `--key` is
+    /// expected to be followed by a value unless listed as a bare flag,
+    /// and a key the command does not accept is an error that names it
+    /// and lists the accepted ones, so a misspelt option never runs the
+    /// command on defaults.
+    pub fn parse(argv: &[String], accepted: &[&str]) -> Result<Options, String> {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(arg) = it.next() {
             if !arg.starts_with('-') {
                 return Err(format!("unexpected positional argument {arg:?}"));
             }
-            if BARE_FLAGS.contains(&arg.as_str()) {
-                flags.push(arg.trim_start_matches('-').to_string());
+            let key = arg.trim_start_matches('-');
+            if !accepted.contains(&key) {
+                let names: Vec<String> = accepted.iter().map(|k| dashed(k)).collect();
+                return Err(format!(
+                    "unknown option {arg} (accepted: {})",
+                    names.join(", ")
+                ));
+            }
+            if BARE_FLAGS.contains(&key) {
+                flags.push(key.to_string());
                 continue;
             }
-            let key = arg.trim_start_matches('-').to_string();
             let Some(value) = it.next() else {
                 return Err(format!("option {arg} expects a value"));
             };
-            values.insert(key, value.clone());
+            values.insert(key.to_string(), value.clone());
         }
         Ok(Options { values, flags })
     }
@@ -94,9 +113,14 @@ impl Options {
 mod tests {
     use super::*;
 
+    const ACCEPTED: &[&str] = &["class", "k", "weights", "fast", "pfail", "ks"];
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     fn parse(args: &[&str]) -> Options {
-        let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Options::parse(&v).unwrap()
+        Options::parse(&argv(args), ACCEPTED).unwrap()
     }
 
     #[test]
@@ -129,13 +153,28 @@ mod tests {
 
     #[test]
     fn value_missing_is_error() {
-        let v = vec!["--class".to_string()];
-        assert!(Options::parse(&v).is_err());
+        assert!(Options::parse(&argv(&["--class"]), ACCEPTED).is_err());
     }
 
     #[test]
     fn positional_rejected() {
-        let v = vec!["oops".to_string()];
-        assert!(Options::parse(&v).is_err());
+        assert!(Options::parse(&argv(&["oops"]), ACCEPTED).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_named_with_the_accepted_ones() {
+        for bad in [
+            &["--classes", "lu"][..],
+            &["--class", "lu", "--now"],
+            &["-x", "1"],
+        ] {
+            let err = Options::parse(&argv(bad), ACCEPTED).err().unwrap();
+            let named = bad.iter().rev().find(|a| a.starts_with('-')).unwrap();
+            assert!(err.contains(&format!("unknown option {named} ")), "{err}");
+            assert!(
+                err.contains("--class, -k, --weights, --fast, --pfail, --ks"),
+                "{err}"
+            );
+        }
     }
 }

@@ -7,7 +7,7 @@ use stochdag::dag::io::parse_taskgraph;
 use stochdag::prelude::*;
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["file", "pfail", "trials", "seed"])?;
     let path = opts.require("file")?;
     let pfail: f64 = opts.get_or("pfail", 0.001)?;
     let trials: usize = opts.get_or("trials", 100_000)?;

@@ -8,7 +8,7 @@ use stochdag::core::dodin::DodinStrategy;
 use stochdag::prelude::*;
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["ks", "pfail"])?;
     let ks = opts.get_usize_list("ks", &[2, 3, 4, 5, 6])?;
     let pfail: f64 = opts.get_or("pfail", 0.01)?;
 

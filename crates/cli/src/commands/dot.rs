@@ -6,7 +6,7 @@ use crate::commands::{build_dag, parse_class};
 use stochdag::prelude::*;
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["from", "class", "k", "weights"])?;
     if let Some(path) = opts.get("from") {
         let trace = ingest(path)?;
         eprintln!(

@@ -24,7 +24,10 @@ struct FigureConfig {
 const PAPER_KS: [usize; 5] = [4, 6, 8, 10, 12];
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(
+        argv,
+        &["class", "pfail", "ks", "trials", "fast", "seed", "csv"],
+    )?;
     let cfg = FigureConfig {
         class: parse_class(opts.require("class")?)?,
         pfail: opts
@@ -52,7 +55,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 }
 
 pub fn run_all(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["trials", "fast", "seed", "out", "ks"])?;
     let trials = opts.get_or("trials", if opts.flag("fast") { 20_000 } else { 300_000 })?;
     let seed = opts.get_or("seed", 0)?;
     let out: PathBuf = opts.get("out").unwrap_or("results").into();

@@ -5,7 +5,7 @@ use crate::commands::{build_dag, parse_class};
 use stochdag::prelude::*;
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["class", "k"])?;
     let class = parse_class(opts.require("class")?)?;
     let k: usize = opts.get_or("k", 8)?;
     let dag = build_dag(class, k);

@@ -7,7 +7,7 @@ use crate::report::Table;
 use stochdag::prelude::*;
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["class", "k", "p", "pfail", "replicas", "seed"])?;
     let class = parse_class(opts.require("class")?)?;
     let k: usize = opts.get_or("k", 8)?;
     let processors: usize = opts.get_or("p", 8)?;

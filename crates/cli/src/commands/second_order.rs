@@ -7,7 +7,7 @@ use crate::report::{fmt_rel, Table};
 use stochdag::prelude::*;
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["class", "k", "trials", "seed"])?;
     let class = parse_class(opts.require("class")?)?;
     let k: usize = opts.get_or("k", 8)?;
     let trials: usize = opts.get_or("trials", 300_000)?;

@@ -19,6 +19,7 @@
 //! (`--shutdown-report`) records every unfinished campaign with its
 //! spec.
 
+use super::sweep::SPEC_OPTIONS;
 use crate::args::Options;
 use crate::report::{fmt_duration, Table};
 use std::io::Write;
@@ -33,7 +34,18 @@ const DEFAULT_ADDR: &str = "127.0.0.1:7677";
 
 /// `stochdag serve` — run the daemon until shutdown.
 pub fn run_daemon(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(
+        argv,
+        &[
+            "listen",
+            "cache",
+            "no-cache",
+            "max-running",
+            "max-queued",
+            "max-cells",
+            "shutdown-report",
+        ],
+    )?;
     let max_running: usize = opts.get_or("max-running", 2)?;
     if max_running == 0 {
         return Err("--max-running must be positive".into());
@@ -102,7 +114,16 @@ pub fn run_daemon(argv: &[String]) -> Result<(), String> {
 /// exactly like `sweep`) and, unless `--detach`, stream it to local
 /// CSV/JSONL.
 pub fn run_submit(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let client_options = [
+        "addr",
+        "resume-id",
+        "workers",
+        "spool",
+        "detach",
+        "out",
+        "progress",
+    ];
+    let opts = Options::parse(argv, &[&client_options[..], SPEC_OPTIONS].concat())?;
     let client = client_for(&opts);
 
     let ticket = if let Some(id) = opts.get("resume-id") {
@@ -191,7 +212,7 @@ fn attach(client: &ServeClient, ticket: &Submitted, opts: &Options) -> Result<()
 
 /// `stochdag status` — one campaign (`--id`) or the whole server.
 pub fn run_status(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["addr", "id"])?;
     let id: Option<u64> = opts
         .get("id")
         .map(str::parse)
@@ -240,7 +261,7 @@ pub fn run_status(argv: &[String]) -> Result<(), String> {
 
 /// `stochdag cancel --id N` — cancel a queued or running campaign.
 pub fn run_cancel(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["addr", "id"])?;
     let id: u64 = opts
         .require("id")?
         .parse()
@@ -252,7 +273,7 @@ pub fn run_cancel(argv: &[String]) -> Result<(), String> {
 
 /// `stochdag shutdown [--now]` — stop the daemon (drain by default).
 pub fn run_shutdown(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(argv, &["addr", "now"])?;
     let mode = if opts.flag("now") {
         ShutdownMode::Now
     } else {

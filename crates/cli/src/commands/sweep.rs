@@ -45,7 +45,22 @@ use stochdag_engine::{
 };
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let run_options = [
+        "out",
+        "cache",
+        "no-cache",
+        "cache-max-bytes",
+        "workers",
+        "spool",
+        "lease-timeout",
+        "progress",
+        "progress-interval",
+        "metrics-out",
+        "trace-out",
+        "dry-run",
+        "resume-report",
+    ];
+    let opts = Options::parse(argv, &[SPEC_OPTIONS, &run_options[..]].concat())?;
     let spec = load_spec(&opts)?;
     spec.validate()?;
 
@@ -298,6 +313,21 @@ fn parse_estimators(list: &str) -> Result<Vec<EstimatorSpec>, String> {
         .map(|s| s.trim().parse::<EstimatorSpec>())
         .collect()
 }
+
+/// The options [`load_spec`] reads, which `sweep` and `submit` both
+/// accept.
+pub(crate) const SPEC_OPTIONS: &[&str] = &[
+    "spec",
+    "classes",
+    "ks",
+    "pfails",
+    "estimators",
+    "trials",
+    "seed",
+    "name",
+    "jobs",
+    "scenarios",
+];
 
 /// Build the campaign spec from `--spec FILE` plus flag overrides, or
 /// assemble it purely from flags. Shared with `submit`, which sends

@@ -80,7 +80,23 @@ fn crash_armed(slot: usize) -> bool {
 }
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    // `--leases` mode takes exactly the flags `MultiProcess` passes;
+    // `--spool` mode takes the rest.
+    let opts = Options::parse(
+        argv,
+        &[
+            "leases",
+            "spec-json",
+            "worker",
+            "jobs",
+            "cache",
+            "no-cache",
+            "telemetry",
+            "spool",
+            "name",
+            "max-wait",
+        ],
+    )?;
     if let Some(spool) = opts.get("spool") {
         return run_spool(&opts, spool);
     }

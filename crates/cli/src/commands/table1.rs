@@ -24,7 +24,10 @@ const PANEL: &[&str] = &[
 ];
 
 pub fn run(argv: &[String]) -> Result<(), String> {
-    let opts = Options::parse(argv)?;
+    let opts = Options::parse(
+        argv,
+        &["k", "trials", "fast", "seed", "pfail", "jobs", "cache"],
+    )?;
     let k: usize = opts.get_or("k", 20)?;
     let trials: usize = opts.get_or("trials", if opts.flag("fast") { 20_000 } else { 300_000 })?;
     let seed: u64 = opts.get_or("seed", 0)?;

@@ -75,6 +75,133 @@ fn only_an_unknown_command_points_at_the_help() {
     assert!(!stderr.contains("stochdag help"), "{stderr}");
 }
 
+/// Run `args` in `cwd`, killing the process if it is still running
+/// after `limit` (a command that wrongly ignored a bad option may not
+/// exit on its own): `(exited, success, stderr)`.
+fn run_in(
+    cwd: &std::path::Path,
+    args: &[&str],
+    limit: std::time::Duration,
+) -> (bool, bool, String) {
+    use std::io::Read;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_stochdag"))
+        .args(args)
+        .current_dir(cwd)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let start = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if start.elapsed() > limit {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    (
+        status.is_some(),
+        status.is_some_and(|s| s.success()),
+        stderr,
+    )
+}
+
+/// A scratch working directory, so a command that wrongly runs on
+/// defaults leaves its `results/` and `.stochdag-cache/` where the test
+/// can see them.
+fn scratch_cwd(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("stochdag_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `args` must fail at once with an error that names `option` and
+/// lists `accepted` among the command's options, leaving `cwd` empty.
+fn assert_rejects_option(tag: &str, args: &[&str], option: &str, accepted: &str) {
+    let cwd = scratch_cwd(tag);
+    let (exited, ok, stderr) = run_in(&cwd, args, std::time::Duration::from_secs(20));
+    assert!(exited, "{args:?} kept running: {stderr}");
+    assert!(!ok, "{args:?} must fail");
+    assert!(
+        stderr.contains(&format!("unknown option {option} ")),
+        "{stderr}"
+    );
+    assert!(stderr.contains(accepted), "{stderr}");
+    let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn sweep_rejects_an_unknown_option() {
+    assert_rejects_option(
+        "bogus",
+        &[
+            "sweep",
+            "--classes",
+            "qr",
+            "--ks",
+            "2",
+            "--trials",
+            "200",
+            "--totally-bogus",
+            "1",
+        ],
+        "--totally-bogus",
+        "--spec",
+    );
+}
+
+#[test]
+fn sweep_rejects_cache_dir_instead_of_running_on_the_default_cache() {
+    assert_rejects_option(
+        "cachedir",
+        &[
+            "sweep",
+            "--classes",
+            "qr",
+            "--ks",
+            "2",
+            "--trials",
+            "200",
+            "--cache-dir",
+            "X",
+        ],
+        "--cache-dir",
+        "--cache,",
+    );
+}
+
+#[test]
+fn serve_rejects_the_clients_addr_option() {
+    // `--addr` is the clients' option; the daemon binds `--listen`.
+    assert_rejects_option(
+        "serveaddr",
+        &[
+            "serve",
+            "--no-cache",
+            "--listen",
+            "127.0.0.1:0",
+            "--addr",
+            "127.0.0.1:7791",
+        ],
+        "--addr",
+        "--listen",
+    );
+}
+
 #[test]
 fn info_reports_paper_task_counts() {
     let (ok, stdout, _) = stochdag(&["info", "--class", "lu", "-k", "12"]);

@@ -135,6 +135,14 @@ fn worker_process_spans_reach_the_metrics_report() {
         "{text}"
     );
     assert_eq!(count("counters", "worker_spawns", None), Some(2), "{text}");
+    // Reference lookups are reported per tier by the workers' counters;
+    // there is no plan-derived `references_probed` beside them.
+    assert!(
+        count("counters", "references_computed", None).is_some_and(|n| n >= 12),
+        "{text}"
+    );
+    let detail = v.require("detail").unwrap();
+    assert!(detail.get("references_probed").is_none(), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,13 +1,17 @@
 //! Dodin-baseline estimator: the series-parallel approximation of
 //! Section II-A2, wired to the reduction engine of `stochdag-sp`.
+//!
+//! Nearly all of an evaluation is `DiscreteDist::max_independent` and
+//! `convolve` at the joins. When the max became the linear product of
+//! the operands' CDFs, the estimates moved by about 1e-12 relative, so
+//! the Dodin families' cache keys carry kernel revision 1
+//! ([`crate::EstimatorSpec::kernel_revision`]).
 
 use crate::estimator::{Estimator, PreparedEstimator};
 use crate::model::FailureModel;
 use stochdag_dag::{Dag, PreparedDag};
 use stochdag_dist::{DiscreteDist, DurationTable, TaskDurationModel};
-use stochdag_sp::{
-    dodin_evaluate, dodin_forward_evaluate_in, ForwardScratch, ReduceConfig, ReduceOutcome,
-};
+use stochdag_sp::{dodin_evaluate, dodin_forward_evaluate, ReduceConfig, ReduceOutcome};
 
 /// How the series-parallel approximation is computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,23 +119,19 @@ impl DodinEstimator {
             est: self.clone(),
             prepared: prepared.clone(),
             table: DurationTable::default(),
-            scratch: ForwardScratch::new(),
         }
     }
 }
 
 /// Dodin estimator bound to one prepared graph: the per-node duration
 /// table is rebuilt in place per failure model instead of re-rendered
-/// atom by atom inside the reduction, and the forward strategy runs the
-/// hot-loop form of the propagation — the preparation's shared
-/// topological order plus a per-preparation [`ForwardScratch`], so the
-/// topo walk and the merge arena are both hoisted out of the per-model
-/// call ([`dodin_forward_evaluate_in`]).
+/// atom by atom inside the reduction, and the forward strategy walks
+/// the preparation's shared topological order, so no per-model call
+/// recomputes it.
 struct PreparedDodin {
     est: DodinEstimator,
     prepared: PreparedDag,
     table: DurationTable,
-    scratch: ForwardScratch,
 }
 
 impl PreparedDodin {
@@ -159,12 +159,11 @@ impl PreparedDodin {
             DodinStrategy::Forward => {
                 self.table.rebuild(model.lambda, self.prepared.weights());
                 let (table, duration_model) = (&self.table, self.est.duration_model);
-                dodin_forward_evaluate_in(
+                dodin_forward_evaluate(
                     self.prepared.dag(),
                     self.prepared.topo_order(),
                     |i| table.duration_dist(i.index(), duration_model),
                     self.est.max_atoms,
-                    &mut self.scratch,
                 )
             }
         }

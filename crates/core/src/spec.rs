@@ -122,6 +122,19 @@ impl EstimatorSpec {
         }
     }
 
+    /// Revision of the family's kernel, folded into its cache keys (not
+    /// its canonical id, seeds or rows) so that no cache serves a value
+    /// an older kernel computed. Bumped when a kernel change moves the
+    /// family's output bits. 0 leaves a key as it always was: every
+    /// family's revision but Dodin's, which is 1 since its independent
+    /// max became the linear product of the operands' CDFs.
+    pub fn kernel_revision(&self) -> u32 {
+        match self {
+            EstimatorSpec::Dodin { .. } | EstimatorSpec::DodinDup { .. } => 1,
+            _ => 0,
+        }
+    }
+
     /// One spec per family, with default arguments — the full closed
     /// set, for registries and exhaustiveness tests.
     pub fn all_default() -> Vec<EstimatorSpec> {

@@ -1,39 +1,8 @@
 //! Finite discrete distributions over `f64` values.
 
-/// Reusable scratch arena for the merge-based binary operations
-/// ([`DiscreteDist::convolve_with`] /
-/// [`DiscreteDist::max_independent_with`]).
-///
-/// Both operations combine an `n`-atom and an `m`-atom support into up
-/// to `n·m` result atoms. The historical implementation materialized
-/// all `n·m` pairs and sorted them (`O(nm log nm)` plus a second
-/// allocation); the merge-based kernels instead treat the cross product
-/// as `n` pre-sorted rows and k-way-merge them through a small binary
-/// heap of per-row cursors. The heap lives here so a caller evaluating
-/// thousands of series-parallel reductions (Dodin's forward pass, the
-/// SP engine) performs **zero** intermediate allocations after the
-/// first call: only the result vector of each operation is allocated.
-///
-/// The arena is plain state — create one with [`DistScratch::new`] (or
-/// `Default`), hold it next to whatever long-lived evaluator owns the
-/// hot loop, and pass it to every `*_with` call. Sharing one arena
-/// across different distributions and operations is fine; the contents
-/// carry no information between calls.
-#[derive(Clone, Debug, Default)]
-pub struct DistScratch {
-    /// Min-heap of per-row merge cursors, keyed by `(value, row)`.
-    heap: Vec<RowCursor>,
-}
-
-impl DistScratch {
-    /// An empty arena; buffers grow on first use and are reused after.
-    pub fn new() -> DistScratch {
-        DistScratch::default()
-    }
-}
-
-/// One row of the implicit `n × m` operand cross product: the next
-/// not-yet-emitted element is `op(xs[row], ys[j])`, memoized in `v`.
+/// One row of the implicit `n × m` operand cross product of a
+/// convolution: the next not-yet-emitted element is `xs[row] + ys[j]`,
+/// memoized in `v`.
 #[derive(Clone, Copy, Debug)]
 struct RowCursor {
     v: f64,
@@ -256,55 +225,21 @@ impl DiscreteDist {
     }
 
     /// Distribution of `X + Y` for independent `X` (self), `Y` (other).
-    pub fn convolve(&self, other: &DiscreteDist) -> DiscreteDist {
-        self.convolve_with(other, &mut DistScratch::new())
-    }
-
-    /// [`convolve`](DiscreteDist::convolve) over a caller-provided
-    /// [`DistScratch`]: no intermediate allocations once the arena is
-    /// warm. Output is bit-identical to `convolve`.
-    pub fn convolve_with(&self, other: &DiscreteDist, scratch: &mut DistScratch) -> DiscreteDist {
-        self.merge_op(other, scratch, |vx, vy| vx + vy)
-    }
-
-    /// Distribution of `max(X, Y)` for independent `X`, `Y`.
-    pub fn max_independent(&self, other: &DiscreteDist) -> DiscreteDist {
-        self.max_independent_with(other, &mut DistScratch::new())
-    }
-
-    /// [`max_independent`](DiscreteDist::max_independent) over a
-    /// caller-provided [`DistScratch`]: no intermediate allocations once
-    /// the arena is warm. Output is bit-identical to `max_independent`.
-    pub fn max_independent_with(
-        &self,
-        other: &DiscreteDist,
-        scratch: &mut DistScratch,
-    ) -> DiscreteDist {
-        self.merge_op(other, scratch, |vx, vy| vx.max(vy))
-    }
-
-    /// Sorted-merge accumulation over the operand cross product.
     ///
-    /// The historical kernel pushed all `n·m` pairs `(op(xᵢ, yⱼ),
-    /// pᵢ·qⱼ)` in row-major order, stable-sorted them by value
-    /// (`total_cmp`), and folded equal values left to right. Because
-    /// each operand support is strictly increasing and `op` is
-    /// monotone in its second argument, every row `i` of the cross
-    /// product is already non-decreasing in `j` — so a k-way merge of
-    /// the `n` rows through a min-heap keyed by `(value, row)` emits
-    /// the elements in exactly the stable-sorted order (row index
-    /// breaks value ties the way a stable sort of the row-major stream
-    /// does, and equal values within a row are consecutive). The same
-    /// skip-zeros/fold-equal accumulation over that stream therefore
-    /// performs the identical sequence of `f64` additions and yields a
-    /// bit-identical result in `O(nm log n)` with no intermediate
-    /// buffer.
-    fn merge_op(
-        &self,
-        other: &DiscreteDist,
-        scratch: &mut DistScratch,
-        op: impl Fn(f64, f64) -> f64,
-    ) -> DiscreteDist {
+    /// The historical kernel pushed all `n·m` pairs `(xᵢ + yⱼ, pᵢ·qⱼ)`
+    /// in row-major order, stable-sorted them by value (`total_cmp`),
+    /// and folded equal values left to right. Because each operand
+    /// support is strictly increasing and `+` is monotone, every row
+    /// `i` of the cross product is already non-decreasing in `j` — so a
+    /// k-way merge of the `n` rows through a min-heap keyed by
+    /// `(value, row)` emits the elements in exactly the stable-sorted
+    /// order (row index breaks value ties the way a stable sort of the
+    /// row-major stream does, and equal values within a row are
+    /// consecutive). The same skip-zeros/fold-equal accumulation over
+    /// that stream therefore performs the identical sequence of `f64`
+    /// additions and yields a bit-identical result in `O(nm log n)`,
+    /// with an `n`-cursor heap in place of the `n·m` pair buffer.
+    pub fn convolve(&self, other: &DiscreteDist) -> DiscreteDist {
         let xs = &self.atoms;
         let ys = &other.atoms;
         let (n, m) = (xs.len(), ys.len());
@@ -322,24 +257,24 @@ impl DiscreteDist {
             // One row: the row-major stream is already sorted.
             let (vx, px) = xs[0];
             for &(vy, py) in ys {
-                push(op(vx, vy), px * py, &mut out);
+                push(vx + vy, px * py, &mut out);
             }
         } else if m == 1 {
             // One column: non-decreasing in the row index.
             let (vy, py) = ys[0];
             for &(vx, px) in xs {
-                push(op(vx, vy), px * py, &mut out);
+                push(vx + vy, px * py, &mut out);
             }
         } else {
-            let heap = &mut scratch.heap;
-            heap.clear();
-            heap.extend((0..n as u32).map(|row| RowCursor {
-                v: op(xs[row as usize].0, ys[0].0),
-                row,
-                j: 0,
-            }));
+            let mut heap: Vec<RowCursor> = (0..n as u32)
+                .map(|row| RowCursor {
+                    v: xs[row as usize].0 + ys[0].0,
+                    row,
+                    j: 0,
+                })
+                .collect();
             for i in (0..n / 2).rev() {
-                sift_down(heap, i);
+                sift_down(&mut heap, i);
             }
             while let Some(&top) = heap.first() {
                 let px = xs[top.row as usize].1;
@@ -348,7 +283,7 @@ impl DiscreteDist {
                 let j = top.j + 1;
                 if (j as usize) < m {
                     heap[0].j = j;
-                    heap[0].v = op(xs[top.row as usize].0, ys[j as usize].0);
+                    heap[0].v = xs[top.row as usize].0 + ys[j as usize].0;
                 } else {
                     let last = heap.pop().expect("heap is non-empty");
                     if let Some(slot) = heap.first_mut() {
@@ -357,7 +292,42 @@ impl DiscreteDist {
                         break;
                     }
                 }
-                sift_down(heap, 0);
+                sift_down(&mut heap, 0);
+            }
+        }
+        debug_assert!(!out.is_empty());
+        DiscreteDist { atoms: out }
+    }
+
+    /// Distribution of `max(X, Y)` for independent `X`, `Y`.
+    ///
+    /// `F_max = F_X·F_Y`, so one linear merge over the union of the two
+    /// supports gives every atom directly:
+    /// `P(max = v) = P(X = v)·P(Y ≤ v) + P(X < v)·P(Y = v)`, from running
+    /// sums of the operands' probabilities (no subtraction), in
+    /// `O(n + m)`. Values below the larger of the two minima get
+    /// probability 0 and are skipped, so the support is exactly the set
+    /// of pairwise maxima.
+    pub fn max_independent(&self, other: &DiscreteDist) -> DiscreteDist {
+        let (xs, ys) = (&self.atoms, &other.atoms);
+        let mut out: Vec<(f64, f64)> = Vec::with_capacity(xs.len() + ys.len());
+        let (mut i, mut j) = (0, 0);
+        // P(X < v) and P(Y < v) for the next support value v.
+        let (mut below_x, mut below_y) = (0.0, 0.0);
+        while i < xs.len() || j < ys.len() {
+            // Support values are finite, so ∞ marks an exhausted operand.
+            let vx = xs.get(i).map_or(f64::INFINITY, |a| a.0);
+            let vy = ys.get(j).map_or(f64::INFINITY, |a| a.0);
+            let v = vx.min(vy);
+            let px = if vx == v { xs[i].1 } else { 0.0 };
+            let py = if vy == v { ys[j].1 } else { 0.0 };
+            i += usize::from(vx == v);
+            j += usize::from(vy == v);
+            let p = px * (below_y + py) + below_x * py;
+            below_x += px;
+            below_y += py;
+            if p != 0.0 {
+                out.push((v, p));
             }
         }
         debug_assert!(!out.is_empty());

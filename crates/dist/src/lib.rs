@@ -24,7 +24,7 @@ mod dist;
 mod duration;
 mod normal;
 
-pub use dist::{DiscreteDist, DistScratch};
+pub use dist::DiscreteDist;
 pub use duration::DurationTable;
 pub use normal::{clark_max_moments, erf, normal_cdf, normal_pdf, ClarkMoments, Normal};
 

@@ -37,13 +37,13 @@
 //! Leases cross process boundaries as one JSON line each
 //! ([`encode_lease`]/[`decode_lease`]), mirroring the event protocol.
 
-use crate::cache::{cell_key, CacheTier, ResultCache};
+use crate::cache::{CacheTier, ResultCache};
 use crate::campaign::BackendContext;
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::protocol::CampaignEvent;
 use crate::registry::EstimatorRegistry;
-use crate::runner::{cell_index, derive_seed, evaluate_unit, expand, make_row, Expansion};
+use crate::runner::{cell_index, evaluate_unit, expand, make_row, Expansion};
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize, Value};
@@ -556,16 +556,8 @@ impl<'a> LeaseExecutor<'a> {
                 match slot.as_ref() {
                     Some(est) => est.clone(),
                     None => {
-                        let ref_unit = entry.unit(reference_id);
-                        let seed = derive_seed(
-                            self.spec.seed,
-                            self.plan.hashes[i],
-                            model.lambda,
-                            &ref_unit,
-                        );
-                        let key = cell_key(self.plan.hashes[i], model.lambda, &ref_unit, seed);
-                        let trials = self.spec.reference_trials;
-                        let sampling = self.spec.reference_sampling;
+                        let (seed, key) =
+                            entry.identity(self.spec.seed, self.plan.hashes[i], reference_id, 0);
                         let mut ref_prep: Option<Box<dyn PreparedEstimator>> = None;
                         let (est, tier) = evaluate_unit(
                             &tel,
@@ -577,8 +569,8 @@ impl<'a> LeaseExecutor<'a> {
                             &entry.scenario,
                             &mut ref_prep,
                             || {
-                                MonteCarloEstimator::new(trials)
-                                    .with_sampling(sampling)
+                                MonteCarloEstimator::new(self.spec.reference_trials)
+                                    .with_sampling(self.spec.reference_sampling)
                                     .prepare(pdag)
                             },
                         )?;
@@ -594,9 +586,9 @@ impl<'a> LeaseExecutor<'a> {
                 }
             };
             let (est_spec, canonical) = &estimator_ids[e];
-            let unit = entry.unit(canonical);
-            let seed = derive_seed(self.spec.seed, self.plan.hashes[i], model.lambda, &unit);
-            let key = cell_key(self.plan.hashes[i], model.lambda, &unit, seed);
+            let revision = est_spec.kernel_revision();
+            let (seed, key) =
+                entry.identity(self.spec.seed, self.plan.hashes[i], canonical, revision);
             if prep_group != Some((i, e)) {
                 prep = None;
                 prep_group = Some((i, e));

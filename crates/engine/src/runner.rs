@@ -7,7 +7,7 @@
 //!   ids. Every entry point (campaign plans, resume reports, dry
 //!   runs) derives the identical cell universe from this one
 //!   function.
-//! * [`derive_seed`] / [`cell_index`] / [`evaluate_unit`] /
+//! * [`SweepModel::identity`] / [`cell_index`] / [`evaluate_unit`] /
 //!   [`make_row`] — the deterministic identities and cache-first
 //!   evaluation shared by the in-process and multi-process backends;
 //!   the distributed byte-identity guarantee depends on both paths
@@ -82,8 +82,8 @@ pub(crate) fn derive_seed(spec_seed: u64, dag_hash: u128, lambda: f64, unit: &st
 /// for i.i.d. entries — so every pre-scenario cell key stays
 /// byte-identical, and `scenarios = ["iid"]` equals an absent axis —
 /// and `"|rack:4:0.05:2"`-style otherwise, appended to both the
-/// estimator's and the reference's unit string before
-/// [`derive_seed`]/[`cell_key`].
+/// estimator's and the reference's unit string by
+/// [`SweepModel::identity`].
 pub(crate) struct SweepModel {
     /// The base (marginal) failure model.
     pub(crate) model: FailureModel,
@@ -96,10 +96,26 @@ pub(crate) struct SweepModel {
 }
 
 impl SweepModel {
-    /// The full unit string of this entry for estimator/reference id
-    /// `base` — what seeds and cache keys are derived from.
-    pub(crate) fn unit(&self, base: &str) -> String {
-        format!("{base}{}", self.unit_suffix)
+    /// The seed and cache key of this entry's unit for estimator or
+    /// reference id `base` — the one derivation the lease executor and
+    /// the resume report share, so a report cannot disagree with a run.
+    /// A non-zero `revision` ([`EstimatorSpec::kernel_revision`]; 0 for
+    /// references) goes into the key only, so cells an older kernel
+    /// cached are recomputed, never served.
+    pub(crate) fn identity(
+        &self,
+        spec_seed: u64,
+        dag_hash: u128,
+        base: &str,
+        revision: u32,
+    ) -> (u64, String) {
+        let (unit, lambda) = (format!("{base}{}", self.unit_suffix), self.model.lambda);
+        let seed = derive_seed(spec_seed, dag_hash, lambda, &unit);
+        let key = match revision {
+            0 => cell_key(dag_hash, lambda, &unit, seed),
+            r => cell_key(dag_hash, lambda, &format!("{unit}#kernel{r}"), seed),
+        };
+        (seed, key)
     }
 }
 
@@ -309,9 +325,7 @@ pub(crate) fn evaluate_unit(
         t0.elapsed()
     } else {
         // Later cells of the same (instance × estimator) group reuse
-        // the group's prepared estimator — and with it every scratch
-        // arena the estimator holds (completion buffers, merge arenas,
-        // duration tables), so steady-state cells allocate nothing.
+        // the group's prepared estimator and the tables it holds.
         // Counted so telemetry reports can show the amortization rate
         // next to the `prepare_estimator` and compute spans.
         tel.count("prepared_reused", 1);
@@ -431,18 +445,16 @@ pub(crate) fn resume_report_impl(
     let mut reference_misses = 0;
     for (i, inst_models) in models.iter().enumerate() {
         for entry in inst_models {
-            let lambda = entry.model.lambda;
-            let ref_unit = entry.unit(&reference_id);
-            let seed = derive_seed(spec.seed, hashes[i], lambda, &ref_unit);
-            if cache.probe(&cell_key(hashes[i], lambda, &ref_unit, seed)) {
+            let probe = |base: &str, revision| {
+                cache.probe(&entry.identity(spec.seed, hashes[i], base, revision).1)
+            };
+            if probe(&reference_id, 0) {
                 reference_hits += 1;
             } else {
                 reference_misses += 1;
             }
-            for (e, (_, canonical)) in estimator_ids.iter().enumerate() {
-                let unit = entry.unit(canonical);
-                let seed = derive_seed(spec.seed, hashes[i], lambda, &unit);
-                if cache.probe(&cell_key(hashes[i], lambda, &unit, seed)) {
+            for (e, (est, canonical)) in estimator_ids.iter().enumerate() {
+                if probe(canonical, est.kernel_revision()) {
                     estimators[e].hits += 1;
                 } else {
                     estimators[e].misses += 1;
@@ -678,7 +690,9 @@ mod tests {
 
     #[test]
     fn resume_report_diffs_spec_against_cache() {
-        let spec = tiny_spec();
+        let mut spec = tiny_spec();
+        // Dodin's keys carry its kernel revision, which the report must derive too.
+        spec.estimators.push(EstimatorSpec::Dodin { atoms: 16 });
         let cache = Arc::new(ResultCache::in_memory());
         let campaign = |spec: &SweepSpec| {
             Campaign::builder(spec.clone())
@@ -690,7 +704,7 @@ mod tests {
         assert!(!fresh.fully_cached());
         assert_eq!(fresh.total_hits(), 0);
         assert_eq!(fresh.reference_misses, 6);
-        assert_eq!(fresh.estimators.len(), 2);
+        assert_eq!(fresh.estimators.len(), 3);
         assert!(fresh
             .estimators
             .iter()

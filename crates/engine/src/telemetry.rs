@@ -472,7 +472,6 @@ impl Telemetry {
             cells_memory_hits: outcome.cells_memory_hits,
             cells_disk_hits: outcome.cells_disk_hits,
             rows_emitted: outcome.rows.len(),
-            references_probed: outcome.references,
             estimator_cells: outcome
                 .summary
                 .iter()
@@ -521,10 +520,6 @@ pub struct MetricsReport {
     pub cells_disk_hits: usize,
     /// Rows delivered to the sinks.
     pub rows_emitted: usize,
-    /// Monte-Carlo reference probes, summed across workers. A reference
-    /// needed by several workers counts once per worker, so this varies
-    /// with the worker count — detail section, not stable.
-    pub references_probed: usize,
     /// Cells per canonical estimator id.
     pub estimator_cells: BTreeMap<String, usize>,
     /// Campaign wall-clock seconds (detail section).
@@ -581,7 +576,6 @@ impl MetricsReport {
                                 .collect(),
                         ),
                     ),
-                    ("references_probed", self.references_probed.serialize()),
                     ("telemetry", self.snapshot.serialize()),
                     ("wall_s", self.wall_s.serialize()),
                 ]),

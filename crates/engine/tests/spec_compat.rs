@@ -10,7 +10,15 @@
 
 use proptest::prelude::*;
 use serde::Deserialize;
-use stochdag_engine::{cell_key, EstimatorRegistry, EstimatorSpec};
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
+use stochdag_core::{Estimate, SamplingModel};
+use stochdag_dag::structural_hash;
+use stochdag_engine::{
+    cell_key, Campaign, DagSpec, EstimatorRegistry, EstimatorSpec, ResultCache, SweepSpec,
+};
+use stochdag_taskgraphs::FactorizationClass;
 
 /// `(spec string, canonical id, cell_key(feed…, 0.0123, id, 7),
 /// cell_key(42, 0.0004, id, 987654321))` — captured from the PR-4
@@ -202,6 +210,72 @@ fn golden_table_covers_every_registered_family() {
                 .any(|(s, ..)| s.split(':').next() == Some(family)),
             "golden table is missing family {family:?}"
         );
+    }
+}
+
+/// A kernel change moved Dodin's output bits, so its cells carry a
+/// kernel revision in their cache keys: a cache filled under the keys
+/// without it (every key an earlier release wrote) must still serve
+/// every other family, and must never serve a Dodin cell.
+#[test]
+fn only_dodin_cells_leave_their_earlier_keys() {
+    let spec = SweepSpec {
+        name: "kernel-revision".into(),
+        seed: 11,
+        pfails: vec![0.01, 0.001],
+        lambdas: vec![],
+        estimators: vec![
+            EstimatorSpec::Dodin { atoms: 32 },
+            EstimatorSpec::FirstOrder,
+        ],
+        reference_trials: 400,
+        reference_sampling: SamplingModel::Geometric,
+        jobs: Some(1),
+        scenarios: vec![],
+        dags: vec![DagSpec::Factorization {
+            class: FactorizationClass::Cholesky,
+            ks: vec![3, 4],
+        }],
+    };
+    let run = |cache: &Arc<ResultCache>| {
+        Campaign::builder(spec.clone())
+            .cache(cache.clone())
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+    };
+    let fresh = run(&Arc::new(ResultCache::in_memory()));
+    let hashes: HashMap<String, u128> = spec.dags[0]
+        .materialize()
+        .unwrap()
+        .into_iter()
+        .map(|inst| (inst.id, structural_hash(&inst.dag)))
+        .collect();
+    let sentinel = Estimate {
+        value: 1e9,
+        elapsed: Duration::from_secs(1),
+        name: "sentinel".into(),
+        std_error: None,
+    };
+    let planted = Arc::new(ResultCache::in_memory());
+    for row in &fresh.rows {
+        let key = cell_key(hashes[&row.dag], row.lambda, &row.estimator, row.seed);
+        planted.store(&key, &sentinel);
+    }
+    let rerun = run(&planted);
+    assert_eq!(rerun.rows.len(), 8);
+    for (row, first) in rerun.rows.iter().zip(&fresh.rows) {
+        if row.estimator == "first-order" {
+            assert_eq!(row.value, sentinel.value, "{row:?}: first-order key moved");
+        } else {
+            assert_eq!(row.estimator, "dodin:32");
+            assert_eq!(
+                row.value.to_bits(),
+                first.value.to_bits(),
+                "{row:?}: a Dodin cell was served from its earlier key"
+            );
+        }
     }
 }
 

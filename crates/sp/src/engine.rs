@@ -3,7 +3,7 @@
 use crate::arcnet::ArcNetwork;
 use std::collections::VecDeque;
 use stochdag_dag::{Dag, NodeId};
-use stochdag_dist::{DiscreteDist, DistScratch};
+use stochdag_dist::DiscreteDist;
 
 /// Tuning knobs of the reduction engine.
 #[derive(Clone, Debug)]
@@ -85,7 +85,6 @@ pub fn reduce(net: &mut ArcNetwork, cfg: &ReduceConfig) -> Result<ReduceOutcome,
         work: VecDeque::new(),
         rank: Vec::new(),
         join_heap: std::collections::BinaryHeap::new(),
-        dist_scratch: DistScratch::new(),
     };
     state.run()?;
     let arc = state
@@ -121,8 +120,6 @@ struct Engine<'a> {
     /// ≥ 2). Entries are lazily revalidated at pop time, so stale pushes
     /// are harmless.
     join_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
-    /// Merge arena shared by every convolve/max of the reduction.
-    dist_scratch: DistScratch,
 }
 
 impl Engine<'_> {
@@ -212,7 +209,7 @@ impl Engine<'_> {
             let (_, dst) = self.net.endpoints(a);
             let da = self.net.remove_arc(a);
             let db = self.net.remove_arc(b);
-            let merged = da.max_independent_with(&db, &mut self.dist_scratch);
+            let merged = da.max_independent(&db);
             let merged = self.cap(merged);
             self.net.add_arc(v, dst, merged);
             self.parallel += 1;
@@ -239,7 +236,7 @@ impl Engine<'_> {
         );
         let din = self.net.remove_arc(ain);
         let dout = self.net.remove_arc(aout);
-        let merged = din.convolve_with(&dout, &mut self.dist_scratch);
+        let merged = din.convolve(&dout);
         let merged = self.cap(merged);
         self.net.add_arc(u, w, merged);
         self.series += 1;
@@ -393,45 +390,15 @@ pub fn is_series_parallel(dag: &Dag) -> bool {
 /// Cost: `O(|V| + |E|)` distribution operations, each bounded by
 /// `max_atoms` — this is what makes Dodin usable at the paper's
 /// 2 870-task scale.
-pub fn dodin_forward_evaluate(
-    dag: &Dag,
-    dist_of: impl FnMut(NodeId) -> DiscreteDist,
-    max_atoms: usize,
-) -> DiscreteDist {
-    let topo = stochdag_dag::topological_order(dag).expect("requires an acyclic graph");
-    dodin_forward_evaluate_in(dag, &topo, dist_of, max_atoms, &mut ForwardScratch::new())
-}
-
-/// Reusable scratch for [`dodin_forward_evaluate_in`]: the per-node
-/// completion slots and the [`DistScratch`] merge arena, so a prepared
-/// estimator evaluating many failure models allocates nothing per call
-/// beyond the per-node result supports themselves.
-#[derive(Debug, Default)]
-pub struct ForwardScratch {
-    completion: Vec<Option<DiscreteDist>>,
-    dist: DistScratch,
-}
-
-impl ForwardScratch {
-    /// An empty scratch; buffers grow on first use and are reused after.
-    pub fn new() -> ForwardScratch {
-        ForwardScratch::default()
-    }
-}
-
-/// [`dodin_forward_evaluate`] over a caller-provided topological order
-/// and [`ForwardScratch`] — the hot-loop form: the topo walk is hoisted
-/// out of the per-model call and every convolve/max runs through the
-/// reused merge arena. Output is bit-identical to
-/// [`dodin_forward_evaluate`].
 ///
-/// `topo` must be a topological order of `dag` over all its nodes.
-pub fn dodin_forward_evaluate_in(
+/// `topo` must be a topological order of `dag` over all its nodes (a
+/// prepared graph's shared order, so nothing is recomputed per failure
+/// model).
+pub fn dodin_forward_evaluate(
     dag: &Dag,
     topo: &[NodeId],
     mut dist_of: impl FnMut(NodeId) -> DiscreteDist,
     max_atoms: usize,
-    scratch: &mut ForwardScratch,
 ) -> DiscreteDist {
     assert!(dag.node_count() > 0, "cannot evaluate an empty DAG");
     debug_assert_eq!(topo.len(), dag.node_count(), "topo must cover the DAG");
@@ -439,9 +406,7 @@ pub fn dodin_forward_evaluate_in(
         d.reduce_support_in_place(max_atoms);
         d
     };
-    let completion = &mut scratch.completion;
-    completion.clear();
-    completion.resize(dag.node_count(), None);
+    let mut completion: Vec<Option<DiscreteDist>> = vec![None; dag.node_count()];
     for &v in topo {
         let d = dist_of(v);
         let preds = dag.preds(v);
@@ -460,13 +425,13 @@ pub fn dodin_forward_evaluate_in(
                         .as_ref()
                         .expect("topological order visits predecessors first");
                     start = Some(cap(match &start {
-                        None => c0.max_independent_with(c, &mut scratch.dist),
-                        Some(s) => s.max_independent_with(c, &mut scratch.dist),
+                        None => c0.max_independent(c),
+                        Some(s) => s.max_independent(c),
                     }));
                 }
                 cap(match &start {
-                    None => c0.convolve_with(&d, &mut scratch.dist),
-                    Some(s) => s.convolve_with(&d, &mut scratch.dist),
+                    None => c0.convolve(&d),
+                    Some(s) => s.convolve(&d),
                 })
             }
         };
@@ -477,7 +442,7 @@ pub fn dodin_forward_evaluate_in(
         let c = completion[v.index()].as_ref().expect("all nodes computed");
         result = Some(match &result {
             None => c.clone(),
-            Some(r) => cap(r.max_independent_with(c, &mut scratch.dist)),
+            Some(r) => cap(r.max_independent(c)),
         });
     }
     result.expect("non-empty DAG has at least one sink")

@@ -25,10 +25,16 @@
 //!    the engine with duplication disabled recognizes SP DAGs and (with
 //!    an unbounded atom cap) evaluates them **exactly**, which the tests
 //!    use as ground truth for Dodin on SP inputs.
+//! 5. [`dodin_forward_evaluate`] — the scalable surrogate: one pass over
+//!    a caller-given topological order with independent maxima at every
+//!    join, `O(|V| + |E|)` distribution operations.
 //!
-//! Support growth is contained by mean-preserving coarsening
-//! ([`stochdag_dist::DiscreteDist::reduce_support`]); the cap is a
-//! parameter ([`ReduceConfig::max_atoms`]) swept by the
+//! Both evaluators spend their time in the plain
+//! [`stochdag_dist::DiscreteDist`] ops — `max_independent`, one linear
+//! merge, and `convolve`, a k-way merge — with no scratch state to
+//! carry between calls. Support growth is contained by mean-preserving
+//! coarsening ([`stochdag_dist::DiscreteDist::reduce_support`]); the
+//! cap is a parameter ([`ReduceConfig::max_atoms`]) swept by the
 //! `dodin_ablation` bench.
 
 mod arcnet;
@@ -36,6 +42,6 @@ mod engine;
 
 pub use arcnet::ArcNetwork;
 pub use engine::{
-    dodin_evaluate, dodin_forward_evaluate, dodin_forward_evaluate_in, exact_sp_expected_makespan,
-    is_series_parallel, reduce, ForwardScratch, ReduceConfig, ReduceError, ReduceOutcome,
+    dodin_evaluate, dodin_forward_evaluate, exact_sp_expected_makespan, is_series_parallel, reduce,
+    ReduceConfig, ReduceError, ReduceOutcome,
 };

@@ -83,7 +83,8 @@ mod forward_equivalence {
             },
         )
         .unwrap();
-        let fwd = dodin_forward_evaluate(g, |i| two_state(g.weight(i), p), usize::MAX);
+        let topo = stochdag_dag::topological_order(g).unwrap();
+        let fwd = dodin_forward_evaluate(g, &topo, |i| two_state(g.weight(i), p), usize::MAX);
         let rel = (dup.dist.mean() - fwd.mean()).abs() / dup.dist.mean();
         // The band is RNG-stream dependent (random DAG draws); 0.03
         // accommodates the vendored xoshiro-based rand shim's stream
