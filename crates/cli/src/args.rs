@@ -30,13 +30,50 @@ fn dashed(name: &str) -> String {
     }
 }
 
+/// Levenshtein distance between two option names.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let substituted = diagonal + usize::from(ca != cb);
+            diagonal = row[j + 1];
+            row[j + 1] = substituted.min(row[j] + 1).min(diagonal + 1);
+        }
+    }
+    row[b.len()]
+}
+
+/// The accepted name an unknown option most likely meant: the longest
+/// one it starts with (`cache-dir` → `cache`), else the nearest within
+/// edit distance 2 that the distance does not rewrite whole (so `-k`
+/// is never suggested for an unrelated short name).
+fn nearest<'a>(key: &str, accepted: &[&'a str]) -> Option<&'a str> {
+    let prefix = accepted
+        .iter()
+        .filter(|name| name.len() > 1 && key.starts_with(**name))
+        .max_by_key(|name| name.len());
+    if let Some(name) = prefix {
+        return Some(name);
+    }
+    accepted
+        .iter()
+        .map(|name| (edit_distance(key, name), *name))
+        .filter(|&(distance, name)| distance <= 2 && distance < name.len())
+        .min_by_key(|&(distance, _)| distance)
+        .map(|(_, name)| name)
+}
+
 impl Options {
     /// Parse an argument list against the option names its command
     /// accepts (without dashes, bare flags included). Every `--key` is
     /// expected to be followed by a value unless listed as a bare flag,
-    /// and a key the command does not accept is an error that names it
-    /// and lists the accepted ones, so a misspelt option never runs the
-    /// command on defaults.
+    /// and a key the command does not accept is an error that names it,
+    /// suggests the accepted name it most likely meant, and lists the
+    /// accepted ones, so a misspelt option never runs the command on
+    /// defaults.
     pub fn parse(argv: &[String], accepted: &[&str]) -> Result<Options, String> {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
@@ -47,9 +84,12 @@ impl Options {
             }
             let key = arg.trim_start_matches('-');
             if !accepted.contains(&key) {
+                let hint = nearest(key, accepted)
+                    .map(|name| format!("(did you mean {}?) ", dashed(name)))
+                    .unwrap_or_default();
                 let names: Vec<String> = accepted.iter().map(|k| dashed(k)).collect();
                 return Err(format!(
-                    "unknown option {arg} (accepted: {})",
+                    "unknown option {arg} {hint}(accepted: {})",
                     names.join(", ")
                 ));
             }
@@ -176,5 +216,46 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn unknown_options_suggest_the_nearest_accepted_name() {
+        let accepted = ["spec", "jobs", "trials", "cache", "no-cache", "k", "ks"];
+        let hint = |typed: &str| {
+            let err = Options::parse(&argv(&[typed, "1"]), &accepted)
+                .err()
+                .unwrap();
+            err.split_once("(did you mean ")
+                .map(|(_, rest)| rest.split_once("?)").unwrap().0.to_string())
+        };
+        assert_eq!(hint("--cache-dir").as_deref(), Some("--cache"));
+        assert_eq!(hint("--no-cache-please").as_deref(), Some("--no-cache"));
+        assert_eq!(hint("--job").as_deref(), Some("--jobs"));
+        assert_eq!(hint("--trails").as_deref(), Some("--trials"));
+        assert_eq!(hint("--kz").as_deref(), Some("--ks"));
+        assert_eq!(hint("--addr"), None);
+        assert_eq!(hint("-x"), None, "no one-letter name for a short typo");
+        let err = Options::parse(&argv(&["--cache-dir", "X"]), &accepted)
+            .err()
+            .unwrap();
+        assert!(
+            err.starts_with(
+                "unknown option --cache-dir (did you mean --cache?) (accepted: --spec,"
+            ),
+            "{err}"
+        );
+        let serve = [
+            "listen",
+            "cache",
+            "no-cache",
+            "max-running",
+            "max-queued",
+            "max-cells",
+            "shutdown-report",
+        ];
+        let err = Options::parse(&argv(&["--addr", "X"]), &serve)
+            .err()
+            .unwrap();
+        assert!(!err.contains("did you mean"), "{err}");
     }
 }

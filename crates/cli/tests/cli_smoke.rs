@@ -127,9 +127,16 @@ fn scratch_cwd(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// `args` must fail at once with an error that names `option` and
-/// lists `accepted` among the command's options, leaving `cwd` empty.
-fn assert_rejects_option(tag: &str, args: &[&str], option: &str, accepted: &str) {
+/// `args` must fail at once with an error that names `option`,
+/// suggests `hint` (or nothing) and lists `accepted` among the
+/// command's options, leaving `cwd` empty.
+fn assert_rejects_option(
+    tag: &str,
+    args: &[&str],
+    option: &str,
+    hint: Option<&str>,
+    accepted: &str,
+) {
     let cwd = scratch_cwd(tag);
     let (exited, ok, stderr) = run_in(&cwd, args, std::time::Duration::from_secs(20));
     assert!(exited, "{args:?} kept running: {stderr}");
@@ -138,6 +145,13 @@ fn assert_rejects_option(tag: &str, args: &[&str], option: &str, accepted: &str)
         stderr.contains(&format!("unknown option {option} ")),
         "{stderr}"
     );
+    match hint {
+        Some(name) => assert!(
+            stderr.contains(&format!("(did you mean {name}?)")),
+            "{stderr}"
+        ),
+        None => assert!(!stderr.contains("did you mean"), "{stderr}"),
+    }
     assert!(stderr.contains(accepted), "{stderr}");
     let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
     assert!(left.is_empty(), "{args:?} wrote {left:?}");
@@ -160,6 +174,7 @@ fn sweep_rejects_an_unknown_option() {
             "1",
         ],
         "--totally-bogus",
+        None,
         "--spec",
     );
 }
@@ -180,6 +195,7 @@ fn sweep_rejects_cache_dir_instead_of_running_on_the_default_cache() {
             "X",
         ],
         "--cache-dir",
+        Some("--cache"),
         "--cache,",
     );
 }
@@ -198,6 +214,7 @@ fn serve_rejects_the_clients_addr_option() {
             "127.0.0.1:7791",
         ],
         "--addr",
+        None,
         "--listen",
     );
 }

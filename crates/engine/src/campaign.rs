@@ -108,8 +108,8 @@ pub type Deliver<'a> = dyn Fn(CampaignEvent) -> Result<(), EngineError> + Sync +
 /// Shipped backends:
 ///
 /// * [`InProcess`] — the calling thread plus up to `--jobs − 1` helper
-///   threads draining the queue through one shared [`LeaseExecutor`]
-///   session.
+///   threads (started at the first cache miss) draining the queue
+///   through one shared [`LeaseExecutor`] session.
 /// * [`MultiProcess`] — N `sweep-worker` processes on this machine
 ///   sharing the on-disk cache, leases streamed over stdin pipes.
 /// * [`SharedFs`](crate::SharedFs) — remote `sweep-worker` processes
@@ -141,8 +141,9 @@ pub trait ExecBackend: Send + Sync {
 
 /// Execute the campaign on worker threads in this process: up to
 /// `--jobs` (default: every core) threads — the calling thread and
-/// `jobs − 1` scoped helpers — drain the lease queue through one
-/// shared [`LeaseExecutor`], so each DAG instance freezes once and
+/// `jobs − 1` scoped helpers, started at the first cache miss — drain
+/// the lease queue through one shared [`LeaseExecutor`], so a fully
+/// cached campaign starts no thread, each DAG instance freezes once and
 /// each (instance × estimator) group prepares once. The cap belongs to
 /// the campaign: capped campaigns in one process run side by side.
 pub struct InProcess;

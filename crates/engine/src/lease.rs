@@ -32,7 +32,10 @@
 //!   workers (source: spool claims) all run it; the first two open it
 //!   with the executor's `hello`.
 //!   The cap is a value of the session, not of the process, so capped
-//!   campaigns in one process run side by side.
+//!   campaigns in one process run side by side. The helpers start at
+//!   the session's first cache miss, before it is computed: a session
+//!   whose every cell and reference is a cache hit (a served cached
+//!   campaign, a warm worker) runs on the calling thread alone.
 //!
 //! Leases cross process boundaries as one JSON line each
 //! ([`encode_lease`]/[`decode_lease`]), mirroring the event protocol.
@@ -379,16 +382,21 @@ fn session_threads(jobs: usize, leases: usize) -> usize {
 }
 
 /// Run the items `next` hands out through `run` on the calling thread
-/// plus `threads − 1` scoped helpers until `next` runs dry. Every
-/// thread runs under a rayon pool of `cap` threads, so the parallel
-/// Monte-Carlo trials of a lease use at most that many. The first error
-/// stops every thread before its next item and is returned; `next` sees
-/// it as its raised flag, so a source that waits for work can give up.
+/// plus up to `threads − 1` scoped helpers until `next` runs dry.
+/// `run` gets each item with the session's start signal: the first
+/// call starts the helpers, later calls do nothing. A lease raises it
+/// before it computes a cache miss, so a session that only hits its
+/// cache starts no thread, and one that computes gets its helpers
+/// before its first computation. Every thread runs under a rayon pool
+/// of `cap` threads, so the parallel Monte-Carlo trials of a lease use
+/// at most that many. The first error stops every thread before its
+/// next item and is returned; `next` sees it as its raised flag, so a
+/// source that waits for work can give up.
 pub(crate) fn drain<T>(
     threads: usize,
     cap: usize,
     next: impl Fn(&AtomicBool) -> Result<Option<T>, EngineError> + Sync,
-    run: impl Fn(T) -> Result<(), EngineError> + Sync,
+    run: impl Fn(T, &(dyn Fn() + Sync)) -> Result<(), EngineError> + Sync,
 ) -> Result<(), EngineError> {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(cap)
@@ -396,13 +404,13 @@ pub(crate) fn drain<T>(
         .map_err(|e| EngineError::spec(format!("configuring {cap} worker thread(s): {e}")))?;
     let failed = AtomicBool::new(false);
     let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-    let work = || {
+    let work = |start_helpers: &(dyn Fn() + Sync)| {
         pool.install(|| {
             while !failed.load(Ordering::SeqCst) {
                 let Some(item) = next(&failed).transpose() else {
                     return;
                 };
-                if let Err(e) = item.and_then(&run) {
+                if let Err(e) = item.and_then(|item| run(item, start_helpers)) {
                     first_error
                         .lock()
                         .expect("first error slot")
@@ -412,12 +420,16 @@ pub(crate) fn drain<T>(
             }
         })
     };
-    // The calling thread drains too, so one thread spawns nothing.
     std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(work);
-        }
-        work();
+        let started = AtomicBool::new(threads <= 1);
+        let start_helpers = || {
+            if !started.swap(true, Ordering::SeqCst) {
+                for _ in 1..threads {
+                    scope.spawn(|| work(&|| {}));
+                }
+            }
+        };
+        work(&start_helpers);
     });
     first_error
         .into_inner()
@@ -486,8 +498,8 @@ impl<'a> LeaseExecutor<'a> {
         let jobs = self.spec.jobs.unwrap_or_else(cores);
         emit(CampaignEvent::Hello { shard, jobs })?;
         let threads = session_threads(jobs, self.plan.leases().len());
-        drain(threads, jobs, next, |lease| {
-            self.run(&lease, emit)?;
+        drain(threads, jobs, next, |lease, start_helpers| {
+            self.execute(&lease, emit, start_helpers)?;
             complete(lease.lease_id);
             Ok(())
         })
@@ -510,6 +522,18 @@ impl<'a> LeaseExecutor<'a> {
         &self,
         lease: &WorkLease,
         emit: &dyn Fn(CampaignEvent) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        self.execute(lease, emit, &|| {})
+    }
+
+    /// [`run`](LeaseExecutor::run) inside a session: `on_miss` is
+    /// called before each cache miss is computed ([`drain`]'s start
+    /// signal).
+    pub(crate) fn execute(
+        &self,
+        lease: &WorkLease,
+        emit: &dyn Fn(CampaignEvent) -> Result<(), EngineError>,
+        on_miss: &dyn Fn(),
     ) -> Result<(), EngineError> {
         let Expansion {
             estimator_ids,
@@ -568,6 +592,7 @@ impl<'a> LeaseExecutor<'a> {
                             model,
                             &entry.scenario,
                             &mut ref_prep,
+                            on_miss,
                             || {
                                 MonteCarloEstimator::new(self.spec.reference_trials)
                                     .with_sampling(self.spec.reference_sampling)
@@ -602,6 +627,7 @@ impl<'a> LeaseExecutor<'a> {
                 model,
                 &entry.scenario,
                 &mut prep,
+                on_miss,
                 || {
                     self.registry
                         .build(est_spec, seed)
@@ -738,12 +764,14 @@ mod tests {
     #[test]
     fn drain_caps_every_thread_and_lifts_the_cap_after() {
         // Three items, each held until all three are taken, so every
-        // thread (the caller included) runs exactly one.
+        // thread (the caller included) runs exactly one. Each raises
+        // the start signal, as a lease does before its first miss.
         let handed = std::sync::atomic::AtomicUsize::new(0);
         let all_taken = std::sync::Barrier::new(3);
         let seen = Mutex::new(HashMap::new());
         let next = |_: &AtomicBool| Ok((handed.fetch_add(1, Ordering::SeqCst) < 3).then_some(()));
-        let run = |()| {
+        let run = |(), start_helpers: &(dyn Fn() + Sync)| {
+            start_helpers();
             let me = std::thread::current().id();
             seen.lock()
                 .unwrap()
@@ -770,7 +798,8 @@ mod tests {
     #[test]
     fn drain_stops_every_thread_at_the_first_error() {
         // One thread fails its item once the other waits in its source
-        // for work, which must see the failure and give up.
+        // for work, which must see the failure and give up. The item
+        // raises the start signal first, so the helper exists.
         let handed = std::sync::atomic::AtomicUsize::new(0);
         let wait_for = |done: &dyn Fn() -> bool| {
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -786,7 +815,8 @@ mod tests {
             }
             Ok(Some(()))
         };
-        let run = |()| {
+        let run = |(), start_helpers: &(dyn Fn() + Sync)| {
+            start_helpers();
             wait_for(&|| handed.load(Ordering::SeqCst) == 2);
             Err(EngineError::spec("lease failed"))
         };

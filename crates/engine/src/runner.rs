@@ -285,11 +285,15 @@ pub(crate) fn expand(
 }
 
 /// Cache-first evaluation of one work unit against a lazily-created
-/// group preparation. On a miss, the first computed unit of the group
-/// carries the one-time preparation cost, so the summary's total_time
-/// keeps the paper's "full wall-clock per estimator" semantics.
-/// Returns the estimate and the cache tier that served it (`None` when
-/// computed fresh).
+/// group preparation. On a miss, `on_miss` runs before any work, and
+/// the first computed unit of the group carries the one-time
+/// preparation cost, so the summary's total_time keeps the paper's
+/// "full wall-clock per estimator" semantics. Returns the estimate and
+/// the cache tier that served it (`None` when computed fresh).
+///
+/// A disk-tier hit does not raise `on_miss`: a re-run served from disk
+/// measured no faster with the session's helpers than without (its
+/// cells serialize on delivery), only costlier in CPU.
 ///
 /// Single source of truth shared by the in-process and multi-process
 /// backends: the distributed byte-identity guarantee depends on both
@@ -309,6 +313,7 @@ pub(crate) fn evaluate_unit(
     model: &FailureModel,
     scenario: &ScenarioModel,
     prep: &mut Option<Box<dyn PreparedEstimator>>,
+    on_miss: &dyn Fn(),
     prepare: impl FnOnce() -> Box<dyn PreparedEstimator>,
 ) -> Result<(Estimate, Option<CacheTier>), EngineError> {
     let found = {
@@ -318,6 +323,7 @@ pub(crate) fn evaluate_unit(
     if let Some((est, tier)) = found {
         return Ok((est, Some(tier)));
     }
+    on_miss();
     let prep_cost = if prep.is_none() {
         let _prepare = tel.span("prepare_estimator");
         let t0 = Instant::now();
@@ -633,6 +639,7 @@ mod tests {
                             model,
                             &ScenarioModel::Iid,
                             &mut None,
+                            &|| {},
                             || {
                                 barrier.wait();
                                 std::thread::sleep(Duration::from_millis(sleep_ms));

@@ -469,7 +469,8 @@ pub struct SpoolSummary {
 ///
 /// [`run`](SpoolWorker::run) waits for the coordinator's `spec.json`,
 /// registers under [`name`](SpoolWorker::name), then claims and
-/// executes leases with up to `jobs` threads, each capping its
+/// executes leases with up to `jobs` threads (the calling thread, plus
+/// helpers from its first cache miss on), each capping its
 /// Monte-Carlo trials at `jobs`, until the coordinator writes the
 /// `stop` file. The cap is the session's own, so several workers in
 /// one process work side by side. Results go to the shared cache
@@ -664,8 +665,8 @@ impl SpoolWorker {
             jobs.min(plan.leases().len()).max(1),
             jobs,
             next_claim,
-            |(lease, attempt_stem): (WorkLease, String)| {
-                self.run_claim(&executor, &lease, &attempt_stem)?;
+            |(lease, attempt_stem): (WorkLease, String), start_helpers| {
+                self.run_claim(&executor, &lease, &attempt_stem, start_helpers)?;
                 done_leases.fetch_add(1, Ordering::Relaxed);
                 done_cells.fetch_add(lease.cells.len(), Ordering::Relaxed);
                 Ok(())
@@ -716,6 +717,7 @@ impl SpoolWorker {
         executor: &LeaseExecutor<'_>,
         lease: &WorkLease,
         stem: &str,
+        on_miss: &dyn Fn(),
     ) -> Result<(), EngineError> {
         let final_path = self
             .spool
@@ -730,7 +732,7 @@ impl SpoolWorker {
             writeln!(out, "{}", encode_event(&ev))
                 .map_err(|e| EngineError::io("writing spool event stream", e))
         };
-        let run = executor.run(lease, &emit);
+        let run = executor.execute(lease, &emit, on_miss);
         if let Err(e) = &run {
             let _ = emit(CampaignEvent::Error {
                 message: e.to_string(),

@@ -99,10 +99,11 @@ impl ServeClient {
     fn send(&self, request: &Request) -> Result<(TcpStream, BufReader<TcpStream>), ServeError> {
         let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| ServeError::io(&format!("connect {}", self.addr), e))?;
-        let line = encode_request(request);
+        // One write, so the daemon finds the whole line at once.
+        let mut line = encode_request(request);
+        line.push('\n');
         stream
             .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
             .map_err(|e| ServeError::io("send request", e))?;
         let reader = BufReader::new(
             stream

@@ -27,19 +27,40 @@
 //! stay. A retired id answers `events`, `status` and `resume` with a
 //! `state` error; resubmitting its spec replays it from the cache.
 //!
-//! The accept loop blocks in `accept()`. Whatever can end the loop —
-//! a shutdown request, its written ack, and each pool worker's exit —
-//! wakes it with a throwaway loopback connection to the daemon's own
-//! address. The loop does not end before every `shutdown` ack is
-//! written.
+//! The thread that accepts a connection answers it, then accepts
+//! again (Leader/Followers): the thread in [`Server::run`] is the first
+//! acceptor, so a daemon answers request after request without
+//! starting a thread. An acceptor reads the request line and writes
+//! its answer without blocking; only before it would wait — on the
+//! client (its request line has not arrived yet, or an `events` replay
+//! does not fit the socket at once), or on a campaign's event log that
+//! another thread holds — does it park: it makes sure another acceptor
+//! is in `accept()`, starting one only when none is idle. A silent
+//! client therefore holds one thread, its own, and never the daemon.
+//! Parked acceptors return to `accept()` when their exchange ends, and
+//! one that finds `max_running + 1` others idle exits, so a daemon
+//! whose requests often park (a request line regularly arrives just
+//! after `accept()` returns) keeps a few acceptors instead of starting
+//! a thread per park. [`ServeHandle::metrics`] counts the parks
+//! (`serve.parked`) and the acceptors started
+//! (`serve.acceptors_started`).
+//!
+//! Acceptors block in `accept()`. Whatever can stop the daemon — a
+//! shutdown request, and each pool worker's exit — wakes one with a
+//! throwaway loopback connection to the daemon's own address, and
+//! every acceptor checks after each connection. The daemon stops once
+//! it is shutting down, no pool worker runs and every `shutdown` ack
+//! is written: it hangs up on clients that have not sent their
+//! request, wakes every idle acceptor, and [`Server::run`] returns once
+//! all of them have exited.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::sync::{Arc, Condvar, Mutex, TryLockError};
+use std::thread::{self, Scope};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize, Value};
@@ -189,7 +210,7 @@ struct EventLog {
 struct LogInner {
     /// Every event line so far, each ending in `\n`.
     text: String,
-    subscribers: Vec<TcpStream>,
+    subscribers: Vec<Arc<TcpStream>>,
     closed: bool,
 }
 
@@ -211,7 +232,7 @@ impl EventLog {
         let mut inner = self.inner.lock().unwrap();
         inner
             .subscribers
-            .retain_mut(|s| s.write_all(line.as_bytes()).is_ok());
+            .retain(|s| (&**s).write_all(line.as_bytes()).is_ok());
         inner.text.push_str(&line);
     }
 
@@ -228,28 +249,32 @@ impl EventLog {
         delivered
     }
 
-    /// Replay the buffered prefix to `stream`, then keep it for live
-    /// events. If the stream already closed and the replay got through,
-    /// hand `stream` back: the caller hangs up once it has acted on
-    /// the delivery, so the subscriber's EOF comes after that.
-    fn subscribe(&self, mut stream: TcpStream) -> Option<TcpStream> {
-        let mut inner = self.inner.lock().unwrap();
-        if stream.write_all(inner.text.as_bytes()).is_err() {
-            return None;
-        }
+    /// Replay the buffered prefix to `conn`, then keep its socket for
+    /// live events. If the stream already closed and the replay got
+    /// through, hand `conn` back: the caller hangs up once it has acted
+    /// on the delivery, so the subscriber's EOF comes after that.
+    ///
+    /// Whoever holds the log may be blocked on a client that does not
+    /// read (the campaign's thread writing live events, an acceptor
+    /// replaying), so `conn` parks before it waits for the lock.
+    fn subscribe<'scope, 'env>(&self, mut conn: Conn<'scope, 'env>) -> Option<Conn<'scope, 'env>> {
+        let mut inner = match self.inner.try_lock() {
+            Ok(inner) => inner,
+            Err(TryLockError::WouldBlock) => {
+                conn.park().ok()?;
+                self.inner.lock().unwrap()
+            }
+            Err(TryLockError::Poisoned(e)) => panic!("{e}"),
+        };
+        conn.write_all(inner.text.as_bytes()).ok()?;
         if inner.closed {
-            Some(stream)
-        } else {
-            inner.subscribers.push(stream);
-            None
+            return Some(conn);
         }
+        if let Ok(stream) = conn.into_subscriber() {
+            inner.subscribers.push(stream);
+        }
+        None
     }
-}
-
-/// Write `line` and its newline in one `write_all`.
-fn write_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
-    line.push('\n');
-    stream.write_all(line.as_bytes())
 }
 
 /// Observer installed on every served campaign: mirrors the event
@@ -312,13 +337,26 @@ struct Inner {
     /// Set under the state lock, so admission sees it before it
     /// queues a campaign.
     stop: AtomicU8,
-    /// `shutdown` requests whose ack is not written yet: the accept
-    /// loop keeps the daemon alive until they are.
+    /// `shutdown` requests whose ack is not written yet: the daemon
+    /// does not stop, and so hangs up on no client, before they are.
     unacked_shutdowns: AtomicUsize,
+    acceptors: Mutex<Acceptors>,
     /// Campaigns completed: the clock of the retention window, counted
     /// under the state lock. Every other `status` total is a `serve.*`
     /// counter of `telemetry`.
     completed: AtomicU64,
+}
+
+/// The acceptor threads of [`Server::run`], counted under one lock.
+#[derive(Default)]
+struct Acceptors {
+    /// Acceptors in `accept()`, or on their way back to it.
+    idle: usize,
+    /// Set once the daemon stops: no acceptor enters `accept()` again.
+    closing: bool,
+    /// Sockets whose acceptor waits on its client; closing hangs up on
+    /// them, so every acceptor returns.
+    parked: Vec<Arc<TcpStream>>,
 }
 
 /// A cheap, cloneable handle for controlling a running [`Server`] from
@@ -389,6 +427,7 @@ impl Server {
             next_id: AtomicU64::new(1),
             stop: AtomicU8::new(RUN),
             unacked_shutdowns: AtomicUsize::new(0),
+            acceptors: Mutex::new(Acceptors::default()),
             completed: AtomicU64::new(0),
         });
         Ok(Server { listener, inner })
@@ -408,9 +447,11 @@ impl Server {
         }
     }
 
-    /// Serve until shutdown: accept and handle connections, then
-    /// drain, persist the shutdown report, and return it. Pool workers
-    /// start on demand, one per admitted campaign until
+    /// Serve until shutdown: accept and answer connections, then
+    /// drain, persist the shutdown report, and return it. The calling
+    /// thread is the first acceptor; more start only while clients
+    /// keep acceptors waiting (see the module docs). Pool workers start
+    /// on demand, one per admitted campaign until
     /// [`max_running`](ServeConfig::max_running) exist.
     ///
     /// During a drain the daemon keeps answering `status`, `cancel`,
@@ -420,31 +461,15 @@ impl Server {
     /// descriptors) is counted as `serve.accept_errors` and retried
     /// after a short pause.
     pub fn run(self) -> Result<ShutdownReport, EngineError> {
-        loop {
-            if self.inner.stop.load(Ordering::SeqCst) != RUN
-                && self.inner.active.load(Ordering::SeqCst) == 0
-                && self.inner.unacked_shutdowns.load(Ordering::SeqCst) == 0
-            {
-                break;
+        self.inner.acceptors.lock().expect("acceptor lock").idle = 1;
+        thread::scope(|scope| {
+            Acceptor {
+                inner: &self.inner,
+                listener: &self.listener,
+                scope,
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let inner = self.inner.clone();
-                    // Handler threads are detached: each serves one
-                    // request and exits; `events` subscribers park
-                    // their socket in the campaign's log.
-                    let _ = thread::Builder::new()
-                        .name("serve-conn".into())
-                        .spawn(move || handle_connection(&inner, stream));
-                }
-                Err(_) => {
-                    // The connection stays in the backlog, so retrying
-                    // at once would spin.
-                    self.inner.telemetry.count("serve.accept_errors", 1);
-                    thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
+            .run(true)
+        });
 
         // No worker starts once the loop has seen the stop flag:
         // admission checks it under the same lock.
@@ -755,7 +780,7 @@ impl Inner {
     }
 
     /// Start pool worker `w`; it runs queued campaigns until a
-    /// shutdown empties the queue, then wakes the accept loop.
+    /// shutdown empties the queue, then wakes an acceptor.
     fn start_worker(self: &Arc<Self>, w: usize) -> std::io::Result<thread::JoinHandle<()>> {
         let inner = self.clone();
         self.active.fetch_add(1, Ordering::SeqCst);
@@ -779,8 +804,8 @@ impl Inner {
         }
     }
 
-    /// Unblock the accept loop in [`Server::run`] so it re-checks
-    /// whether to stop: connect to the listener and hang up at once.
+    /// Unblock an acceptor so it re-checks whether to stop: connect to
+    /// the listener and hang up at once.
     fn wake(&self) {
         let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
@@ -982,76 +1007,270 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
     }
 }
 
-/// Serve one connection: one request line, one response line; for
-/// `events` the socket is then handed to the campaign's log.
-fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        // Hung up without a request: an accept-loop wake-up.
-        Ok(0) => return,
-        Ok(_) if !line.trim().is_empty() => {}
-        _ => {
-            respond(
-                stream,
-                &Response::Error {
-                    kind: "protocol".into(),
-                    message: "expected one request line".into(),
-                },
-            );
-            return;
-        }
-    }
-    let request = match decode_request(&line) {
-        Ok(r) => r,
-        Err(message) => {
-            respond(
-                stream,
-                &Response::Error {
-                    kind: "protocol".into(),
-                    message,
-                },
-            );
-            return;
-        }
-    };
-    match request {
-        Request::Submit { spec, backend } => respond(stream, &inner.submit(spec, backend)),
-        Request::Status { id } => respond(stream, &inner.status(id)),
-        Request::Cancel { id } => respond(stream, &inner.cancel(id)),
-        Request::Resume { id } => respond(stream, &inner.resume(id)),
-        Request::Shutdown { mode } => {
-            // Without a running campaign the pool exits at once; the
-            // daemon must still write this ack before it stops.
-            inner.unacked_shutdowns.fetch_add(1, Ordering::SeqCst);
-            let message = inner.shutdown(mode);
-            respond(stream, &Response::Ack { message });
-            inner.unacked_shutdowns.fetch_sub(1, Ordering::SeqCst);
-            inner.wake();
-        }
-        Request::Events { id } => {
-            let mut stream = stream;
-            match inner.events_log(id) {
-                Ok(log) => {
-                    if write_line(&mut stream, encode_response(&Response::Subscribed { id }))
-                        .is_ok()
-                    {
-                        if let Some(replayed) = log.subscribe(stream) {
-                            inner.mark_delivered(id);
-                            let _ = replayed.shutdown(Shutdown::Both);
-                        }
+/// One acceptor thread of [`Server::run`]: the daemon, its listener,
+/// and the scope to start more acceptors in.
+#[derive(Clone, Copy)]
+struct Acceptor<'scope, 'env> {
+    inner: &'env Arc<Inner>,
+    listener: &'env TcpListener,
+    scope: &'scope Scope<'scope, 'env>,
+}
+
+impl<'scope, 'env> Acceptor<'scope, 'env> {
+    /// Accept a connection, answer it, and accept again, until the
+    /// daemon stops or this acceptor is not needed. Entered counted as
+    /// idle. The `anchor` (the thread in [`Server::run`]) stays until
+    /// the daemon stops.
+    fn run(self, anchor: bool) {
+        loop {
+            let accepted = self.listener.accept();
+            self.inner.acceptors.lock().expect("acceptor lock").idle -= 1;
+            match accepted {
+                Ok((stream, _peer)) => {
+                    // Without a non-blocking socket the acceptor could
+                    // not tell whether the client keeps it waiting.
+                    if stream.set_nonblocking(true).is_ok() {
+                        answer(Conn {
+                            stream: Arc::new(stream),
+                            acceptor: self,
+                            parked: false,
+                        });
                     }
                 }
-                Err(error) => respond(stream, &error),
+                Err(_) => {
+                    // The connection stays in the backlog, so retrying
+                    // at once would spin.
+                    self.inner.telemetry.count("serve.accept_errors", 1);
+                    thread::sleep(Duration::from_millis(10));
+                }
             }
+            if !self.rejoin(anchor) {
+                return;
+            }
+        }
+    }
+
+    /// Count this acceptor idle again, or tell it to exit: when the
+    /// daemon stops, or when `max_running + 1` others are idle and it
+    /// is not the anchor. The first acceptor to see the daemon stop
+    /// closes: it hangs up on parked clients and wakes every idle
+    /// acceptor, so all of them return.
+    fn rejoin(self, anchor: bool) -> bool {
+        let inner = self.inner;
+        let stopping = inner.stop.load(Ordering::SeqCst) != RUN
+            && inner.active.load(Ordering::SeqCst) == 0
+            && inner.unacked_shutdowns.load(Ordering::SeqCst) == 0;
+        let mut acceptors = inner.acceptors.lock().expect("acceptor lock");
+        let mut wakes = 0;
+        if stopping && !acceptors.closing {
+            acceptors.closing = true;
+            for client in acceptors.parked.drain(..) {
+                let _ = client.shutdown(Shutdown::Both);
+            }
+            wakes = acceptors.idle;
+        }
+        let stay =
+            !acceptors.closing && (anchor || acceptors.idle <= inner.config.max_running.max(1));
+        if stay {
+            acceptors.idle += 1;
+        }
+        drop(acceptors);
+        for _ in 0..wakes {
+            inner.wake();
+        }
+        stay
+    }
+
+    /// Before this thread waits on `client` (or, answering it, on a
+    /// campaign's log): make sure another acceptor is in `accept()`,
+    /// starting one only when none is idle, and register the socket
+    /// for closing to hang up on. Fails with `ConnectionAborted` while
+    /// the daemon closes, or when no acceptor could start: the caller
+    /// then hangs up instead of waiting.
+    fn park(self, client: &Arc<TcpStream>) -> io::Result<()> {
+        let mut acceptors = self.inner.acceptors.lock().expect("acceptor lock");
+        if acceptors.closing {
+            return Err(ErrorKind::ConnectionAborted.into());
+        }
+        self.inner.telemetry.count("serve.parked", 1);
+        if acceptors.idle == 0 {
+            thread::Builder::new()
+                .name("serve-acceptor".into())
+                .spawn_scoped(self.scope, move || self.run(false))
+                .map_err(|_| io::Error::from(ErrorKind::ConnectionAborted))?;
+            acceptors.idle += 1;
+            self.inner.telemetry.count("serve.acceptors_started", 1);
+        }
+        acceptors.parked.push(client.clone());
+        Ok(())
+    }
+
+    /// Forget a parked socket whose exchange is over.
+    fn unpark(self, client: &Arc<TcpStream>) {
+        if let Ok(mut acceptors) = self.inner.acceptors.lock() {
+            acceptors.parked.retain(|c| !Arc::ptr_eq(c, client));
         }
     }
 }
 
-fn respond(mut stream: TcpStream, response: &Response) {
-    let _ = write_line(&mut stream, encode_response(response));
-    let _ = stream.shutdown(Shutdown::Both);
+/// One accepted connection, answered by the acceptor that accepted it.
+/// Its socket stays non-blocking until the exchange would wait on the
+/// client; the acceptor then parks ([`Acceptor::park`]) and switches
+/// the socket to blocking I/O.
+struct Conn<'scope, 'env> {
+    stream: Arc<TcpStream>,
+    acceptor: Acceptor<'scope, 'env>,
+    parked: bool,
+}
+
+impl Conn<'_, '_> {
+    /// Let this acceptor wait from here on: on the client, or on a
+    /// campaign's log.
+    fn park(&mut self) -> io::Result<()> {
+        if !self.parked {
+            self.stream.set_nonblocking(false)?;
+            self.acceptor.park(&self.stream)?;
+            self.parked = true;
+        }
+        Ok(())
+    }
+
+    /// Read up to the first newline (kept) or EOF; `None` when the
+    /// client hung up without sending a byte.
+    fn read_line(&mut self) -> io::Result<Option<String>> {
+        let mut line = Vec::new();
+        let mut buf = [0u8; 8192];
+        loop {
+            match (&*self.stream).read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => match buf[..n].iter().position(|&b| b == b'\n') {
+                    Some(end) => {
+                        line.extend_from_slice(&buf[..=end]);
+                        break;
+                    }
+                    None => line.extend_from_slice(&buf[..n]),
+                },
+                Err(e) if e.kind() == ErrorKind::WouldBlock => self.park()?,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if line.is_empty() {
+            return Ok(None);
+        }
+        String::from_utf8(line)
+            .map(Some)
+            .map_err(|e| io::Error::new(ErrorKind::InvalidData, e))
+    }
+
+    fn write_all(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            match (&*self.stream).write(bytes) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if e.kind() == ErrorKind::WouldBlock => self.park()?,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Write `line` and its newline in one `write_all`.
+    fn write_line(&mut self, mut line: String) -> io::Result<()> {
+        line.push('\n');
+        self.write_all(line.as_bytes())
+    }
+
+    /// The socket for a campaign's live events, blocking again: the
+    /// campaign's thread writes to it.
+    fn into_subscriber(self) -> io::Result<Arc<TcpStream>> {
+        if !self.parked {
+            self.stream.set_nonblocking(false)?;
+        }
+        Ok(self.stream.clone())
+    }
+
+    fn hang_up(&self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+impl Drop for Conn<'_, '_> {
+    fn drop(&mut self) {
+        if self.parked {
+            self.acceptor.unpark(&self.stream);
+        }
+    }
+}
+
+/// Answer one connection: one request line, one response line; for
+/// `events` the socket then joins the campaign's subscribers.
+fn answer(mut conn: Conn<'_, '_>) {
+    let inner = conn.acceptor.inner;
+    let line = match conn.read_line() {
+        Ok(Some(line)) => line,
+        // Hung up without a request (a wake-up), or this acceptor may
+        // not wait for it (see `Acceptor::park`).
+        Ok(None) => return,
+        Err(e) if e.kind() == ErrorKind::ConnectionAborted => return,
+        Err(_) => {
+            respond(conn, &protocol_error("expected one request line"));
+            return;
+        }
+    };
+    let _span = inner.telemetry.span("serve.request");
+    if line.trim().is_empty() {
+        respond(conn, &protocol_error("expected one request line"));
+        return;
+    }
+    let request = match decode_request(&line) {
+        Ok(r) => r,
+        Err(message) => {
+            respond(conn, &protocol_error(message));
+            return;
+        }
+    };
+    match request {
+        Request::Submit { spec, backend } => respond(conn, &inner.submit(spec, backend)),
+        Request::Status { id } => respond(conn, &inner.status(id)),
+        Request::Cancel { id } => respond(conn, &inner.cancel(id)),
+        Request::Resume { id } => respond(conn, &inner.resume(id)),
+        Request::Shutdown { mode } => {
+            // Without a running campaign the pool exits at once; the
+            // daemon must still write this ack before it stops (its
+            // socket may be parked), and this acceptor checks whether
+            // to stop once it has.
+            inner.unacked_shutdowns.fetch_add(1, Ordering::SeqCst);
+            let message = inner.shutdown(mode);
+            respond(conn, &Response::Ack { message });
+            inner.unacked_shutdowns.fetch_sub(1, Ordering::SeqCst);
+        }
+        Request::Events { id } => match inner.events_log(id) {
+            Ok(log) => {
+                if conn
+                    .write_line(encode_response(&Response::Subscribed { id }))
+                    .is_ok()
+                {
+                    if let Some(replayed) = log.subscribe(conn) {
+                        inner.mark_delivered(id);
+                        replayed.hang_up();
+                    }
+                }
+            }
+            Err(error) => respond(conn, &error),
+        },
+    }
+}
+
+fn protocol_error(message: impl Into<String>) -> Response {
+    Response::Error {
+        kind: "protocol".into(),
+        message: message.into(),
+    }
+}
+
+fn respond(mut conn: Conn<'_, '_>, response: &Response) {
+    let _ = conn.write_line(encode_response(response));
+    conn.hang_up();
 }

@@ -733,6 +733,132 @@ fn a_daemon_bound_to_the_wildcard_address_also_shuts_down() {
 }
 
 #[test]
+fn a_silent_client_stalls_neither_other_clients_nor_shutdown() {
+    let (addr, handle, stopped) = start_watched(ServeConfig::default());
+    // Connected first, and never sends a byte.
+    let silent = std::net::TcpStream::connect(addr).unwrap();
+    let client = ServeClient::connect_to(addr.to_string());
+    let (done, finished) = mpsc::channel();
+    thread::spawn(move || {
+        client.status(None).unwrap();
+        let ticket = client.submit(&spec_18("beside-silence")).unwrap();
+        let _ = done.send(stream(&client, ticket.id));
+    });
+    let outcome = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("status and a whole campaign must finish within 10 s beside a silent client");
+    assert_eq!(outcome.rows.len(), 18);
+    handle.shutdown(ShutdownMode::Drain);
+    stopped
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run must return within 1 s of shutdown while a silent client is connected");
+    // No acceptor still holds the listener: its address binds again.
+    let rebound = Server::bind(ServeConfig {
+        addr: addr.to_string(),
+        ..ServeConfig::default()
+    });
+    assert!(rebound.is_ok(), "{:?}", rebound.err());
+    drop(silent);
+}
+
+/// ~30k cheap cells: an event log of ~10 MB, more than a loopback
+/// socket buffers for a client that does not read.
+fn big_log_spec(name: &str) -> SweepSpec {
+    let pfails: Vec<String> = (1..=5000)
+        .map(|i| format!("{:e}", i as f64 * 1e-6))
+        .collect();
+    SweepSpec::from_str_auto(&format!(
+        r#"
+        name = "{name}"
+        seed = 3
+        pfails = [{}]
+        estimators = ["first-order", "sculli", "corlca"]
+        reference_trials = 10
+        [[dags]]
+        kind = "cholesky"
+        ks = [2, 3]
+        "#,
+        pfails.join(", ")
+    ))
+    .unwrap()
+}
+
+#[test]
+fn a_subscriber_that_never_reads_its_replay_stalls_neither_status_nor_shutdown() {
+    use std::io::Write;
+    let (addr, handle, stopped) = start_watched(ServeConfig::default());
+    let client = ServeClient::connect_to(addr.to_string());
+    let ticket = client.submit(&big_log_spec("unread")).unwrap();
+    assert_eq!(
+        wait_for_state(&client, ticket.id, CampaignState::Done),
+        CampaignState::Done
+    );
+    let events = format!(
+        "{}\n",
+        serde::json::to_string(&stochdag_serve::Request::Events { id: ticket.id })
+    );
+    let subscribe = || {
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.write_all(events.as_bytes()).unwrap();
+        raw
+    };
+    // The first subscriber's replay fills its socket, so its acceptor
+    // blocks holding the campaign's log; more subscribers than idle
+    // acceptors then wait for that log. None of them ever reads.
+    let first = subscribe();
+    thread::sleep(Duration::from_millis(200));
+    let waiting: Vec<_> = (0..8).map(|_| subscribe()).collect();
+    let (done, answered) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = done.send(client.status(None).map(|s| s.campaigns.len()));
+    });
+    let listed = answered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("status must be answered within 10 s beside blocked subscribers");
+    assert_eq!(listed.unwrap(), 1);
+    handle.shutdown(ShutdownMode::Now);
+    stopped
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run must return within 1 s of shutdown beside blocked subscribers");
+    drop((first, waiting));
+}
+
+#[test]
+fn cached_campaigns_start_few_acceptors_and_every_request_is_timed() {
+    let config = ServeConfig::default();
+    let max_running = config.max_running as u64;
+    let (addr, handle, stopped) = start_watched(config);
+    let client = ServeClient::connect_to(addr.to_string());
+    let spec = spec_18("cached-loop");
+    // One warm-up campaign fills the cache, then 50 cached ones; each
+    // is two requests, `submit` and `events`.
+    let mut requests = 0;
+    for n in 0..51 {
+        let ticket = client.submit(&spec).unwrap();
+        let outcome = stream(&client, ticket.id);
+        requests += 2;
+        assert!(n == 0 || outcome.fully_cached(), "campaign {n} computed");
+    }
+    handle.shutdown(ShutdownMode::Drain);
+    stopped
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run must return within 1 s of shutdown");
+    // Read once every acceptor has exited, so every span is recorded.
+    let metrics = handle.metrics();
+    let started = metrics
+        .counters
+        .get("serve.acceptors_started")
+        .copied()
+        .unwrap_or(0);
+    assert!(
+        started <= max_running + 1,
+        "{started} acceptors started for one client"
+    );
+    let timed = metrics.spans.get("serve.request").map_or(0, |s| s.count);
+    assert_eq!(timed, requests, "one serve.request span per request");
+}
+
+#[test]
 fn streamed_campaigns_are_retired_after_the_window_and_unread_ones_are_kept() {
     const WINDOW: usize = 2;
     let dir = scratch("retention");
