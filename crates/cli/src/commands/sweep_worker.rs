@@ -29,24 +29,21 @@ use crate::args::Options;
 use std::sync::Arc;
 use std::time::Duration;
 use stochdag::prelude::*;
-#[cfg(debug_assertions)]
-use stochdag_engine::CampaignObserver;
 use stochdag_engine::{
-    encode_event, Campaign, CampaignEvent, EngineError, SpoolWorker, Telemetry, WireObserver,
+    encode_event, Campaign, CampaignEvent, CampaignObserver, EngineError, SpoolWorker, Telemetry,
+    WireObserver,
 };
 
-/// Fault-injection hook for the coordinator's kill-a-worker test: when
+/// Test hook for the coordinator's kill-a-worker tests: when
 /// `STOCHDAG_SWEEP_WORKER_CRASH_FILE` names a file whose content is
 /// this worker's slot index, the worker deletes the file (so the
 /// re-queued leases land on a clean respawn) and hard-exits mid-stream
-/// after a few events. Debug builds only (what `cargo test` runs) —
-/// release workers ship without the hook.
-#[cfg(debug_assertions)]
+/// after a few events. Every build has it, so the tests pass in debug
+/// and release alike; without the variable it does nothing.
 struct CrashAfterEvents {
     remaining: usize,
 }
 
-#[cfg(debug_assertions)]
 impl CampaignObserver for CrashAfterEvents {
     fn on_event(&mut self, _event: &CampaignEvent) -> Result<(), EngineError> {
         if self.remaining == 0 {
@@ -60,7 +57,6 @@ impl CampaignObserver for CrashAfterEvents {
     }
 }
 
-#[cfg(debug_assertions)]
 fn crash_armed(slot: usize) -> bool {
     let Ok(path) = std::env::var("STOCHDAG_SWEEP_WORKER_CRASH_FILE") else {
         return false;
@@ -134,7 +130,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         if opts.flag("telemetry") {
             builder = builder.telemetry(Telemetry::enabled());
         }
-        #[cfg(debug_assertions)]
         if crash_armed(slot) {
             builder = builder.observer(CrashAfterEvents { remaining: 3 });
         }

@@ -220,6 +220,39 @@ fn serve_rejects_the_clients_addr_option() {
 }
 
 #[test]
+fn sweep_rejects_a_misspelt_spec_key_instead_of_running_on_defaults() {
+    let body = "pfails = [0.1]\nestimators = [\"first-order\"]\nreference_trials = 200\n";
+    for (tag, text, error) in [
+        (
+            "topkey",
+            format!("refrence_trials = 9\n{body}[[dags]]\nkind = \"qr\"\nks = [2]\n"),
+            "unknown key \"refrence_trials\" in the top-level table",
+        ),
+        (
+            "dagkey",
+            format!("{body}[[dags]]\nkind = \"qr\"\nks = [2]\nweigths = 2\n"),
+            "dags[0]: unknown key \"weigths\" in a \"qr\" DAG source (accepted: kind, ks)",
+        ),
+    ] {
+        // The spec lives outside the working directory, which must
+        // stay empty.
+        let spec =
+            std::env::temp_dir().join(format!("stochdag_cli_{tag}_{}.toml", std::process::id()));
+        std::fs::write(&spec, text).unwrap();
+        let cwd = scratch_cwd(tag);
+        let args = ["sweep", "--spec", spec.to_str().unwrap()];
+        let (exited, ok, stderr) = run_in(&cwd, &args, std::time::Duration::from_secs(20));
+        assert!(exited, "{args:?} kept running: {stderr}");
+        assert!(!ok, "{args:?} must fail");
+        assert!(stderr.contains(error), "{stderr}");
+        let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+        assert!(left.is_empty(), "{args:?} wrote {left:?}");
+        let _ = std::fs::remove_dir_all(&cwd);
+        let _ = std::fs::remove_file(&spec);
+    }
+}
+
+#[test]
 fn info_reports_paper_task_counts() {
     let (ok, stdout, _) = stochdag(&["info", "--class", "lu", "-k", "12"]);
     assert!(ok, "{stdout}");

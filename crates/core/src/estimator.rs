@@ -190,10 +190,11 @@ pub trait Estimator {
     }
 }
 
-/// An owned, thread-safe estimator handle — the currency of the
-/// scenario-sweep engine's name-addressable registry. `Estimator` is
-/// dyn-compatible by construction (no generic methods, no `Self`
-/// returns), so trait objects work directly.
+/// An owned, thread-safe estimator handle — what
+/// [`EstimatorSpec::build`](crate::EstimatorSpec::build) returns and
+/// the scenario-sweep engine prepares per (DAG × estimator) group.
+/// `Estimator` is dyn-compatible by construction (no generic methods,
+/// no `Self` returns), so trait objects work directly.
 pub type BoxedEstimator = Box<dyn Estimator + Send + Sync>;
 
 impl Estimator for BoxedEstimator {

@@ -5,6 +5,10 @@
 //! with the family's single numeric knob (if any) as a typed field
 //! instead of a `":arg"` suffix on a string.
 //!
+//! [`EstimatorSpec::build`] is the one place each family's estimator
+//! is constructed: the sweep engine builds every (DAG × estimator)
+//! group's estimator from its spec and the cell's seed.
+//!
 //! The string form is not gone: [`Display`](std::fmt::Display) renders
 //! the **canonical id** (`"dodin:128"`, `"first-order"`, `"mc:10000"`,
 //! …) and [`FromStr`] parses any legacy spelling (`"dodin"`,
@@ -28,6 +32,11 @@
 //! | `exact` | [`EstimatorSpec::Exact`] |
 //! | `mc:TRIALS` | [`EstimatorSpec::Mc`] |
 
+use crate::{
+    BoxedEstimator, CorLcaEstimator, CovarianceNormalEstimator, DodinEstimator, ExactEstimator,
+    FirstOrderEstimator, MonteCarloEstimator, SculliEstimator, SecondOrderEstimator,
+    SpeldeEstimator,
+};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
@@ -79,7 +88,7 @@ pub enum EstimatorSpec {
     },
 }
 
-/// Estimator family base names, sorted (the registry's listing order).
+/// Estimator family base names, sorted.
 pub const ESTIMATOR_FAMILIES: &[&str] = &[
     "corlca",
     "dodin",
@@ -136,7 +145,7 @@ impl EstimatorSpec {
     }
 
     /// One spec per family, with default arguments — the full closed
-    /// set, for registries and exhaustiveness tests.
+    /// set, for exhaustiveness tests.
     pub fn all_default() -> Vec<EstimatorSpec> {
         ESTIMATOR_FAMILIES
             .iter()
@@ -159,6 +168,36 @@ impl EstimatorSpec {
                 Err("mc needs at least one trial".into())
             }
             _ => Ok(()),
+        }
+    }
+
+    /// Construct the family's estimator. Only `mc` reads `seed` (the
+    /// cell's deterministic seed); every other family is deterministic.
+    ///
+    /// # Panics
+    ///
+    /// On a spec that fails [`validate`](EstimatorSpec::validate) (an
+    /// out-of-range knob), in the estimator's constructor. Parsed specs
+    /// and campaign specs are validated before any estimator is built.
+    pub fn build(&self, seed: u64) -> BoxedEstimator {
+        match *self {
+            EstimatorSpec::FirstOrder => Box::new(FirstOrderEstimator::fast()),
+            EstimatorSpec::FirstOrderNaive => Box::new(FirstOrderEstimator::naive()),
+            EstimatorSpec::SecondOrder => Box::new(SecondOrderEstimator),
+            EstimatorSpec::Sculli => Box::new(SculliEstimator),
+            EstimatorSpec::CorLca => Box::new(CorLcaEstimator),
+            EstimatorSpec::NormalCov => Box::new(CovarianceNormalEstimator),
+            EstimatorSpec::Dodin { atoms } => {
+                Box::new(DodinEstimator::scalable().with_max_atoms(atoms))
+            }
+            EstimatorSpec::DodinDup { atoms } => {
+                Box::new(DodinEstimator::new().with_max_atoms(atoms))
+            }
+            EstimatorSpec::Spelde { paths } => Box::new(SpeldeEstimator::new(paths)),
+            EstimatorSpec::Exact => Box::new(ExactEstimator),
+            EstimatorSpec::Mc { trials } => {
+                Box::new(MonteCarloEstimator::new(trials).with_seed(seed))
+            }
         }
     }
 }
@@ -245,6 +284,49 @@ impl Deserialize for EstimatorSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Estimator, FailureModel};
+    use stochdag_dag::Dag;
+
+    fn diamond() -> Dag {
+        let mut g = Dag::new();
+        let a = g.add_node(1.0);
+        let b = g.add_node(2.0);
+        let c = g.add_node(3.0);
+        let d = g.add_node(1.0);
+        g.add_edge(a, b);
+        g.add_edge(a, c);
+        g.add_edge(b, d);
+        g.add_edge(c, d);
+        g
+    }
+
+    #[test]
+    fn every_registered_estimator_builds_and_runs() {
+        let g = diamond();
+        let m = FailureModel::new(0.01);
+        let d_g = 5.0;
+        for &name in ESTIMATOR_FAMILIES {
+            let spec = if name == "mc" { "mc:500" } else { name };
+            let spec: EstimatorSpec = spec.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let v = spec.build(7).expected_makespan(&g, &m);
+            assert!(
+                v >= d_g - 1e-9 && v.is_finite(),
+                "{name}: estimate {v} below failure-free makespan"
+            );
+        }
+    }
+
+    #[test]
+    fn mc_is_seed_deterministic() {
+        let g = diamond();
+        let m = FailureModel::new(0.05);
+        let spec: EstimatorSpec = "mc:2000".parse().unwrap();
+        let a = spec.build(11).expected_makespan(&g, &m);
+        let b = spec.build(11).expected_makespan(&g, &m);
+        let c = spec.build(12).expected_makespan(&g, &m);
+        assert_eq!(a, b);
+        assert_ne!(a, c);
+    }
 
     #[test]
     fn canonical_ids_match_the_stringly_registry() {

@@ -17,9 +17,9 @@ use stochdag_core::{
 };
 use stochdag_dag::{Dag, PreparedDag};
 
-/// Every estimator family the engine registry exposes, constructed the
-/// way `EstimatorRegistry::standard` builds them (small arguments so
-/// the exhaustive/statistical members stay fast).
+/// Every estimator family, constructed the way `EstimatorSpec::build`
+/// builds them (small arguments so the exhaustive/statistical members
+/// stay fast).
 fn all_families() -> Vec<Box<dyn Estimator>> {
     vec![
         Box::new(FirstOrderEstimator::fast()),

@@ -50,12 +50,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// What a backend needs to execute a campaign: the validated spec, the
-/// shared estimator registry and result cache, and the expanded plan.
+/// shared result cache, and the expanded plan. Estimators are built
+/// from the spec's [`EstimatorSpec`](stochdag_core::EstimatorSpec)s.
 pub struct BackendContext<'a> {
     /// The validated campaign spec.
     pub spec: &'a SweepSpec,
-    /// Estimator factory.
-    pub registry: &'a EstimatorRegistry,
     /// Shared result cache (multi-process backends hand its
     /// [`ResultCache::disk_dir`] to worker processes).
     pub cache: &'a ResultCache,
@@ -824,7 +823,6 @@ pub struct DryRun {
 /// crate docs and [`Campaign::builder`]).
 pub struct Campaign {
     spec: SweepSpec,
-    registry: EstimatorRegistry,
     cache: Arc<ResultCache>,
     backend: Box<dyn ExecBackend>,
     sinks: Vec<Box<dyn ResultSink>>,
@@ -845,13 +843,11 @@ impl std::fmt::Debug for Campaign {
 }
 
 impl Campaign {
-    /// Start configuring a campaign for `spec`. Defaults: the standard
-    /// registry, an in-memory cache, the [`InProcess`] backend, no
-    /// sinks, no observers.
+    /// Start configuring a campaign for `spec`. Defaults: an in-memory
+    /// cache, the [`InProcess`] backend, no sinks, no observers.
     pub fn builder(spec: SweepSpec) -> CampaignBuilder {
         CampaignBuilder {
             spec,
-            registry: EstimatorRegistry::standard(),
             cache: Arc::new(ResultCache::in_memory()),
             backend: Box::new(InProcess),
             sinks: Vec::new(),
@@ -878,7 +874,6 @@ impl Campaign {
     pub fn run(self) -> Result<SweepOutcome, EngineError> {
         let Campaign {
             spec,
-            registry,
             cache,
             backend,
             mut sinks,
@@ -892,7 +887,6 @@ impl Campaign {
             .collect();
         Campaign::run_core(
             &spec,
-            &registry,
             &cache,
             backend.as_ref(),
             &mut observers,
@@ -905,7 +899,7 @@ impl Campaign {
     /// Diff the spec against the cache — per-estimator hit/miss counts
     /// — without computing anything or perturbing the cache.
     pub fn resume_report(&self) -> Result<ResumeReport, EngineError> {
-        resume_report_impl(&self.spec, &self.registry, &self.cache)
+        resume_report_impl(&self.spec, &self.cache)
     }
 
     /// Expand the campaign — instances, models, estimators, cell and
@@ -915,7 +909,7 @@ impl Campaign {
             estimator_ids,
             instances,
             ..
-        } = expand(&self.spec, &self.registry)?;
+        } = expand(&self.spec)?;
         let m_count = self.spec.model_count();
         Ok(DryRun {
             name: self.spec.name.clone(),
@@ -982,10 +976,9 @@ impl Campaign {
                 }
             }
         };
-        let result = CampaignPlan::new(&self.spec, &self.registry).and_then(|plan| {
+        let result = CampaignPlan::new(&self.spec, &EstimatorRegistry).and_then(|plan| {
             let ctx = BackendContext {
                 spec: &self.spec,
-                registry: &self.registry,
                 cache: &self.cache,
                 telemetry: &self.telemetry,
                 cancel: &self.cancel,
@@ -1005,10 +998,8 @@ impl Campaign {
     /// (dedup, re-sequencing, completeness) as it is delivered, feeds
     /// observers and sinks, and folds each lease's telemetry delta into
     /// the campaign's collector.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_core(
         spec: &SweepSpec,
-        registry: &EstimatorRegistry,
         cache: &ResultCache,
         backend: &dyn ExecBackend,
         observers: &mut [Box<dyn CampaignObserver>],
@@ -1017,11 +1008,7 @@ impl Campaign {
         cancel: &CancelToken,
     ) -> Result<SweepOutcome, EngineError> {
         let start = Instant::now();
-        spec.validate()?;
-        if backend.workers() == 0 {
-            return Err(EngineError::spec("backend needs at least one worker"));
-        }
-        let plan = CampaignPlan::new(spec, registry)?;
+        let plan = CampaignPlan::new(spec, &EstimatorRegistry)?;
         let leases = LeaseQueue::new(plan.leases().to_vec());
         let core = Mutex::new(Delivery {
             merge: Merge::begin(sinks)?,
@@ -1052,7 +1039,6 @@ impl Campaign {
         })?;
         let ctx = BackendContext {
             spec,
-            registry,
             cache,
             telemetry,
             cancel,
@@ -1122,7 +1108,6 @@ impl Delivery<'_, '_, '_> {
 /// Configures a [`Campaign`] (see [`Campaign::builder`]).
 pub struct CampaignBuilder {
     spec: SweepSpec,
-    registry: EstimatorRegistry,
     cache: Arc<ResultCache>,
     backend: Box<dyn ExecBackend>,
     sinks: Vec<Box<dyn ResultSink>>,
@@ -1133,12 +1118,6 @@ pub struct CampaignBuilder {
 }
 
 impl CampaignBuilder {
-    /// Replace the estimator registry (default: the standard one).
-    pub fn registry(mut self, registry: EstimatorRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// Use this result cache (an owned [`ResultCache`] or a shared
     /// `Arc<ResultCache>` — pass a clone of the `Arc` to keep a handle
     /// for post-run maintenance like [`ResultCache::gc_disk`]).
@@ -1213,7 +1192,6 @@ impl CampaignBuilder {
     pub fn build(self) -> Result<Campaign, EngineError> {
         let CampaignBuilder {
             mut spec,
-            registry,
             cache,
             backend,
             sinks,
@@ -1226,15 +1204,11 @@ impl CampaignBuilder {
             spec.jobs = Some(jobs);
         }
         spec.validate()?;
-        for est in &spec.estimators {
-            registry.build(est, 0)?; // constructors are cheap; reject bad knobs now
-        }
         if backend.workers() == 0 {
             return Err(EngineError::spec("backend needs at least one worker"));
         }
         Ok(Campaign {
             spec,
-            registry,
             cache,
             backend,
             sinks,

@@ -24,7 +24,9 @@
 //!   campaign.
 //! * [`LeaseExecutor`] — the cache-first cell evaluator shared by every
 //!   consumer, which is what keeps lease interleavings byte-identical
-//!   to a single-process run.
+//!   to a single-process run. It prepares each group's estimator from
+//!   its spec ([`EstimatorSpec::build`](stochdag_core::EstimatorSpec::build)
+//!   with the cell's seed) at the group's first cache miss.
 //! * `drain` — the one lease loop: leases from a source run on the
 //!   calling thread plus scoped helpers, each under a rayon pool capped
 //!   at the session's `--jobs`. In-process campaigns (source: the
@@ -315,13 +317,15 @@ impl std::fmt::Debug for CampaignPlan {
 }
 
 impl CampaignPlan {
-    /// Expand and validate `spec` into the plan every v2 backend
-    /// executes.
+    /// Expand and validate `spec` into the plan every backend executes.
+    /// The registry is not read (each estimator is built from its
+    /// [`EstimatorSpec`](stochdag_core::EstimatorSpec)); the parameter
+    /// stays so that existing callers keep compiling.
     pub fn new(
         spec: &SweepSpec,
-        registry: &EstimatorRegistry,
+        _registry: &EstimatorRegistry,
     ) -> Result<CampaignPlan, EngineError> {
-        let expansion = expand(spec, registry)?;
+        let expansion = expand(spec)?;
         let hashes: Vec<u128> = expansion
             .instances
             .iter()
@@ -454,7 +458,6 @@ pub(crate) fn drain<T>(
 /// `sweep-worker --leases` process) drains its leases.
 pub struct LeaseExecutor<'a> {
     spec: &'a SweepSpec,
-    registry: &'a EstimatorRegistry,
     cache: &'a ResultCache,
     telemetry: &'a Telemetry,
     cancel: &'a CancelToken,
@@ -471,7 +474,6 @@ impl<'a> LeaseExecutor<'a> {
         let plan = ctx.plan;
         LeaseExecutor {
             spec: ctx.spec,
-            registry: ctx.registry,
             cache: ctx.cache,
             telemetry: ctx.telemetry,
             cancel: ctx.cancel,
@@ -628,12 +630,7 @@ impl<'a> LeaseExecutor<'a> {
                 &entry.scenario,
                 &mut prep,
                 on_miss,
-                || {
-                    self.registry
-                        .build(est_spec, seed)
-                        .expect("estimator specs validated before launch")
-                        .prepare(pdag)
-                },
+                || est_spec.build(seed).prepare(pdag),
             )?;
             tel.count_lookup("cells", tier);
             count(tier);

@@ -6,9 +6,10 @@
 //! declarative, parallel, cached subsystem behind **one facade**:
 //!
 //! * [`Campaign`] — build with [`Campaign::builder`], configure
-//!   typed estimators ([`EstimatorSpec`]), a content-addressed
-//!   [`ResultCache`], streaming sinks, observers, and an execution
-//!   [`ExecBackend`]; then [`run`](Campaign::run),
+//!   typed estimators ([`EstimatorSpec`]; every (DAG × estimator)
+//!   group's estimator comes from [`EstimatorSpec::build`]), a
+//!   content-addressed [`ResultCache`], streaming sinks, observers,
+//!   and an execution [`ExecBackend`]; then [`run`](Campaign::run),
 //!   [`resume_report`](Campaign::resume_report), or
 //!   [`dry_run`](Campaign::dry_run).
 //! * [`ExecBackend`] — where cells execute: [`InProcess`]

@@ -20,7 +20,6 @@
 use crate::cache::{cell_key, CacheTier, ResultCache};
 use crate::error::EngineError;
 use crate::keys::{mix, StableHasher};
-use crate::registry::EstimatorRegistry;
 use crate::sink::{SummaryRow, SweepRow};
 use crate::spec::{DagInstance, SweepSpec};
 use crate::telemetry::Telemetry;
@@ -141,20 +140,13 @@ pub(crate) fn cell_index(i: usize, m: usize, e: usize, m_count: usize, e_count: 
     (i * m_count + m) * e_count + e
 }
 
-pub(crate) fn expand(
-    spec: &SweepSpec,
-    registry: &EstimatorRegistry,
-) -> Result<Expansion, EngineError> {
+pub(crate) fn expand(spec: &SweepSpec) -> Result<Expansion, EngineError> {
     spec.validate()?;
-    // Resolve estimator ids up front so bad specs fail before any work.
     let estimator_ids: Vec<(EstimatorSpec, String)> = spec
         .estimators
         .iter()
-        .map(|est| {
-            registry.build(est, 0)?; // constructors are cheap; reject bad knobs here
-            Ok((est.clone(), est.to_string()))
-        })
-        .collect::<Result<_, EngineError>>()?;
+        .map(|est| (est.clone(), est.to_string()))
+        .collect();
     {
         let mut ids: Vec<&str> = estimator_ids.iter().map(|(_, id)| id.as_str()).collect();
         ids.sort_unstable();
@@ -429,7 +421,6 @@ impl ResumeReport {
 /// touching the cache's counters or LRU recency.
 pub(crate) fn resume_report_impl(
     spec: &SweepSpec,
-    registry: &EstimatorRegistry,
     cache: &ResultCache,
 ) -> Result<ResumeReport, EngineError> {
     let Expansion {
@@ -437,7 +428,7 @@ pub(crate) fn resume_report_impl(
         instances,
         models,
         reference_id,
-    } = expand(spec, registry)?;
+    } = expand(spec)?;
     let hashes: Vec<u128> = instances.iter().map(|i| structural_hash(&i.dag)).collect();
     let mut estimators: Vec<ResumeEstimatorReport> = estimator_ids
         .iter()

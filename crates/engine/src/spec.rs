@@ -4,12 +4,15 @@
 //! **DAG sources** (factorization families across tile counts,
 //! synthetic families, task-graph files) × **failure models** (paper
 //! style calibrated `pfails` and/or raw `lambdas`) × **estimators**
-//! (registry spec strings). One Monte-Carlo reference per (DAG, model)
+//! ([`EstimatorSpec`] spellings). One Monte-Carlo reference per (DAG, model)
 //! scenario anchors the relative-error columns.
 //!
 //! Specs load from TOML (a self-contained subset: scalars, arrays of
 //! scalars, `[table]`, `[[array-of-tables]]`) or JSON; both parse into
-//! the same [`serde::Value`] tree.
+//! the same [`serde::Value`] tree. Decoding rejects a key the model
+//! does not read — a misspelt `refrence_trials` would otherwise run on
+//! the default of the key it meant — naming the key, its table
+//! (`dags[1]`, counted from 0) and the keys accepted there.
 
 use crate::error::EngineError;
 use serde::{Deserialize, Serialize, Value};
@@ -368,6 +371,34 @@ fn num_field<T: Deserialize>(v: &Value, key: &str, default: T) -> Result<T, serd
     }
 }
 
+/// Fail on the first key of the table `v` outside `accepted`.
+fn reject_unknown_keys(v: &Value, table: &str, accepted: &[&str]) -> Result<(), serde::Error> {
+    let Value::Obj(given) = v else {
+        return Ok(());
+    };
+    match given.keys().find(|k| !accepted.contains(&k.as_str())) {
+        None => Ok(()),
+        Some(key) => Err(serde::Error::new(format!(
+            "unknown key {key:?} in {table} (accepted: {})",
+            accepted.join(", ")
+        ))),
+    }
+}
+
+/// Every key a spec's top level accepts: one per [`SweepSpec`] field.
+const SPEC_KEYS: &[&str] = &[
+    "name",
+    "seed",
+    "pfails",
+    "lambdas",
+    "estimators",
+    "reference_trials",
+    "reference_sampling",
+    "jobs",
+    "scenarios",
+    "dags",
+];
+
 fn weight_range(v: &Value) -> Result<(f64, f64), serde::Error> {
     let lo = num_field(v, "weight_lo", 0.5)?;
     let hi = num_field(v, "weight_hi", 1.5)?;
@@ -380,7 +411,7 @@ fn weight_range(v: &Value) -> Result<(f64, f64), serde::Error> {
 impl Deserialize for DagSpec {
     fn deserialize(v: &Value) -> Result<DagSpec, serde::Error> {
         let kind = String::deserialize(v.require("kind")?)?;
-        match kind.as_str() {
+        let spec = match kind.as_str() {
             "cholesky" | "lu" | "qr" => {
                 let class = FactorizationClass::parse(&kind).expect("matched above");
                 let ks: Vec<usize> = Vec::deserialize(v.require("ks")?)?;
@@ -425,7 +456,14 @@ impl Deserialize for DagSpec {
             other => Err(serde::Error::new(format!(
                 "unknown DAG kind {other:?} (cholesky|lu|qr|layered|erdos-renyi|fork-join|diamond-mesh|file|dot|trace-json)"
             ))),
-        }
+        }?;
+        // A kind reads exactly the keys its serialization writes.
+        let Value::Obj(known) = spec.serialize() else {
+            unreachable!("a DAG source serializes as a table")
+        };
+        let known: Vec<&str> = known.keys().map(String::as_str).collect();
+        reject_unknown_keys(v, &format!("a {kind:?} DAG source"), &known)?;
+        Ok(spec)
     }
 }
 
@@ -505,6 +543,7 @@ impl Serialize for DagSpec {
 
 impl Deserialize for SweepSpec {
     fn deserialize(v: &Value) -> Result<SweepSpec, serde::Error> {
+        reject_unknown_keys(v, "the top-level table", SPEC_KEYS)?;
         let defaults = SweepSpec::default();
         let sampling = match v.get("reference_sampling").and_then(Value::as_str) {
             None => defaults.reference_sampling,
@@ -541,7 +580,17 @@ impl Deserialize for SweepSpec {
                 None => Vec::new(),
                 Some(s) => Vec::deserialize(s)?,
             },
-            dags: Vec::deserialize(v.require("dags")?)?,
+            dags: v
+                .require("dags")?
+                .as_arr()
+                .ok_or_else(|| serde::Error::new("dags must be an array of tables"))?
+                .iter()
+                .enumerate()
+                .map(|(i, d)| {
+                    DagSpec::deserialize(d)
+                        .map_err(|e| serde::Error::new(format!("dags[{i}]: {e}")))
+                })
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -844,6 +893,61 @@ seed = 7
         .unwrap_err()
         .to_string();
         assert!(err.contains("unknown estimator"), "{err}");
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_naming_key_table_and_accepted_keys() {
+        let err = SweepSpec::from_str_auto(&format!("refrence_seed = 3\n{SAMPLE}"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("unknown key \"refrence_seed\" in the top-level table"),
+            "{err}"
+        );
+        assert!(
+            err.contains("reference_trials"),
+            "lists accepted keys: {err}"
+        );
+        // SAMPLE ends inside its third [[dags]] table.
+        let err = SweepSpec::from_str_auto(&format!("{SAMPLE}weigths = 2\n"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("dags[2]: unknown key \"weigths\" in a \"layered\" DAG source"),
+            "{err}"
+        );
+        assert!(
+            err.contains("weight_lo, width"),
+            "lists accepted keys: {err}"
+        );
+        // JSON, as served submits and spool spec.json carry it.
+        let json = serde::json::to_string(&SweepSpec::from_str_auto(SAMPLE).unwrap());
+        let err = SweepSpec::from_str_auto(&json.replacen('{', "{\"jbos\":2,", 1))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown key \"jbos\""), "{err}");
+    }
+
+    #[test]
+    fn every_dag_kind_accepts_the_keys_it_writes() {
+        let kinds = [
+            "kind = \"qr\"\nks = [2]",
+            "kind = \"layered\"\nlayers = [3]",
+            "kind = \"erdos-renyi\"\nns = [5]",
+            "kind = \"fork-join\"",
+            "kind = \"diamond-mesh\"",
+            "kind = \"file\"\npath = \"g.txt\"",
+            "kind = \"dot\"\npath = \"g.dot\"",
+            "kind = \"trace-json\"\npath = \"g.json\"",
+        ];
+        for dag in kinds {
+            let spec = SweepSpec::from_str_auto(&format!(
+                "estimators = [\"first-order\"]\npfails = [0.1]\n[[dags]]\n{dag}"
+            ))
+            .unwrap();
+            let back = SweepSpec::from_str_auto(&serde::json::to_string(&spec)).unwrap();
+            assert_eq!(back, spec, "{dag}");
+        }
     }
 
     #[test]

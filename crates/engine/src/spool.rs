@@ -613,8 +613,7 @@ impl SpoolWorker {
             }
         };
         let jobs = self.jobs.unwrap_or_else(cores);
-        let registry = EstimatorRegistry::standard();
-        let plan = CampaignPlan::new(&spec, &registry)?;
+        let plan = CampaignPlan::new(&spec, &EstimatorRegistry)?;
         let telemetry = if meta.get("telemetry").and_then(Value::as_bool) == Some(true) {
             Telemetry::enabled()
         } else {
@@ -623,7 +622,6 @@ impl SpoolWorker {
         let cancel = crate::cancel::CancelToken::new();
         let ctx = BackendContext {
             spec: &spec,
-            registry: &registry,
             cache: &cache,
             telemetry: &telemetry,
             cancel: &cancel,

@@ -17,7 +17,7 @@ use stochdag_engine::{
 };
 use stochdag_serve::{
     BackendChoice, CampaignState, ServeClient, ServeConfig, ServeHandle, Server, ShutdownMode,
-    ShutdownReport,
+    ShutdownReport, Submitted,
 };
 
 /// 18 cells: 3 cholesky sizes × 3 estimators × 2 pfails.
@@ -50,23 +50,6 @@ fn slow_spec(name: &str) -> SweepSpec {
         [[dags]]
         kind = "cholesky"
         ks = [4, 5]
-        "#
-    ))
-    .unwrap()
-}
-
-/// Like [`slow_spec`] but only 2 cells, for quota-constrained tests.
-fn slow_small_spec(name: &str) -> SweepSpec {
-    SweepSpec::from_str_auto(&format!(
-        r#"
-        name = "{name}"
-        seed = 11
-        pfails = [0.01, 0.02]
-        estimators = ["first-order"]
-        reference_trials = 4000000
-        [[dags]]
-        kind = "cholesky"
-        ks = [4]
         "#
     ))
     .unwrap()
@@ -156,6 +139,21 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Occupy a running slot of a daemon started with a disk cache: a
+/// one-cell campaign on a fresh spool under `dir` that no worker joins.
+/// It only polls the spool, so it computes nothing while it holds the
+/// slot, and it stops at its next poll (at most 50 ms) once cancelled.
+fn hold_a_slot(client: &ServeClient, dir: &std::path::Path, name: &str) -> Submitted {
+    client
+        .submit_on(
+            &spec_for_quota(name, 0.03),
+            BackendChoice::SharedFs {
+                spool: dir.join(name).display().to_string(),
+            },
+        )
+        .unwrap()
 }
 
 #[test]
@@ -308,7 +306,9 @@ fn three_clients_with_overlapping_specs_compute_each_cell_once() {
 
 #[test]
 fn quota_and_admission_rejections_are_structured() {
+    let dir = scratch("quota");
     let (addr, daemon) = start(ServeConfig {
+        cache: Some(dir.join("cache")),
         max_running: 1,
         max_queued: 1,
         max_cells: Some(4),
@@ -323,7 +323,7 @@ fn quota_and_admission_rejections_are_structured() {
 
     // Admission: occupy the single pool slot, fill the queue of one,
     // then overflow it. (The occupier must fit the 4-cell quota.)
-    let running = client.submit(&slow_small_spec("occupier")).unwrap();
+    let running = hold_a_slot(&client, &dir, "occupier");
     assert!(
         running.cells <= 4,
         "stay under the quota: {}",
@@ -352,6 +352,7 @@ fn quota_and_admission_rejections_are_structured() {
 
     client.shutdown(ShutdownMode::Drain).unwrap();
     daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -544,6 +545,7 @@ fn cancel_stops_a_running_campaign_and_leaves_others_unaffected() {
 fn resume_reruns_a_cancelled_campaign_cache_first() {
     let dir = scratch("resume");
     let (addr, daemon) = start(ServeConfig {
+        cache: Some(dir.join("cache")),
         max_running: 2,
         ..ServeConfig::default()
     });
@@ -554,10 +556,10 @@ fn resume_reruns_a_cancelled_campaign_cache_first() {
     let (first, _, _) = run_via_service(&client, &spec, &dir.join("first"));
     assert_eq!(first.cells, 18);
 
-    // Queue the same spec behind a slot-occupying slow campaign, then
+    // Queue the same spec behind two slot-occupying campaigns, then
     // cancel it while still queued.
-    let occupier = client.submit(&slow_spec("occupier-a")).unwrap();
-    let occupier2 = client.submit(&slow_spec("occupier-b")).unwrap();
+    let occupier = hold_a_slot(&client, &dir, "occupier-a");
+    let occupier2 = hold_a_slot(&client, &dir, "occupier-b");
     let queued = client.submit(&spec).unwrap();
     let ack = client.cancel(queued.id).unwrap();
     assert!(ack.contains("cancelled queued"), "{ack}");
@@ -602,6 +604,7 @@ fn shutdown_drain_cancels_the_queue_and_persists_a_resume_report() {
     let dir = scratch("shutdown");
     let report_path = dir.join("report.json");
     let (addr, daemon) = start(ServeConfig {
+        cache: Some(dir.join("cache")),
         max_running: 1,
         shutdown_report: Some(report_path.clone()),
         ..ServeConfig::default()
@@ -611,7 +614,7 @@ fn shutdown_drain_cancels_the_queue_and_persists_a_resume_report() {
     let done = client.submit(&spec_for_quota("finished", 0.01)).unwrap();
     wait_for_state(&client, done.id, CampaignState::Done);
 
-    let running = client.submit(&slow_spec("draining")).unwrap();
+    let running = hold_a_slot(&client, &dir, "draining");
     wait_for_state(&client, running.id, CampaignState::Running);
     let queued = client.submit(&spec_18("never-ran")).unwrap();
 

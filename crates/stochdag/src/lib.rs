@@ -14,9 +14,9 @@
 //! | [`taskgraphs`] | `stochdag-taskgraphs` | Cholesky/LU/QR generators (paper Figs. 1–3) + synthetic families |
 //! | [`workload`] | `stochdag-workload` | real-trace ingestion (DOT, WfCommons JSON) + correlated failure scenarios |
 //! | [`sp`] | `stochdag-sp` | series-parallel reductions, Dodin's transformation |
-//! | [`core`] | `stochdag-core` | the estimators: FirstOrder, SecondOrder, MonteCarlo, Dodin, Sculli/CorLCA/Normal(cov), Spelde, Exact |
+//! | [`core`] | `stochdag-core` | the estimators: FirstOrder, SecondOrder, MonteCarlo, Dodin, Sculli/CorLCA/Normal(cov), Spelde, Exact; `EstimatorSpec` names and builds each |
 //! | [`sched`] | `stochdag-sched` | failure-aware list scheduling, HEFT, execution simulation |
-//! | [`engine`] | `stochdag-engine` | parallel scenario sweeps: estimator registry, content-addressed caching, streaming sinks |
+//! | [`engine`] | `stochdag-engine` | parallel scenario sweeps: campaigns over typed estimator specs, content-addressed caching, streaming sinks |
 //!
 //! ## Quickstart
 //!

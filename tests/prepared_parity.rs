@@ -1,4 +1,4 @@
-//! Prepared parity: for every estimator in the registry, one
+//! Prepared parity: for every estimator family, one
 //! preparation reused across many models must return **bit-identical**
 //! estimates (value, standard error, name) to a fresh preparation per
 //! model, which is what the one-shot `estimate(dag, model)` builds.
@@ -34,7 +34,7 @@ fn arb_dag() -> impl Strategy<Value = Dag> {
     })
 }
 
-/// Concrete spec per registered base name: bounded work for the
+/// Concrete spec per family base name: bounded work for the
 /// statistical/path estimators so 64 proptest cases stay fast.
 fn spec_of(base: &str) -> stochdag::core::EstimatorSpec {
     let s = match base {
@@ -65,7 +65,7 @@ proptest! {
             FailureModel::new(lambda * 0.37),
         ];
         let prepared = PreparedDag::new(g.clone());
-        for base in registry.names().collect::<Vec<_>>() {
+        for &base in stochdag::core::ESTIMATOR_FAMILIES {
             let spec = spec_of(base);
             let est = registry.build(&spec, seed).unwrap();
             let mut prep = est.prepare(&prepared);
