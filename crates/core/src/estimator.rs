@@ -23,39 +23,21 @@ use crate::scenario::{ScenarioModel, UnsupportedScenario};
 use std::time::{Duration, Instant};
 use stochdag_dag::{Dag, PreparedDag};
 
-/// Result of one expected-makespan estimation.
-#[derive(Clone, Debug)]
-pub struct Estimate {
-    /// Estimated expected makespan `E(G)`, in the task-weight time unit.
-    pub value: f64,
-    /// Wall-clock time the estimation took.
-    pub elapsed: Duration,
-    /// Estimator display name (e.g. `"FirstOrder"`). Owned so estimates
-    /// survive serialization round trips (result caches, sinks).
-    pub name: String,
-    /// Optional standard error of `value` (Monte Carlo only).
-    pub std_error: Option<f64>,
-}
-
-impl serde::Serialize for Estimate {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::obj([
-            ("value", self.value.serialize()),
-            ("elapsed", self.elapsed.serialize()),
-            ("name", self.name.serialize()),
-            ("std_error", self.std_error.serialize()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Estimate {
-    fn deserialize(v: &serde::Value) -> Result<Estimate, serde::Error> {
-        Ok(Estimate {
-            value: f64::deserialize(v.require("value")?)?,
-            elapsed: Duration::deserialize(v.require("elapsed")?)?,
-            name: String::deserialize(v.require("name")?)?,
-            std_error: Option::deserialize(v.get("std_error").unwrap_or(&serde::Value::Null))?,
-        })
+serde::codec! {
+    lenient;
+    /// Result of one expected-makespan estimation (also the result
+    /// cache's payload).
+    #[derive(Clone, Debug)]
+    pub struct Estimate {
+        /// Estimated expected makespan `E(G)`, in the task-weight time unit.
+        pub value: f64,
+        /// Wall-clock time the estimation took.
+        pub elapsed: Duration,
+        /// Estimator display name (e.g. `"FirstOrder"`). Owned so estimates
+        /// survive serialization round trips (result caches, sinks).
+        pub name: String,
+        /// Optional standard error of `value` (Monte Carlo only).
+        pub std_error: Option<f64> = None,
     }
 }
 

@@ -53,16 +53,19 @@ use rayon::prelude::*;
 use std::time::Instant;
 use stochdag_dag::{Dag, FrozenDag, PreparedDag};
 
-/// How task durations are sampled in each trial.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SamplingModel {
-    /// The paper's ground-truth model: re-execute until success
-    /// (geometric number of attempts).
-    Geometric,
-    /// At most one re-execution (`aᵢ` or `2aᵢ`) — the first-order
-    /// model's own assumption; used to validate the analytical expansion
-    /// separately from the model truncation.
-    TwoState,
+serde::codec! {
+    /// How task durations are sampled in each trial (a spec's
+    /// `reference_sampling`: `"geometric"` or `"two-state"`).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum SamplingModel {
+        /// The paper's ground-truth model: re-execute until success
+        /// (geometric number of attempts).
+        Geometric = "geometric",
+        /// At most one re-execution (`aᵢ` or `2aᵢ`) — the first-order
+        /// model's own assumption; used to validate the analytical expansion
+        /// separately from the model truncation.
+        TwoState = "two-state",
+    }
 }
 
 /// Monte Carlo statistics.

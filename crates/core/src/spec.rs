@@ -37,7 +37,6 @@ use crate::{
     FirstOrderEstimator, MonteCarloEstimator, SculliEstimator, SecondOrderEstimator,
     SpeldeEstimator,
 };
-use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
 
@@ -266,25 +265,15 @@ impl FromStr for EstimatorSpec {
     }
 }
 
-impl Serialize for EstimatorSpec {
-    /// Serialized as the canonical id string, so spec files stay the
-    /// familiar `estimators = ["first-order", "dodin:64"]` shape.
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for EstimatorSpec {
-    fn deserialize(v: &Value) -> Result<EstimatorSpec, serde::Error> {
-        let s = String::deserialize(v)?;
-        s.parse().map_err(serde::Error::new)
-    }
-}
+// Spec files name estimators by their canonical ids, the familiar
+// `estimators = ["first-order", "dodin:64"]` shape.
+serde::codec!(display EstimatorSpec);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Estimator, FailureModel};
+    use serde::{Deserialize, Serialize};
     use stochdag_dag::Dag;
 
     fn diamond() -> Dag {

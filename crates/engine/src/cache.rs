@@ -47,31 +47,15 @@ pub fn cell_key(dag_hash: u128, lambda: f64, estimator_id: &str, seed: u64) -> S
     h.finish_hex()
 }
 
-/// Which cache tier served a lookup.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CacheTier {
-    /// The per-process in-memory map.
-    Memory,
-    /// The shared on-disk store.
-    Disk,
-}
-
-impl CacheTier {
-    /// Stable wire/report name (`"memory"` / `"disk"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheTier::Memory => "memory",
-            CacheTier::Disk => "disk",
-        }
-    }
-
-    /// Parse a wire name produced by [`CacheTier::as_str`].
-    pub(crate) fn parse(s: &str) -> Option<CacheTier> {
-        match s {
-            "memory" => Some(CacheTier::Memory),
-            "disk" => Some(CacheTier::Disk),
-            _ => None,
-        }
+serde::codec! {
+    /// Which cache tier served a lookup (`"memory"` / `"disk"` on the
+    /// wire and in reports).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum CacheTier {
+        /// The per-process in-memory map.
+        Memory = "memory",
+        /// The shared on-disk store.
+        Disk = "disk",
     }
 }
 
@@ -659,10 +643,13 @@ mod tests {
         c.store(&key, &sample(1.0));
         // Corrupt the file and wipe memory by using a fresh instance.
         let path = dir.join(&key[..2]).join(format!("{key}.json"));
-        std::fs::write(&path, "{not json").unwrap();
-        let c2 = ResultCache::on_disk(&dir);
-        assert!(c2.lookup(&key).is_none());
-        assert_eq!(c2.misses(), 1);
+        // Broken JSON, and a payload whose elapsed time no `Duration` holds.
+        for corrupt in ["{not json", r#"{"elapsed":1e300,"name":"x","value":1}"#] {
+            std::fs::write(&path, corrupt).unwrap();
+            let c2 = ResultCache::on_disk(&dir);
+            assert!(c2.lookup(&key).is_none(), "{corrupt}");
+            assert_eq!(c2.misses(), 1);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -51,7 +51,6 @@ use crate::registry::EstimatorRegistry;
 use crate::runner::{cell_index, evaluate_unit, expand, make_row, Expansion};
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
-use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -59,35 +58,20 @@ use std::time::Duration;
 use stochdag_core::{Estimate, Estimator, MonteCarloEstimator, PreparedEstimator};
 use stochdag_dag::{structural_hash, PreparedDag};
 
-/// One leased batch of work: a stable id plus the global indices of the
-/// cells to execute. The id survives re-queued attempts, so the
-/// coordinator can deduplicate [`LeaseDone`](CampaignEvent::LeaseDone)
-/// totals and cap retries per lease rather than per worker.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkLease {
-    /// Stable lease id (unique within a campaign).
-    pub lease_id: usize,
-    /// Global cell indices of the batch (see
-    /// [`Campaign::dry_run`](crate::Campaign::dry_run) for the
-    /// deterministic scenario-major numbering).
-    pub cells: Vec<usize>,
-}
-
-impl Serialize for WorkLease {
-    fn serialize(&self) -> Value {
-        Value::obj([
-            ("lease_id", self.lease_id.serialize()),
-            ("cells", self.cells.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for WorkLease {
-    fn deserialize(v: &Value) -> Result<WorkLease, serde::Error> {
-        Ok(WorkLease {
-            lease_id: usize::deserialize(v.require("lease_id")?)?,
-            cells: Vec::<usize>::deserialize(v.require("cells")?)?,
-        })
+serde::codec! {
+    lenient;
+    /// One leased batch of work: a stable id plus the global indices of the
+    /// cells to execute. The id survives re-queued attempts, so the
+    /// coordinator can deduplicate [`LeaseDone`](CampaignEvent::LeaseDone)
+    /// totals and cap retries per lease rather than per worker.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct WorkLease {
+        /// Stable lease id (unique within a campaign).
+        pub lease_id: usize,
+        /// Global cell indices of the batch (see
+        /// [`Campaign::dry_run`](crate::Campaign::dry_run) for the
+        /// deterministic scenario-major numbering).
+        pub cells: Vec<usize>,
     }
 }
 

@@ -34,9 +34,12 @@
 //! builds' streams decode as `Unknown` too. The optional `cell.tier`,
 //! `error.kind`, `reference.scenario` and `lease_done.telemetry`
 //! decode as `None` when absent, and `hello.jobs` as `0` (not
-//! reported: older builds left it out of uncapped sessions). Keys a
-//! decoder does not know are ignored, so a `hello` line of an older
-//! build, which carried since-retired keys, still decodes.
+//! reported: older builds left it out of uncapped sessions). Events,
+//! leases and `lease_done` telemetry deltas are lenient `serde::codec!`
+//! types: keys a decoder does not know are ignored, so a `hello` line
+//! of an older build, which carried since-retired keys, still decodes,
+//! and so does a line of a newer build with keys added. A decode error
+//! names the key path at fault (`row.value: expected number, …`).
 //!
 //! `cell` events carry the complete [`SweepRow`], so the coordinator
 //! can re-sequence rows into deterministic cell order and write the
@@ -48,240 +51,108 @@ use crate::error::EngineError;
 use crate::observer::CampaignObserver;
 use crate::sink::SweepRow;
 use crate::telemetry::MetricsSnapshot;
-use serde::{Deserialize, Serialize, Value};
 
-/// One campaign progress event (see module docs).
-///
-/// This is the **single event vocabulary** of the engine: every
-/// execution backend ([`ExecBackend`](crate::ExecBackend)) reports its
-/// work through these events, every
-/// [`CampaignObserver`] subscribes to them,
-/// and the distributed wire protocol is nothing but their
-/// line-delimited JSON encoding ([`encode_event`]/[`decode_event`]) —
-/// a worker process is an observer whose subscription happens to cross
-/// a pipe (see [`WireObserver`]).
-#[derive(Clone, Debug, PartialEq)]
-pub enum CampaignEvent {
-    /// First event of a campaign, emitted by the **coordinator** before
-    /// any worker starts: the authoritative totals of the campaign
-    /// plan. A worker cannot announce its share up front (it does not
-    /// know how many leases it will win), so every total comes from
-    /// here.
-    Plan {
-        /// Total estimator cells the campaign will produce.
-        cells: usize,
-        /// Total Monte-Carlo reference scenarios.
-        references: usize,
-        /// Number of work leases in the coordinator's ready queue.
-        leases: usize,
-    },
-    /// First event of a worker session: it validated the spec and is
-    /// ready for leases.
-    Hello {
-        /// Worker slot, 0-based.
-        shard: usize,
-        /// The session's thread cap: the spec's (or the coordinator's
-        /// `--jobs` handshake's) `jobs`, else the worker's cores; `0`
-        /// when not reported (an older build's uncapped session).
-        jobs: usize,
-    },
-    /// One reference scenario finished (cached or computed).
-    Reference {
-        /// Whether the result came from the shared cache.
-        cached: bool,
-        /// Global scenario index (instance-major), the coordinator's
-        /// cross-worker dedup key. `None` in logs written before
-        /// leasing.
-        scenario: Option<usize>,
-    },
-    /// One estimator cell finished; carries the complete result row.
-    Cell {
-        /// Global deterministic cell index (scenario-major order) —
-        /// the coordinator's re-sequencing key.
-        index: usize,
-        /// Whether the result came from the shared cache.
-        cached: bool,
-        /// Which cache tier served the hit (`None` when computed
-        /// fresh, or when the event predates tier reporting).
-        tier: Option<CacheTier>,
-        /// The full result row, ready for the sinks.
-        row: SweepRow,
-    },
-    /// A leased cell batch finished. The cache totals and the
-    /// telemetry delta cover exactly what this attempt did (cells plus
-    /// any reference scenarios it resolved first); the coordinator
-    /// deduplicates by `lease_id`, so a re-queued lease's totals count
-    /// once.
-    LeaseDone {
-        /// Lease id.
-        lease_id: usize,
-        /// Number of cells in the batch.
-        cells: usize,
-        /// Cache hits across the batch's probes.
-        hits: usize,
-        /// Cache misses (computed fresh).
-        misses: usize,
-        /// The lease's spans and counters, when the campaign runs with
-        /// an enabled [`Telemetry`](crate::Telemetry) collector. The
-        /// campaign core folds it in and strips it before observers.
-        telemetry: Option<MetricsSnapshot>,
-    },
-    /// A worker aborted. [`MultiProcess`](crate::MultiProcess)
-    /// re-queues that worker's leases; anywhere else the campaign
-    /// fails.
-    Error {
-        /// Human-readable failure description.
-        message: String,
-        /// Structured [`EngineError::kind`](crate::EngineError::kind)
-        /// of the failure (`None` from pre-telemetry workers), so the
-        /// coordinator can tally failures by kind.
-        kind: Option<String>,
-    },
-    /// An event this build does not understand — a newer writer's
-    /// vocabulary. Merges and observers skip it; re-encoding preserves
-    /// only the tag.
-    Unknown {
-        /// The unrecognised `"event"` tag.
-        tag: String,
-    },
-}
-
-impl Serialize for CampaignEvent {
-    fn serialize(&self) -> Value {
-        match self {
-            CampaignEvent::Plan {
-                cells,
-                references,
-                leases,
-            } => Value::obj([
-                ("event", Value::Str("plan".into())),
-                ("cells", cells.serialize()),
-                ("references", references.serialize()),
-                ("leases", leases.serialize()),
-            ]),
-            CampaignEvent::Hello { shard, jobs } => Value::obj([
-                ("event", Value::Str("hello".into())),
-                ("shard", shard.serialize()),
-                ("jobs", jobs.serialize()),
-            ]),
-            CampaignEvent::Reference { cached, scenario } => {
-                let mut fields = vec![
-                    ("event", Value::Str("reference".into())),
-                    ("cached", cached.serialize()),
-                ];
-                if let Some(scenario) = scenario {
-                    fields.push(("scenario", scenario.serialize()));
-                }
-                Value::obj(fields)
-            }
-            CampaignEvent::Cell {
-                index,
-                cached,
-                tier,
-                row,
-            } => {
-                let mut fields = vec![
-                    ("event", Value::Str("cell".into())),
-                    ("index", index.serialize()),
-                    ("cached", cached.serialize()),
-                ];
-                if let Some(tier) = tier {
-                    fields.push(("tier", Value::Str(tier.as_str().into())));
-                }
-                fields.push(("row", row.serialize()));
-                Value::obj(fields)
-            }
-            CampaignEvent::LeaseDone {
-                lease_id,
-                cells,
-                hits,
-                misses,
-                telemetry,
-            } => {
-                let mut fields = vec![
-                    ("event", Value::Str("lease_done".into())),
-                    ("lease_id", lease_id.serialize()),
-                    ("cells", cells.serialize()),
-                    ("hits", hits.serialize()),
-                    ("misses", misses.serialize()),
-                ];
-                if let Some(telemetry) = telemetry {
-                    fields.push(("telemetry", telemetry.serialize()));
-                }
-                Value::obj(fields)
-            }
-            CampaignEvent::Error { message, kind } => {
-                let mut fields = vec![
-                    ("event", Value::Str("error".into())),
-                    ("message", message.serialize()),
-                ];
-                if let Some(kind) = kind {
-                    fields.push(("kind", kind.serialize()));
-                }
-                Value::obj(fields)
-            }
-            CampaignEvent::Unknown { tag } => Value::obj([("event", Value::Str(tag.clone()))]),
-        }
-    }
-}
-
-impl Deserialize for CampaignEvent {
-    fn deserialize(v: &Value) -> Result<CampaignEvent, serde::Error> {
-        let tag = String::deserialize(v.require("event")?)?;
-        match tag.as_str() {
-            "plan" => Ok(CampaignEvent::Plan {
-                cells: usize::deserialize(v.require("cells")?)?,
-                references: usize::deserialize(v.require("references")?)?,
-                leases: usize::deserialize(v.require("leases")?)?,
-            }),
-            "hello" => Ok(CampaignEvent::Hello {
-                shard: usize::deserialize(v.require("shard")?)?,
-                jobs: v.get("jobs").map_or(Ok(0), usize::deserialize)?,
-            }),
-            "reference" => Ok(CampaignEvent::Reference {
-                cached: bool::deserialize(v.require("cached")?)?,
-                scenario: match v.get("scenario") {
-                    None | Some(Value::Null) => None,
-                    Some(n) => Some(usize::deserialize(n)?),
-                },
-            }),
-            "cell" => Ok(CampaignEvent::Cell {
-                index: usize::deserialize(v.require("index")?)?,
-                cached: bool::deserialize(v.require("cached")?)?,
-                tier: match v.get("tier") {
-                    None | Some(Value::Null) => None,
-                    Some(t) => {
-                        let name = String::deserialize(t)?;
-                        Some(CacheTier::parse(&name).ok_or_else(|| {
-                            serde::Error::new(format!("unknown cache tier {name:?}"))
-                        })?)
-                    }
-                },
-                row: SweepRow::deserialize(v.require("row")?)?,
-            }),
-            "lease_done" => Ok(CampaignEvent::LeaseDone {
-                lease_id: usize::deserialize(v.require("lease_id")?)?,
-                cells: usize::deserialize(v.require("cells")?)?,
-                hits: usize::deserialize(v.require("hits")?)?,
-                misses: usize::deserialize(v.require("misses")?)?,
-                telemetry: match v.get("telemetry") {
-                    None | Some(Value::Null) => None,
-                    Some(t) => Some(MetricsSnapshot::deserialize(t)?),
-                },
-            }),
-            "error" => Ok(CampaignEvent::Error {
-                message: String::deserialize(v.require("message")?)?,
-                kind: match v.get("kind") {
-                    None | Some(Value::Null) => None,
-                    Some(k) => Some(String::deserialize(k)?),
-                },
-            }),
-            // Forward compatibility: a tag this build does not know is
-            // a newer writer's event (or an older one's retired tag),
-            // not corruption — surface it as `Unknown` so replays keep
-            // working.
-            _ => Ok(CampaignEvent::Unknown { tag }),
-        }
+serde::codec! {
+    lenient "event", tag "event";
+    /// One campaign progress event (see module docs).
+    ///
+    /// This is the **single event vocabulary** of the engine: every
+    /// execution backend ([`ExecBackend`](crate::ExecBackend)) reports its
+    /// work through these events, every
+    /// [`CampaignObserver`] subscribes to them,
+    /// and the distributed wire protocol is nothing but their
+    /// line-delimited JSON encoding ([`encode_event`]/[`decode_event`]) —
+    /// a worker process is an observer whose subscription happens to cross
+    /// a pipe (see [`WireObserver`]).
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum CampaignEvent {
+        /// First event of a campaign, emitted by the **coordinator** before
+        /// any worker starts: the authoritative totals of the campaign
+        /// plan. A worker cannot announce its share up front (it does not
+        /// know how many leases it will win), so every total comes from
+        /// here.
+        Plan = "plan" {
+            /// Total estimator cells the campaign will produce.
+            cells: usize,
+            /// Total Monte-Carlo reference scenarios.
+            references: usize,
+            /// Number of work leases in the coordinator's ready queue.
+            leases: usize,
+        },
+        /// First event of a worker session: it validated the spec and is
+        /// ready for leases.
+        Hello = "hello" {
+            /// Worker slot, 0-based.
+            shard: usize,
+            /// The session's thread cap: the spec's (or the coordinator's
+            /// `--jobs` handshake's) `jobs`, else the worker's cores; `0`
+            /// when not reported (an older build's uncapped session).
+            jobs: usize = 0,
+        },
+        /// One reference scenario finished (cached or computed).
+        Reference = "reference" {
+            /// Whether the result came from the shared cache.
+            cached: bool,
+            /// Global scenario index (instance-major), the coordinator's
+            /// cross-worker dedup key. `None` in logs written before
+            /// leasing.
+            #[serde(omit_default)]
+            scenario: Option<usize> = None,
+        },
+        /// One estimator cell finished; carries the complete result row.
+        Cell = "cell" {
+            /// Global deterministic cell index (scenario-major order) —
+            /// the coordinator's re-sequencing key.
+            index: usize,
+            /// Whether the result came from the shared cache.
+            cached: bool,
+            /// Which cache tier served the hit (`None` when computed
+            /// fresh, or when the event predates tier reporting).
+            #[serde(omit_default)]
+            tier: Option<CacheTier> = None,
+            /// The full result row, ready for the sinks.
+            row: SweepRow,
+        },
+        /// A leased cell batch finished. The cache totals and the
+        /// telemetry delta cover exactly what this attempt did (cells plus
+        /// any reference scenarios it resolved first); the coordinator
+        /// deduplicates by `lease_id`, so a re-queued lease's totals count
+        /// once.
+        LeaseDone = "lease_done" {
+            /// Lease id.
+            lease_id: usize,
+            /// Number of cells in the batch.
+            cells: usize,
+            /// Cache hits across the batch's probes.
+            hits: usize,
+            /// Cache misses (computed fresh).
+            misses: usize,
+            /// The lease's spans and counters, when the campaign runs with
+            /// an enabled [`Telemetry`](crate::Telemetry) collector. The
+            /// campaign core folds it in and strips it before observers.
+            #[serde(omit_default)]
+            telemetry: Option<MetricsSnapshot> = None,
+        },
+        /// A worker aborted. [`MultiProcess`](crate::MultiProcess)
+        /// re-queues that worker's leases; anywhere else the campaign
+        /// fails.
+        Error = "error" {
+            /// Human-readable failure description.
+            message: String,
+            /// Structured [`EngineError::kind`](crate::EngineError::kind)
+            /// of the failure (`None` from pre-telemetry workers), so the
+            /// coordinator can tally failures by kind.
+            #[serde(omit_default)]
+            kind: Option<String> = None,
+        },
+        /// An event this build does not understand — a newer writer's
+        /// vocabulary, or an older one's retired tag. Merges and
+        /// observers skip it; re-encoding preserves only the tag.
+        Unknown = _ {
+            /// The unrecognised `"event"` tag.
+            #[serde(tag)]
+            tag: String,
+        },
     }
 }
 

@@ -7,92 +7,68 @@
 //! row (values, errors, even elapsed times) comes from the cached
 //! payload rather than the current wall clock.
 
-use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// One result cell: an estimator evaluated on one (DAG, model)
-/// scenario, compared against that scenario's Monte-Carlo reference.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepRow {
-    /// DAG instance id (e.g. `"lu:k=8"`).
-    pub dag: String,
-    /// Task count of the DAG.
-    pub tasks: usize,
-    /// Edge count of the DAG.
-    pub edges: usize,
-    /// Model label (`"pfail=0.01"` or `"lambda=0.05"`).
-    pub model: String,
-    /// Error rate λ of the concrete model.
-    pub lambda: f64,
-    /// Canonical estimator id (e.g. `"dodin:128"`).
-    pub estimator: String,
-    /// The estimate `E(G)`.
-    pub value: f64,
-    /// Monte-Carlo reference mean.
-    pub reference: f64,
-    /// Standard error of the reference mean.
-    pub reference_std_error: f64,
-    /// `(value − reference) / reference` (negative ⇒ underestimate).
-    pub rel_error: f64,
-    /// Wall-clock seconds of the estimation (from the producing run).
-    pub elapsed_s: f64,
-    /// Deterministic seed of the cell.
-    pub seed: u64,
-}
-
-impl Serialize for SweepRow {
-    fn serialize(&self) -> Value {
-        Value::obj([
-            ("dag", self.dag.serialize()),
-            ("tasks", self.tasks.serialize()),
-            ("edges", self.edges.serialize()),
-            ("model", self.model.serialize()),
-            ("lambda", self.lambda.serialize()),
-            ("estimator", self.estimator.serialize()),
-            ("value", self.value.serialize()),
-            ("reference", self.reference.serialize()),
-            ("reference_std_error", self.reference_std_error.serialize()),
-            ("rel_error", self.rel_error.serialize()),
-            ("elapsed_s", self.elapsed_s.serialize()),
-            ("seed", self.seed.serialize()),
-        ])
+serde::codec! {
+    lenient;
+    /// One result cell: an estimator evaluated on one (DAG, model)
+    /// scenario, compared against that scenario's Monte-Carlo reference.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SweepRow {
+        /// DAG instance id (e.g. `"lu:k=8"`).
+        pub dag: String,
+        /// Task count of the DAG.
+        pub tasks: usize,
+        /// Edge count of the DAG.
+        pub edges: usize,
+        /// Model label (`"pfail=0.01"` or `"lambda=0.05"`).
+        pub model: String,
+        /// Error rate λ of the concrete model.
+        pub lambda: f64,
+        /// Canonical estimator id (e.g. `"dodin:128"`).
+        pub estimator: String,
+        /// The estimate `E(G)`.
+        pub value: f64,
+        /// Monte-Carlo reference mean.
+        pub reference: f64,
+        /// Standard error of the reference mean.
+        pub reference_std_error: f64,
+        /// `(value − reference) / reference` (negative ⇒ underestimate).
+        pub rel_error: f64,
+        /// Wall-clock seconds of the estimation (from the producing run).
+        pub elapsed_s: f64,
+        /// Deterministic seed of the cell.
+        pub seed: u64,
     }
 }
 
-impl Deserialize for SweepRow {
-    fn deserialize(v: &Value) -> Result<SweepRow, serde::Error> {
-        Ok(SweepRow {
-            dag: String::deserialize(v.require("dag")?)?,
-            tasks: usize::deserialize(v.require("tasks")?)?,
-            edges: usize::deserialize(v.require("edges")?)?,
-            model: String::deserialize(v.require("model")?)?,
-            lambda: f64::deserialize(v.require("lambda")?)?,
-            estimator: String::deserialize(v.require("estimator")?)?,
-            value: f64::deserialize(v.require("value")?)?,
-            reference: f64::deserialize(v.require("reference")?)?,
-            reference_std_error: f64::deserialize(v.require("reference_std_error")?)?,
-            rel_error: f64::deserialize(v.require("rel_error")?)?,
-            elapsed_s: f64::deserialize(v.require("elapsed_s")?)?,
-            seed: u64::deserialize(v.require("seed")?)?,
-        })
+serde::codec! {
+    lenient;
+    /// Per-estimator aggregate over a finished sweep.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SummaryRow {
+        /// Canonical estimator id.
+        pub estimator: String,
+        /// Number of cells.
+        pub cells: usize,
+        /// Mean `|rel_error|` across cells.
+        pub mean_abs_rel_error: f64,
+        /// Largest `|rel_error|`.
+        pub max_abs_rel_error: f64,
+        /// Total estimation seconds across cells.
+        pub total_elapsed_s: f64,
     }
 }
 
-/// Per-estimator aggregate over a finished sweep.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SummaryRow {
-    /// Canonical estimator id.
-    pub estimator: String,
-    /// Number of cells.
-    pub cells: usize,
-    /// Mean `|rel_error|` across cells.
-    pub mean_abs_rel_error: f64,
-    /// Largest `|rel_error|`.
-    pub max_abs_rel_error: f64,
-    /// Total estimation seconds across cells.
-    pub total_elapsed_s: f64,
+serde::codec! {
+    lenient "JSONL line", tag "type";
+    /// The JSONL lines that carry a `type` (result rows carry none).
+    enum TaggedLine {
+        /// A per-estimator summary, after the rows.
+        Summary = "summary" (SummaryRow),
+    }
 }
 
 /// Compute the per-estimator summary of a row set (sorted by id).
@@ -115,19 +91,6 @@ pub fn summarize(rows: &[SweepRow]) -> Vec<SummaryRow> {
             total_elapsed_s: secs,
         })
         .collect()
-}
-
-impl Serialize for SummaryRow {
-    fn serialize(&self) -> Value {
-        Value::obj([
-            ("type", Value::Str("summary".into())),
-            ("estimator", self.estimator.serialize()),
-            ("cells", self.cells.serialize()),
-            ("mean_abs_rel_error", self.mean_abs_rel_error.serialize()),
-            ("max_abs_rel_error", self.max_abs_rel_error.serialize()),
-            ("total_elapsed_s", self.total_elapsed_s.serialize()),
-        ])
-    }
 }
 
 /// A streaming consumer of sweep results.
@@ -295,7 +258,8 @@ impl<W: Write + Send> ResultSink for JsonlSink<W> {
 
     fn summary(&mut self, rows: &[SummaryRow]) -> io::Result<()> {
         for s in rows {
-            writeln!(self.w, "{}", serde::json::to_string(s))?;
+            let line = TaggedLine::Summary(s.clone());
+            writeln!(self.w, "{}", serde::json::to_string(&line))?;
         }
         Ok(())
     }

@@ -13,9 +13,12 @@
 //! does not read — a misspelt `refrence_trials` would otherwise run on
 //! the default of the key it meant — naming the key, its table
 //! (`dags[1]`, counted from 0) and the keys accepted there.
+//! [`SweepSpec::validate`], which every campaign passes, then rejects
+//! values the generators cannot take (`width = 0`, `p = 2`), naming
+//! the source and the key.
 
 use crate::error::EngineError;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 use stochdag_core::{EstimatorSpec, SamplingModel};
 use stochdag_dag::{structural_hash, Dag};
 use stochdag_taskgraphs::{
@@ -32,81 +35,132 @@ pub struct DagInstance {
     pub dag: Dag,
 }
 
-/// A DAG source in the sweep's first axis.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DagSpec {
-    /// Paper factorization workloads across tile counts.
-    Factorization {
-        /// Cholesky, LU, or QR.
-        class: FactorizationClass,
-        /// Tile counts `k` (one DAG per entry).
-        ks: Vec<usize>,
-    },
-    /// Random layered DAG (the classical scheduling benchmark shape).
-    Layered {
-        /// Layer counts (one DAG per entry).
-        layers: Vec<usize>,
-        /// Tasks per layer.
-        width: usize,
-        /// Inter-layer edge probability.
-        edge_prob: f64,
-        /// Weight range.
-        weight_range: (f64, f64),
-        /// Generator seed.
-        seed: u64,
-    },
-    /// Erdős–Rényi DAG over forward pairs.
-    ErdosRenyi {
-        /// Task counts (one DAG per entry).
-        ns: Vec<usize>,
-        /// Edge probability.
-        p: f64,
-        /// Weight range.
-        weight_range: (f64, f64),
-        /// Generator seed.
-        seed: u64,
-    },
-    /// Fork-join with `width` branches of `depth` tasks.
-    ForkJoin {
-        /// Branch count.
-        width: usize,
-        /// Tasks per branch.
-        depth: usize,
-        /// Uniform task weight.
-        weight: f64,
-    },
-    /// Diamond mesh (grid pipeline; worst case for SP approximations).
-    DiamondMesh {
-        /// Grid rows.
-        rows: usize,
-        /// Grid columns.
-        cols: usize,
-        /// Weight range.
-        weight_range: (f64, f64),
-        /// Generator seed.
-        seed: u64,
-    },
-    /// A task-graph file in the `stochdag_dag::io` text format.
-    File {
-        /// Path to the file.
-        path: String,
-    },
-    /// A Graphviz DOT trace (ingested via [`stochdag_workload::load_dot`]).
-    ///
-    /// The instance id — and with it every cache key — is derived from
-    /// the parsed graph's structural hash, not this path: moving or
-    /// renaming the file leaves cached cells valid.
-    Dot {
-        /// Path to the `.dot` file.
-        path: String,
-    },
-    /// A WfCommons-style workflow JSON trace (ingested via
-    /// [`stochdag_workload::load_trace_json`]). Content-addressed like
-    /// [`DagSpec::Dot`].
-    TraceJson {
-        /// Path to the `.json` trace.
-        path: String,
-    },
+serde::codec! {
+    strict "DAG source", tag "kind";
+    /// A DAG source in the sweep's first axis: a table whose `kind`
+    /// names the generator (or, for the paper's factorizations, the
+    /// class). Keys other than the kind's fail the load.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum DagSpec {
+        /// Random layered DAG (the classical scheduling benchmark shape).
+        Layered = "layered" {
+            /// Layer counts (one DAG per entry).
+            layers: Vec<usize>,
+            /// Tasks per layer.
+            width: usize = 4,
+            /// Inter-layer edge probability.
+            edge_prob: f64 = 0.5,
+            /// Weight range (`weight_lo`, `weight_hi`).
+            #[serde(with = weight_range)]
+            weight_range: (f64, f64),
+            /// Generator seed.
+            seed: u64 = 0,
+        },
+        /// Erdős–Rényi DAG over forward pairs.
+        ErdosRenyi = "erdos-renyi" {
+            /// Task counts (one DAG per entry).
+            ns: Vec<usize>,
+            /// Edge probability.
+            p: f64 = 0.2,
+            /// Weight range (`weight_lo`, `weight_hi`).
+            #[serde(with = weight_range)]
+            weight_range: (f64, f64),
+            /// Generator seed.
+            seed: u64 = 0,
+        },
+        /// Fork-join with `width` branches of `depth` tasks.
+        ForkJoin = "fork-join" {
+            /// Branch count.
+            width: usize = 4,
+            /// Tasks per branch.
+            depth: usize = 3,
+            /// Uniform task weight.
+            weight: f64 = 1.0,
+        },
+        /// Diamond mesh (grid pipeline; worst case for SP approximations).
+        DiamondMesh = "diamond-mesh" {
+            /// Grid rows.
+            rows: usize = 4,
+            /// Grid columns.
+            cols: usize = 4,
+            /// Weight range (`weight_lo`, `weight_hi`).
+            #[serde(with = weight_range)]
+            weight_range: (f64, f64),
+            /// Generator seed.
+            seed: u64 = 0,
+        },
+        /// A task-graph file in the `stochdag_dag::io` text format.
+        File = "file" {
+            /// Path to the file.
+            path: String,
+        },
+        /// A Graphviz DOT trace (ingested via [`stochdag_workload::load_dot`]).
+        ///
+        /// The instance id — and with it every cache key — is derived from
+        /// the parsed graph's structural hash, not this path: moving or
+        /// renaming the file leaves cached cells valid.
+        Dot = "dot" {
+            /// Path to the `.dot` file.
+            path: String,
+        },
+        /// A WfCommons-style workflow JSON trace (ingested via
+        /// [`stochdag_workload::load_trace_json`]). Content-addressed like
+        /// [`DagSpec::Dot`].
+        TraceJson = "trace-json" {
+            /// Path to the `.json` trace.
+            path: String,
+        },
+        /// Paper factorization workloads across tile counts.
+        Factorization = _ {
+            /// Cholesky, LU, or QR: the table's `kind`.
+            #[serde(with = class_kind)]
+            class: FactorizationClass,
+            /// Tile counts `k` (one DAG per entry).
+            ks: Vec<usize>,
+        },
+    }
+}
+
+/// A factorization source's `kind` is its class name; any kind that
+/// names no generator lands here.
+mod class_kind {
+    use serde::{Error, Fields, Members, Value};
+    use stochdag_taskgraphs::FactorizationClass;
+
+    pub const KEYS: &[&str] = &[];
+
+    pub fn decode(f: &mut Fields) -> Result<FactorizationClass, Error> {
+        FactorizationClass::ALL
+            .into_iter()
+            .find(|class| class.name() == f.tag())
+            .ok_or_else(|| {
+                Error::new(format!(
+                    "unknown DAG kind {:?} (cholesky|lu|qr|layered|erdos-renyi|fork-join|\
+                     diamond-mesh|file|dot|trace-json)",
+                    f.tag()
+                ))
+            })
+    }
+
+    pub fn encode(class: &FactorizationClass, out: &mut Members) {
+        out.push(("kind".into(), Value::Str(class.name().into())));
+    }
+}
+
+/// A generator's `(lo, hi)` weight range as `weight_lo`/`weight_hi`.
+mod weight_range {
+    use serde::{Error, Fields, Members, Value};
+
+    pub const KEYS: &[&str] = &["weight_hi", "weight_lo"];
+
+    pub fn decode(f: &mut Fields) -> Result<(f64, f64), Error> {
+        Ok((f.or("weight_lo", || 0.5)?, f.or("weight_hi", || 1.5)?))
+    }
+
+    pub fn encode(&(lo, hi): &(f64, f64), out: &mut Members) {
+        out.push(("weight_lo".into(), Value::Num(lo)));
+        out.push(("weight_hi".into(), Value::Num(hi)));
+    }
 }
 
 /// Content-addressed instance id of an ingested trace: format, the
@@ -119,6 +173,77 @@ fn trace_instance_id(trace: &IngestedTrace) -> String {
 }
 
 impl DagSpec {
+    /// Check the values the generators require, naming the key at
+    /// fault: a bad value is a spec error, never a panic in a generator.
+    fn validate(&self) -> Result<(), String> {
+        let check = |ok: bool, key: &str, rule: &str, got: &dyn std::fmt::Debug| match ok {
+            true => Ok(()),
+            false => Err(format!("{key} must be {rule}, got {got:?}")),
+        };
+        let counts = |key, v: &Vec<usize>| {
+            check(
+                !v.is_empty() && !v.contains(&0),
+                key,
+                "non-empty positive counts",
+                v,
+            )
+        };
+        let probability = |key, p: &f64| check((0.0..=1.0).contains(p), key, "in [0, 1]", p);
+        let weight = |key, w: &f64, min: f64| {
+            let rule = format!("finite and at least {min}");
+            check(w.is_finite() && *w >= min, key, &rule, w)
+        };
+        let weights = |(lo, hi): &(f64, f64)| {
+            weight("weight_lo", lo, 0.0)?;
+            weight("weight_hi", hi, *lo)
+        };
+        match self {
+            DagSpec::Factorization { ks, .. } => counts("ks", ks),
+            DagSpec::Layered {
+                layers,
+                width,
+                edge_prob,
+                weight_range,
+                ..
+            } => {
+                counts("layers", layers)?;
+                check(*width > 0, "width", "positive", width)?;
+                probability("edge_prob", edge_prob)?;
+                weights(weight_range)
+            }
+            DagSpec::ErdosRenyi {
+                ns,
+                p,
+                weight_range,
+                ..
+            } => {
+                counts("ns", ns)?;
+                probability("p", p)?;
+                weights(weight_range)
+            }
+            DagSpec::ForkJoin {
+                width,
+                depth,
+                weight: w,
+            } => {
+                check(*width > 0, "width", "positive", width)?;
+                check(*depth > 0, "depth", "positive", depth)?;
+                weight("weight", w, 0.0)
+            }
+            DagSpec::DiamondMesh {
+                rows,
+                cols,
+                weight_range,
+                ..
+            } => {
+                check(*rows > 0, "rows", "positive", rows)?;
+                check(*cols > 0, "cols", "positive", cols)?;
+                weights(weight_range)
+            }
+            DagSpec::File { .. } | DagSpec::Dot { .. } | DagSpec::TraceJson { .. } => Ok(()),
+        }
+    }
+
     /// Expand into concrete DAG instances.
     pub fn materialize(&self) -> Result<Vec<DagInstance>, EngineError> {
         match self {
@@ -212,36 +337,41 @@ impl DagSpec {
     }
 }
 
-/// A full sweep campaign.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepSpec {
-    /// Campaign name (output file stem).
-    pub name: String,
-    /// Master seed; every cell derives its own stream from it.
-    pub seed: u64,
-    /// Calibrated per-task failure probabilities (paper Section V-C).
-    pub pfails: Vec<f64>,
-    /// Raw error rates λ (an alternative/additional model axis).
-    pub lambdas: Vec<f64>,
-    /// Typed estimator configurations (string spellings like
-    /// `"dodin:64"` parse via [`EstimatorSpec`]'s `FromStr`).
-    pub estimators: Vec<EstimatorSpec>,
-    /// Trials of the Monte-Carlo reference per scenario.
-    pub reference_trials: usize,
-    /// Sampling model of the reference.
-    pub reference_sampling: SamplingModel,
-    /// Worker-thread cap for the campaign (`None` = all cores). Results
-    /// are deterministic regardless of this knob; it only bounds
-    /// parallelism (the CLI's `--jobs`).
-    pub jobs: Option<usize>,
-    /// Correlated-failure scenarios crossed with every failure model
-    /// (`"iid"`, `"rack:G:q:m"`, `"bursty:W:frac:m:seed"`; see
-    /// [`ScenarioSpec`]). Empty means plain i.i.d. failures — and an
-    /// explicit `["iid"]` expands to byte-identical cells, so adding
-    /// the axis never invalidates an existing cache.
-    pub scenarios: Vec<ScenarioSpec>,
-    /// DAG sources.
-    pub dags: Vec<DagSpec>,
+serde::codec! {
+    strict "the top-level table";
+    /// A full sweep campaign.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SweepSpec {
+        /// Campaign name (output file stem).
+        pub name: String = SweepSpec::default().name,
+        /// Master seed; every cell derives its own stream from it.
+        pub seed: u64 = 0,
+        /// Calibrated per-task failure probabilities (paper Section V-C).
+        pub pfails: Vec<f64> = Vec::new(),
+        /// Raw error rates λ (an alternative/additional model axis).
+        pub lambdas: Vec<f64> = Vec::new(),
+        /// Typed estimator configurations (string spellings like
+        /// `"dodin:64"` parse via [`EstimatorSpec`]'s `FromStr`).
+        pub estimators: Vec<EstimatorSpec>,
+        /// Trials of the Monte-Carlo reference per scenario.
+        pub reference_trials: usize = SweepSpec::default().reference_trials,
+        /// Sampling model of the reference.
+        pub reference_sampling: SamplingModel = SweepSpec::default().reference_sampling,
+        /// Worker-thread cap for the campaign (`None` = all cores). Results
+        /// are deterministic regardless of this knob; it only bounds
+        /// parallelism (the CLI's `--jobs`).
+        #[serde(omit_default)]
+        pub jobs: Option<usize> = None,
+        /// Correlated-failure scenarios crossed with every failure model
+        /// (`"iid"`, `"rack:G:q:m"`, `"bursty:W:frac:m:seed"`; see
+        /// [`ScenarioSpec`]). Empty means plain i.i.d. failures — and an
+        /// explicit `["iid"]` expands to byte-identical cells, so adding
+        /// the axis never invalidates an existing cache.
+        #[serde(omit_default)]
+        pub scenarios: Vec<ScenarioSpec> = Vec::new(),
+        /// DAG sources.
+        pub dags: Vec<DagSpec>,
+    }
 }
 
 impl Default for SweepSpec {
@@ -266,6 +396,10 @@ impl SweepSpec {
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.dags.is_empty() {
             return Err(EngineError::spec("spec has no DAG sources"));
+        }
+        for (i, dag) in self.dags.iter().enumerate() {
+            dag.validate()
+                .map_err(|e| EngineError::spec(format!("dags[{i}]: {e}")))?;
         }
         if self.estimators.is_empty() {
             return Err(EngineError::spec("spec has no estimators"));
@@ -361,268 +495,6 @@ impl SweepSpec {
             parse_toml(text)?
         };
         SweepSpec::deserialize(&value).map_err(|e| EngineError::spec(e.to_string()))
-    }
-}
-
-fn num_field<T: Deserialize>(v: &Value, key: &str, default: T) -> Result<T, serde::Error> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => T::deserialize(x),
-    }
-}
-
-/// Fail on the first key of the table `v` outside `accepted`.
-fn reject_unknown_keys(v: &Value, table: &str, accepted: &[&str]) -> Result<(), serde::Error> {
-    let Value::Obj(given) = v else {
-        return Ok(());
-    };
-    match given.keys().find(|k| !accepted.contains(&k.as_str())) {
-        None => Ok(()),
-        Some(key) => Err(serde::Error::new(format!(
-            "unknown key {key:?} in {table} (accepted: {})",
-            accepted.join(", ")
-        ))),
-    }
-}
-
-/// Every key a spec's top level accepts: one per [`SweepSpec`] field.
-const SPEC_KEYS: &[&str] = &[
-    "name",
-    "seed",
-    "pfails",
-    "lambdas",
-    "estimators",
-    "reference_trials",
-    "reference_sampling",
-    "jobs",
-    "scenarios",
-    "dags",
-];
-
-fn weight_range(v: &Value) -> Result<(f64, f64), serde::Error> {
-    let lo = num_field(v, "weight_lo", 0.5)?;
-    let hi = num_field(v, "weight_hi", 1.5)?;
-    if !(lo >= 0.0 && hi >= lo) {
-        return Err(serde::Error::new(format!("bad weight range [{lo}, {hi}]")));
-    }
-    Ok((lo, hi))
-}
-
-impl Deserialize for DagSpec {
-    fn deserialize(v: &Value) -> Result<DagSpec, serde::Error> {
-        let kind = String::deserialize(v.require("kind")?)?;
-        let spec = match kind.as_str() {
-            "cholesky" | "lu" | "qr" => {
-                let class = FactorizationClass::parse(&kind).expect("matched above");
-                let ks: Vec<usize> = Vec::deserialize(v.require("ks")?)?;
-                if ks.is_empty() || ks.contains(&0) {
-                    return Err(serde::Error::new("ks must be non-empty positive tile counts"));
-                }
-                Ok(DagSpec::Factorization { class, ks })
-            }
-            "layered" => Ok(DagSpec::Layered {
-                layers: Vec::deserialize(v.require("layers")?)?,
-                width: num_field(v, "width", 4)?,
-                edge_prob: num_field(v, "edge_prob", 0.5)?,
-                weight_range: weight_range(v)?,
-                seed: num_field(v, "seed", 0u64)?,
-            }),
-            "erdos-renyi" => Ok(DagSpec::ErdosRenyi {
-                ns: Vec::deserialize(v.require("ns")?)?,
-                p: num_field(v, "p", 0.2)?,
-                weight_range: weight_range(v)?,
-                seed: num_field(v, "seed", 0u64)?,
-            }),
-            "fork-join" => Ok(DagSpec::ForkJoin {
-                width: num_field(v, "width", 4)?,
-                depth: num_field(v, "depth", 3)?,
-                weight: num_field(v, "weight", 1.0)?,
-            }),
-            "diamond-mesh" => Ok(DagSpec::DiamondMesh {
-                rows: num_field(v, "rows", 4)?,
-                cols: num_field(v, "cols", 4)?,
-                weight_range: weight_range(v)?,
-                seed: num_field(v, "seed", 0u64)?,
-            }),
-            "file" => Ok(DagSpec::File {
-                path: String::deserialize(v.require("path")?)?,
-            }),
-            "dot" => Ok(DagSpec::Dot {
-                path: String::deserialize(v.require("path")?)?,
-            }),
-            "trace-json" => Ok(DagSpec::TraceJson {
-                path: String::deserialize(v.require("path")?)?,
-            }),
-            other => Err(serde::Error::new(format!(
-                "unknown DAG kind {other:?} (cholesky|lu|qr|layered|erdos-renyi|fork-join|diamond-mesh|file|dot|trace-json)"
-            ))),
-        }?;
-        // A kind reads exactly the keys its serialization writes.
-        let Value::Obj(known) = spec.serialize() else {
-            unreachable!("a DAG source serializes as a table")
-        };
-        let known: Vec<&str> = known.keys().map(String::as_str).collect();
-        reject_unknown_keys(v, &format!("a {kind:?} DAG source"), &known)?;
-        Ok(spec)
-    }
-}
-
-impl Serialize for DagSpec {
-    fn serialize(&self) -> Value {
-        match self {
-            DagSpec::Factorization { class, ks } => Value::obj([
-                ("kind", Value::Str(class.name().into())),
-                ("ks", ks.serialize()),
-            ]),
-            DagSpec::Layered {
-                layers,
-                width,
-                edge_prob,
-                weight_range,
-                seed,
-            } => Value::obj([
-                ("kind", Value::Str("layered".into())),
-                ("layers", layers.serialize()),
-                ("width", width.serialize()),
-                ("edge_prob", edge_prob.serialize()),
-                ("weight_lo", weight_range.0.serialize()),
-                ("weight_hi", weight_range.1.serialize()),
-                ("seed", seed.serialize()),
-            ]),
-            DagSpec::ErdosRenyi {
-                ns,
-                p,
-                weight_range,
-                seed,
-            } => Value::obj([
-                ("kind", Value::Str("erdos-renyi".into())),
-                ("ns", ns.serialize()),
-                ("p", p.serialize()),
-                ("weight_lo", weight_range.0.serialize()),
-                ("weight_hi", weight_range.1.serialize()),
-                ("seed", seed.serialize()),
-            ]),
-            DagSpec::ForkJoin {
-                width,
-                depth,
-                weight,
-            } => Value::obj([
-                ("kind", Value::Str("fork-join".into())),
-                ("width", width.serialize()),
-                ("depth", depth.serialize()),
-                ("weight", weight.serialize()),
-            ]),
-            DagSpec::DiamondMesh {
-                rows,
-                cols,
-                weight_range,
-                seed,
-            } => Value::obj([
-                ("kind", Value::Str("diamond-mesh".into())),
-                ("rows", rows.serialize()),
-                ("cols", cols.serialize()),
-                ("weight_lo", weight_range.0.serialize()),
-                ("weight_hi", weight_range.1.serialize()),
-                ("seed", seed.serialize()),
-            ]),
-            DagSpec::File { path } => Value::obj([
-                ("kind", Value::Str("file".into())),
-                ("path", path.serialize()),
-            ]),
-            DagSpec::Dot { path } => Value::obj([
-                ("kind", Value::Str("dot".into())),
-                ("path", path.serialize()),
-            ]),
-            DagSpec::TraceJson { path } => Value::obj([
-                ("kind", Value::Str("trace-json".into())),
-                ("path", path.serialize()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for SweepSpec {
-    fn deserialize(v: &Value) -> Result<SweepSpec, serde::Error> {
-        reject_unknown_keys(v, "the top-level table", SPEC_KEYS)?;
-        let defaults = SweepSpec::default();
-        let sampling = match v.get("reference_sampling").and_then(Value::as_str) {
-            None => defaults.reference_sampling,
-            Some("geometric") => SamplingModel::Geometric,
-            Some("two-state") => SamplingModel::TwoState,
-            Some(other) => {
-                return Err(serde::Error::new(format!(
-                    "unknown reference_sampling {other:?} (geometric|two-state)"
-                )))
-            }
-        };
-        Ok(SweepSpec {
-            name: match v.get("name") {
-                None => defaults.name,
-                Some(n) => String::deserialize(n)?,
-            },
-            seed: num_field(v, "seed", defaults.seed)?,
-            pfails: match v.get("pfails") {
-                None => Vec::new(),
-                Some(p) => Vec::deserialize(p)?,
-            },
-            lambdas: match v.get("lambdas") {
-                None => Vec::new(),
-                Some(l) => Vec::deserialize(l)?,
-            },
-            estimators: Vec::deserialize(v.require("estimators")?)?,
-            reference_trials: num_field(v, "reference_trials", defaults.reference_trials)?,
-            reference_sampling: sampling,
-            jobs: match v.get("jobs") {
-                None => None,
-                Some(j) => Some(usize::deserialize(j)?),
-            },
-            scenarios: match v.get("scenarios") {
-                None => Vec::new(),
-                Some(s) => Vec::deserialize(s)?,
-            },
-            dags: v
-                .require("dags")?
-                .as_arr()
-                .ok_or_else(|| serde::Error::new("dags must be an array of tables"))?
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    DagSpec::deserialize(d)
-                        .map_err(|e| serde::Error::new(format!("dags[{i}]: {e}")))
-                })
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
-impl Serialize for SweepSpec {
-    fn serialize(&self) -> Value {
-        let mut pairs = vec![
-            ("name", self.name.serialize()),
-            ("seed", self.seed.serialize()),
-            ("pfails", self.pfails.serialize()),
-            ("lambdas", self.lambdas.serialize()),
-            ("estimators", self.estimators.serialize()),
-            ("reference_trials", self.reference_trials.serialize()),
-            (
-                "reference_sampling",
-                Value::Str(
-                    match self.reference_sampling {
-                        SamplingModel::Geometric => "geometric",
-                        SamplingModel::TwoState => "two-state",
-                    }
-                    .into(),
-                ),
-            ),
-            ("dags", self.dags.serialize()),
-        ];
-        if let Some(jobs) = self.jobs {
-            pairs.push(("jobs", jobs.serialize()));
-        }
-        if !self.scenarios.is_empty() {
-            pairs.push(("scenarios", self.scenarios.serialize()));
-        }
-        Value::obj(pairs)
     }
 }
 
@@ -947,6 +819,38 @@ seed = 7
             .unwrap();
             let back = SweepSpec::from_str_auto(&serde::json::to_string(&spec)).unwrap();
             assert_eq!(back, spec, "{dag}");
+        }
+    }
+
+    #[test]
+    fn generator_values_out_of_range_are_spec_errors_naming_source_and_key() {
+        for (dag, key) in [
+            ("kind = \"fork-join\"\nwidth = 0", "width"),
+            ("kind = \"fork-join\"\nweight = -1.0", "weight"),
+            ("kind = \"fork-join\"\nweight = nan", "weight"),
+            (
+                "kind = \"layered\"\nlayers = [3]\nedge_prob = 1.5",
+                "edge_prob",
+            ),
+            ("kind = \"layered\"\nlayers = [0]", "layers"),
+            (
+                "kind = \"layered\"\nlayers = [3]\nweight_hi = inf",
+                "weight_hi",
+            ),
+            ("kind = \"erdos-renyi\"\nns = [5]\np = 2.0", "p"),
+            ("kind = \"diamond-mesh\"\nrows = 0", "rows"),
+        ] {
+            let spec = SweepSpec::from_str_auto(&format!(
+                "estimators = [\"first-order\"]\npfails = [0.1]\n\
+                 [[dags]]\nkind = \"qr\"\nks = [2]\n[[dags]]\n{dag}"
+            ))
+            .unwrap();
+            let err = spec.validate().unwrap_err();
+            assert_eq!(err.kind(), "spec", "{dag}");
+            assert!(
+                err.to_string().contains(&format!("dags[1]: {key} must be")),
+                "{dag}: {err}"
+            );
         }
     }
 

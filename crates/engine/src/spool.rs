@@ -77,7 +77,6 @@ use crate::protocol::{decode_event, encode_event, CampaignEvent};
 use crate::registry::EstimatorRegistry;
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
-use serde::Value;
 use std::collections::{BTreeMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -92,6 +91,34 @@ const FIRST_POLL: Duration = Duration::from_millis(1);
 /// `meta.json`'s `layout`: worker-named streams, claims removed by the
 /// coordinator. Releases before the key wrote layout 1.
 const SPOOL_LAYOUT: u64 = 2;
+
+serde::codec! {
+    lenient;
+    /// `meta.json`: what a worker reads before the spec.
+    struct SpoolMeta {
+        /// Campaign name.
+        name: String,
+        /// The coordinator's disk cache, for workers given none.
+        cache: Option<String> = None,
+        /// The spool layout ([`SPOOL_LAYOUT`]).
+        layout: u64 = 1,
+        /// Whether lease streams carry telemetry deltas.
+        telemetry: bool = false,
+    }
+}
+
+serde::codec! {
+    lenient;
+    /// `workers/{name}.json`: a worker session's registration.
+    struct Registration {
+        /// Worker name.
+        name: String,
+        /// The session's thread cap (`0`: not reported).
+        jobs: usize = 0,
+        /// Worker process id.
+        pid: u64,
+    }
+}
 
 /// Capped geometric backoff for the spool's poll loops (module docs):
 /// [`FIRST_POLL`], then each sleep a quarter longer up to [`POLL`];
@@ -246,24 +273,16 @@ impl ExecBackend for SharedFs {
                 self.spool.display()
             )));
         }
-        let meta = Value::obj([
-            ("name", serde::Serialize::serialize(&ctx.spec.name)),
-            (
-                "cache",
-                match ctx.cache.disk_dir() {
-                    Some(dir) => serde::Serialize::serialize(&dir.display().to_string()),
-                    None => Value::Null,
-                },
-            ),
-            ("layout", serde::Serialize::serialize(&SPOOL_LAYOUT)),
-            (
-                "telemetry",
-                serde::Serialize::serialize(&ctx.telemetry.is_enabled()),
-            ),
-        ]);
-        let mut meta_text = String::new();
-        serde::json::write_value(&meta, &mut meta_text);
-        write_atomic(&self.spool.join("meta.json"), &meta_text)?;
+        let meta = SpoolMeta {
+            name: ctx.spec.name.clone(),
+            cache: ctx.cache.disk_dir().map(|dir| dir.display().to_string()),
+            layout: SPOOL_LAYOUT,
+            telemetry: ctx.telemetry.is_enabled(),
+        };
+        write_atomic(
+            &self.spool.join("meta.json"),
+            &serde::json::to_string(&meta),
+        )?;
         // spec.json lands last: its appearance is the signal workers
         // wait on, so meta must already be readable.
         write_atomic(&spec_path, &serde::json::to_string(ctx.spec))?;
@@ -290,9 +309,8 @@ impl ExecBackend for SharedFs {
                     }
                     let jobs = std::fs::read_to_string(&reg)
                         .ok()
-                        .and_then(|s| serde::json::parse(&s).ok())
-                        .and_then(|v| v.get("jobs").and_then(Value::as_u64))
-                        .map_or(0, |j| j as usize);
+                        .and_then(|s| serde::json::from_str::<Registration>(&s).ok())
+                        .map_or(0, |r| r.jobs);
                     let slot = worker_slots.len();
                     worker_slots.insert(name.to_string(), slot);
                     last_progress = Instant::now();
@@ -546,10 +564,10 @@ impl SpoolWorker {
     /// Read `meta.json`, refusing a spool of another layout: a
     /// coordinator that names streams or retires claims differently
     /// would never merge this worker's streams.
-    fn read_meta(&self) -> Result<Value, EngineError> {
+    fn read_meta(&self) -> Result<SpoolMeta, EngineError> {
         let meta = std::fs::read_to_string(self.spool.join("meta.json"))
             .ok()
-            .and_then(|s| serde::json::parse(&s).ok())
+            .and_then(|s| serde::json::from_str::<SpoolMeta>(&s).ok())
             .ok_or_else(|| {
                 EngineError::spec(format!(
                     "spool {} has no readable meta.json, so its spool layout is unknown; \
@@ -557,14 +575,12 @@ impl SpoolWorker {
                     self.spool.display()
                 ))
             })?;
-        // Releases before the `layout` key wrote layout 1.
-        let layout = meta.get("layout").map_or(Some(1), Value::as_u64);
-        if layout != Some(SPOOL_LAYOUT) {
+        if meta.layout != SPOOL_LAYOUT {
             return Err(EngineError::spec(format!(
                 "spool {} uses spool layout {}, but this worker reads layout {SPOOL_LAYOUT}; \
                  run the coordinator and every worker from the same stochdag release",
                 self.spool.display(),
-                layout.map_or("unknown".to_string(), |l| l.to_string())
+                meta.layout
             )));
         }
         Ok(meta)
@@ -607,14 +623,14 @@ impl SpoolWorker {
         } else if let Some(dir) = &self.cache_dir {
             crate::cache::ResultCache::on_disk(dir)
         } else {
-            match meta.get("cache").and_then(Value::as_str) {
+            match &meta.cache {
                 Some(dir) => crate::cache::ResultCache::on_disk(dir),
                 None => crate::cache::ResultCache::in_memory(),
             }
         };
         let jobs = self.jobs.unwrap_or_else(cores);
         let plan = CampaignPlan::new(&spec, &EstimatorRegistry)?;
-        let telemetry = if meta.get("telemetry").and_then(Value::as_bool) == Some(true) {
+        let telemetry = if meta.telemetry {
             Telemetry::enabled()
         } else {
             Telemetry::disabled()
@@ -628,22 +644,17 @@ impl SpoolWorker {
             plan: &plan,
         };
         let executor = LeaseExecutor::new(&ctx);
-        let registration = Value::obj([
-            ("name", serde::Serialize::serialize(&self.name)),
-            ("jobs", serde::Serialize::serialize(&jobs)),
-            (
-                "pid",
-                serde::Serialize::serialize(&(std::process::id() as u64)),
-            ),
-        ]);
-        let mut registration_text = String::new();
-        serde::json::write_value(&registration, &mut registration_text);
+        let registration = Registration {
+            name: self.name.clone(),
+            jobs,
+            pid: u64::from(std::process::id()),
+        };
         write_atomic(
             &self
                 .spool
                 .join("workers")
                 .join(format!("{}.json", self.name)),
-            &registration_text,
+            &serde::json::to_string(&registration),
         )?;
         let done_leases = AtomicUsize::new(0);
         let done_cells = AtomicUsize::new(0);

@@ -40,7 +40,7 @@
 
 use crate::cache::CacheTier;
 use crate::runner::SweepOutcome;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -72,14 +72,6 @@ pub trait TelemetrySink: Send {
     fn record_counter(&mut self, name: &str, delta: u64);
 }
 
-/// Render a raw [`Value`] tree as compact JSON (the shim's
-/// `json::to_string` wants a `Serialize` type, not a `Value`).
-fn value_json(v: &Value) -> String {
-    let mut out = String::new();
-    serde::json::write_value(v, &mut out);
-    out
-}
-
 /// Built-in [`TelemetrySink`]: one JSON object per line —
 /// `{"span":NAME,"ns":N}` / `{"counter":NAME,"delta":N}` — flushed per
 /// record so a live `tail -f` (or a coordinator reading a pipe) sees
@@ -88,7 +80,7 @@ struct JsonlTrace<W: Write + Send>(W);
 
 impl<W: Write + Send> TelemetrySink for JsonlTrace<W> {
     fn record_span(&mut self, name: &str, nanos: u64) {
-        let line = value_json(&Value::obj([
+        let line = serde::json::to_string(&Value::obj([
             ("span", Value::Str(name.to_string())),
             ("ns", Value::Num(nanos as f64)),
         ]));
@@ -96,7 +88,7 @@ impl<W: Write + Send> TelemetrySink for JsonlTrace<W> {
     }
 
     fn record_counter(&mut self, name: &str, delta: u64) {
-        let line = value_json(&Value::obj([
+        let line = serde::json::to_string(&Value::obj([
             ("counter", Value::Str(name.to_string())),
             ("delta", Value::Num(delta as f64)),
         ]));
@@ -104,17 +96,20 @@ impl<W: Write + Send> TelemetrySink for JsonlTrace<W> {
     }
 }
 
-/// Aggregate of one span name: how often it ran and for how long.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Completions recorded.
-    pub count: u64,
-    /// Sum of durations, nanoseconds.
-    pub total_ns: u64,
-    /// Shortest recorded duration, nanoseconds.
-    pub min_ns: u64,
-    /// Longest recorded duration, nanoseconds.
-    pub max_ns: u64,
+serde::codec! {
+    lenient;
+    /// Aggregate of one span name: how often it ran and for how long.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SpanStat {
+        /// Completions recorded.
+        pub count: u64,
+        /// Sum of durations, nanoseconds.
+        pub total_ns: u64,
+        /// Shortest recorded duration, nanoseconds.
+        pub min_ns: u64,
+        /// Longest recorded duration, nanoseconds.
+        pub max_ns: u64,
+    }
 }
 
 impl SpanStat {
@@ -145,90 +140,26 @@ impl SpanStat {
     }
 }
 
-impl Serialize for SpanStat {
-    fn serialize(&self) -> Value {
-        Value::obj([
-            ("count", self.count.serialize()),
-            ("total_ns", self.total_ns.serialize()),
-            ("min_ns", self.min_ns.serialize()),
-            ("max_ns", self.max_ns.serialize()),
-        ])
+serde::codec! {
+    lenient;
+    /// A point-in-time copy of a [`Telemetry`] collector's aggregates:
+    /// sorted counters plus per-span statistics. This is what a lease's
+    /// [`LeaseDone`](crate::CampaignEvent::LeaseDone) carries to the
+    /// coordinator and what the detail section of a [`MetricsReport`]
+    /// renders.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct MetricsSnapshot {
+        /// Counter totals by name (sorted).
+        pub counters: BTreeMap<String, u64>,
+        /// Span aggregates by name (sorted).
+        pub spans: BTreeMap<String, SpanStat>,
     }
-}
-
-impl Deserialize for SpanStat {
-    fn deserialize(v: &Value) -> Result<SpanStat, serde::Error> {
-        Ok(SpanStat {
-            count: u64::deserialize(v.require("count")?)?,
-            total_ns: u64::deserialize(v.require("total_ns")?)?,
-            min_ns: u64::deserialize(v.require("min_ns")?)?,
-            max_ns: u64::deserialize(v.require("max_ns")?)?,
-        })
-    }
-}
-
-/// A point-in-time copy of a [`Telemetry`] collector's aggregates:
-/// sorted counters plus per-span statistics. This is what a lease's
-/// [`LeaseDone`](crate::CampaignEvent::LeaseDone) carries to the
-/// coordinator and what the detail section of a [`MetricsReport`]
-/// renders.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter totals by name (sorted).
-    pub counters: BTreeMap<String, u64>,
-    /// Span aggregates by name (sorted).
-    pub spans: BTreeMap<String, SpanStat>,
 }
 
 impl MetricsSnapshot {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.spans.is_empty()
-    }
-}
-
-impl Serialize for MetricsSnapshot {
-    fn serialize(&self) -> Value {
-        Value::obj([
-            (
-                "counters",
-                Value::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.serialize()))
-                        .collect(),
-                ),
-            ),
-            (
-                "spans",
-                Value::Obj(
-                    self.spans
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.serialize()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for MetricsSnapshot {
-    fn deserialize(v: &Value) -> Result<MetricsSnapshot, serde::Error> {
-        let obj_entries = |v: &Value| -> Result<Vec<(String, Value)>, serde::Error> {
-            match v {
-                Value::Obj(m) => Ok(m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()),
-                other => Err(serde::Error::new(format!("expected object, got {other:?}"))),
-            }
-        };
-        let mut counters = BTreeMap::new();
-        for (k, val) in obj_entries(v.require("counters")?)? {
-            counters.insert(k, u64::deserialize(&val)?);
-        }
-        let mut spans = BTreeMap::new();
-        for (k, val) in obj_entries(v.require("spans")?)? {
-            spans.insert(k, SpanStat::deserialize(&val)?);
-        }
-        Ok(MetricsSnapshot { counters, spans })
     }
 }
 
@@ -544,15 +475,7 @@ impl MetricsReport {
                     ("disk_hits", self.cells_disk_hits.serialize()),
                 ]),
             ),
-            (
-                "estimator_cells",
-                Value::Obj(
-                    self.estimator_cells
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.serialize()))
-                        .collect(),
-                ),
-            ),
+            ("estimator_cells", self.estimator_cells.serialize()),
             ("rows_emitted", self.rows_emitted.serialize()),
         ])
     }
@@ -560,22 +483,14 @@ impl MetricsReport {
     /// The full report as deterministic-key-order JSON (keys sorted;
     /// the `stable` section additionally has deterministic values).
     pub fn to_json(&self) -> String {
-        value_json(&Value::obj([
+        serde::json::to_string(&Value::obj([
             ("campaign", Value::Str(self.campaign.clone())),
             ("schema_version", METRICS_SCHEMA_VERSION.serialize()),
             ("stable", self.stable_value()),
             (
                 "detail",
                 Value::obj([
-                    (
-                        "errors_by_kind",
-                        Value::Obj(
-                            self.errors_by_kind
-                                .iter()
-                                .map(|(k, v)| (k.clone(), v.serialize()))
-                                .collect(),
-                        ),
-                    ),
+                    ("errors_by_kind", self.errors_by_kind.serialize()),
                     ("telemetry", self.snapshot.serialize()),
                     ("wall_s", self.wall_s.serialize()),
                 ]),
@@ -587,7 +502,7 @@ impl MetricsReport {
     /// byte-comparable portion (no timings, no timestamps, cells
     /// deduplicated by global index).
     pub fn stable_json(&self) -> String {
-        value_json(&self.stable_value())
+        serde::json::to_string(&self.stable_value())
     }
 }
 

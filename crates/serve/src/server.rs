@@ -63,7 +63,6 @@ use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::thread::{self, Scope};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize, Value};
 use stochdag_engine::{
     encode_event, Campaign, CampaignEvent, CampaignObserver, CancelToken, EngineError,
     MetricsSnapshot, MultiProcess, ResultCache, SharedFs, SweepSpec, Telemetry,
@@ -116,78 +115,38 @@ impl Default for ServeConfig {
     }
 }
 
-/// One campaign that had not completed when the server shut down,
-/// with its full spec so a later session can re-submit it (execution
-/// is cache-first, so only unfinished cells are recomputed).
-#[derive(Clone, Debug)]
-pub struct UnfinishedCampaign {
-    /// Server-assigned campaign id.
-    pub id: u64,
-    /// The spec's campaign name.
-    pub name: String,
-    /// Final lifecycle state at shutdown.
-    pub state: CampaignState,
-    /// Total estimator cells.
-    pub cells: usize,
-    /// Cells completed before shutdown.
-    pub rows: usize,
-    /// The campaign's spec, ready to re-submit.
-    pub spec: SweepSpec,
-}
-
-/// What [`Server::run`] hands back (and persists to
-/// [`ServeConfig::shutdown_report`]) after a clean shutdown.
-#[derive(Clone, Debug)]
-pub struct ShutdownReport {
-    /// Final whole-server statistics.
-    pub server: ServerStatus,
-    /// Campaigns that did not complete, with their specs.
-    pub unfinished: Vec<UnfinishedCampaign>,
-}
-
-impl Serialize for UnfinishedCampaign {
-    fn serialize(&self) -> Value {
-        Value::obj([
-            ("id", self.id.serialize()),
-            ("name", self.name.serialize()),
-            ("state", Value::Str(self.state.as_str().into())),
-            ("cells", self.cells.serialize()),
-            ("rows", self.rows.serialize()),
-            ("spec", self.spec.serialize()),
-        ])
+serde::codec! {
+    lenient;
+    /// One campaign that had not completed when the server shut down,
+    /// with its full spec so a later session can re-submit it (execution
+    /// is cache-first, so only unfinished cells are recomputed).
+    #[derive(Clone, Debug)]
+    pub struct UnfinishedCampaign {
+        /// Server-assigned campaign id.
+        pub id: u64,
+        /// The spec's campaign name.
+        pub name: String,
+        /// Final lifecycle state at shutdown.
+        pub state: CampaignState,
+        /// Total estimator cells.
+        pub cells: usize,
+        /// Cells completed before shutdown.
+        pub rows: usize,
+        /// The campaign's spec, ready to re-submit.
+        pub spec: SweepSpec,
     }
 }
 
-impl Deserialize for UnfinishedCampaign {
-    fn deserialize(v: &Value) -> Result<UnfinishedCampaign, serde::Error> {
-        let state = String::deserialize(v.require("state")?)?;
-        Ok(UnfinishedCampaign {
-            id: u64::deserialize(v.require("id")?)?,
-            name: String::deserialize(v.require("name")?)?,
-            state: CampaignState::parse(&state)
-                .ok_or_else(|| serde::Error::new(format!("unknown state {state:?}")))?,
-            cells: usize::deserialize(v.require("cells")?)?,
-            rows: usize::deserialize(v.require("rows")?)?,
-            spec: SweepSpec::deserialize(v.require("spec")?)?,
-        })
-    }
-}
-
-impl Serialize for ShutdownReport {
-    fn serialize(&self) -> Value {
-        Value::obj([
-            ("server", self.server.serialize()),
-            ("unfinished", self.unfinished.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ShutdownReport {
-    fn deserialize(v: &Value) -> Result<ShutdownReport, serde::Error> {
-        Ok(ShutdownReport {
-            server: ServerStatus::deserialize(v.require("server")?)?,
-            unfinished: Vec::<UnfinishedCampaign>::deserialize(v.require("unfinished")?)?,
-        })
+serde::codec! {
+    lenient;
+    /// What [`Server::run`] hands back (and persists to
+    /// [`ServeConfig::shutdown_report`]) after a clean shutdown.
+    #[derive(Clone, Debug)]
+    pub struct ShutdownReport {
+        /// Final whole-server statistics.
+        pub server: ServerStatus,
+        /// Campaigns that did not complete, with their specs.
+        pub unfinished: Vec<UnfinishedCampaign>,
     }
 }
 

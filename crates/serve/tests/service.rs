@@ -465,6 +465,69 @@ fn a_zero_makespan_trace_is_answered_with_a_spec_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Raw request lines, as a client of another release could send them:
+/// a key no request reads is refused by name (a misspelt `backend` must
+/// not run in-process), and a DAG value no generator accepts is a
+/// `spec` error, not a panic on the accepting thread. The daemon then
+/// completes a good campaign.
+#[test]
+fn unread_request_keys_and_bad_dag_values_are_refused_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use stochdag_serve::{protocol::decode_response, Response};
+
+    let (addr, daemon) = start(ServeConfig::default());
+    let raw = |line: &str| {
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        writeln!(conn, "{line}").unwrap();
+        let mut reply = String::new();
+        BufReader::new(conn).read_line(&mut reply).unwrap();
+        decode_response(&reply).unwrap()
+    };
+    let spec = |dag: &str| {
+        format!(
+            r#"{{"name":"raw","pfails":[0.01],"estimators":["first-order"],"reference_trials":100,"dags":[{dag}]}}"#
+        )
+    };
+    let cases = [
+        (
+            format!(
+                r#"{{"type":"submit","spec":{},"backnd":{{"kind":"shared-fs","spool":"/nonexistent"}}}}"#,
+                spec(r#"{"kind":"qr","ks":[2]}"#)
+            ),
+            "protocol",
+            "unknown key \"backnd\" in a \"submit\" request (accepted: backend, spec, type)",
+        ),
+        (
+            r#"{"type":"status","idd":99}"#.to_string(),
+            "protocol",
+            "unknown key \"idd\" in a \"status\" request (accepted: id, type)",
+        ),
+        (
+            format!(
+                r#"{{"type":"submit","spec":{}}}"#,
+                spec(r#"{"kind":"fork-join","width":0}"#)
+            ),
+            "spec",
+            "dags[0]: width must be positive",
+        ),
+    ];
+    for (line, want_kind, want_message) in &cases {
+        match raw(line) {
+            Response::Error { kind, message } => {
+                assert_eq!(&kind, want_kind, "{message}");
+                assert!(message.contains(want_message), "{message}");
+            }
+            other => panic!("{line}: expected an error, got {other:?}"),
+        }
+    }
+    let client = ServeClient::connect_to(&addr);
+    assert_eq!(client.status(None).unwrap().server.submissions, 0);
+    let ticket = client.submit(&spec_for_quota("good", 0.02)).unwrap();
+    assert_eq!(stream(&client, ticket.id).cells, 1);
+    client.shutdown(ShutdownMode::Drain).unwrap();
+    assert_eq!(daemon.join().unwrap().server.completed, 1);
+}
+
 /// A 1-cell spec (quota-friendly) distinguished by its pfail.
 fn spec_for_quota(name: &str, pfail: f64) -> SweepSpec {
     SweepSpec::from_str_auto(&format!(

@@ -4,8 +4,10 @@
 //! value-model serialization framework under the `serde` name:
 //! [`Serialize`] renders a type into a [`Value`] tree, [`Deserialize`]
 //! rebuilds the type from one, and the [`json`] module converts trees
-//! to/from JSON text. No derive macros — implementations are written by
-//! hand against the value model, which keeps them explicit and small.
+//! to/from JSON text. In place of the derive macros, [`codec!`] (a
+//! `macro_rules!` macro, no proc-macro crate) writes both impls from a
+//! type's definition: field defaults, omitted fields, tagged enums and
+//! one key policy per type, strict or lenient.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -91,23 +93,68 @@ impl Value {
 }
 
 /// Serialization/deserialization error.
+///
+/// A decode error names where it happened: the key path into the value
+/// (`dags[1].ks`, built as the error travels out of the nested
+/// decoders) and, for a [`json::parse`] error, the byte offset into the
+/// text.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Error {
+    path: String,
     message: String,
+    offset: Option<usize>,
 }
 
 impl Error {
     /// Error with the given description.
     pub fn new(message: impl Into<String>) -> Error {
         Error {
+            path: String::new(),
             message: message.into(),
+            offset: None,
         }
+    }
+
+    /// Error at byte `offset` of a JSON text.
+    pub(crate) fn at_byte(message: impl Into<String>, offset: usize) -> Error {
+        Error {
+            offset: Some(offset),
+            ..Error::new(message)
+        }
+    }
+
+    /// Byte offset into the JSON text, for [`json::parse`] errors.
+    pub fn offset(&self) -> Option<usize> {
+        self.offset
+    }
+
+    /// The same error, inside member `key` of an object.
+    pub(crate) fn at_key(mut self, key: &str) -> Error {
+        let sep = if self.path.is_empty() || self.path.starts_with('[') {
+            ""
+        } else {
+            "."
+        };
+        self.path = format!("{key}{sep}{}", self.path);
+        self
+    }
+
+    /// The same error, inside element `index` of an array.
+    pub(crate) fn at_index(self, index: usize) -> Error {
+        self.at_key(&format!("[{index}]"))
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
+        if !self.path.is_empty() {
+            write!(f, "{}: ", self.path)?;
+        }
+        f.write_str(&self.message)?;
+        if let Some(offset) = self.offset {
+            write!(f, " at byte {offset}")?;
+        }
+        Ok(())
     }
 }
 
@@ -221,8 +268,37 @@ impl<T: Deserialize> Deserialize for Vec<T> {
         v.as_arr()
             .ok_or_else(|| Error::new(format!("expected array, got {v:?}")))?
             .iter()
-            .map(T::deserialize)
+            .enumerate()
+            .map(|(i, item)| T::deserialize(item).map_err(|e| e.at_index(i)))
             .collect()
+    }
+}
+
+impl<T: Serialize> Serialize for BTreeMap<String, T> {
+    fn serialize(&self) -> Value {
+        Value::Obj(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.serialize()))
+                .collect(),
+        )
+    }
+}
+
+impl<T: Deserialize> Deserialize for BTreeMap<String, T> {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let Value::Obj(map) = v else {
+            return Err(Error::new(format!("expected object, got {v:?}")));
+        };
+        map.iter()
+            .map(|(k, v)| Ok((k.clone(), T::deserialize(v).map_err(|e| e.at_key(k))?)))
+            .collect()
+    }
+}
+
+/// A value tree is its own encoding (so `json::to_string` writes one).
+impl Serialize for Value {
+    fn serialize(&self) -> Value {
+        self.clone()
     }
 }
 
@@ -253,11 +329,433 @@ impl Serialize for std::time::Duration {
 impl Deserialize for std::time::Duration {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         let secs = f64::deserialize(v)?;
-        if !(secs.is_finite() && secs >= 0.0) {
-            return Err(Error::new(format!("bad duration {secs}")));
-        }
-        Ok(std::time::Duration::from_secs_f64(secs))
+        // Negative, non-finite and out-of-range seconds are errors.
+        std::time::Duration::try_from_secs_f64(secs)
+            .map_err(|_| Error::new(format!("bad duration {secs:?}")))
     }
+}
+
+/// One object's members as a [`codec!`] encoder (or a `with` module)
+/// writes them: each key with its value, in any order. The keys are
+/// owned so that the object's map collects them in place.
+pub type Members = Vec<(String, Value)>;
+
+/// One object's members as a [`codec!`] decoder (or a `with` module)
+/// reads them. It counts the keys it hands out, so a strict type finds
+/// an unread key by one comparison and scans the keys only to name it.
+pub struct Fields<'a> {
+    map: &'a BTreeMap<String, Value>,
+    tag: &'a str,
+    read: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// The members of `v`, which must be an object.
+    pub fn new(v: &'a Value) -> Result<Fields<'a>, Error> {
+        match v {
+            Value::Obj(map) => Ok(Fields {
+                map,
+                tag: "",
+                read: 0,
+            }),
+            other => Err(Error::new(format!("expected object, got {other:?}"))),
+        }
+    }
+
+    /// The tag of the enum variant being read (empty for a record).
+    pub fn tag(&self) -> &'a str {
+        self.tag
+    }
+
+    /// Read the string member `key` as the variant tag.
+    pub fn read_tag(&mut self, key: &str) -> Result<&'a str, Error> {
+        match self.get(key) {
+            Some(Value::Str(tag)) => {
+                self.tag = tag;
+                Ok(tag)
+            }
+            Some(other) => Err(Error::new(format!("expected string, got {other:?}")).at_key(key)),
+            None => Err(Error::new(format!("missing field {key:?}"))),
+        }
+    }
+
+    /// The member `key`, if present. Read each key at most once.
+    fn get(&mut self, key: &str) -> Option<&'a Value> {
+        let v = self.map.get(key);
+        self.read += usize::from(v.is_some());
+        v
+    }
+
+    /// Decode the required member `key`.
+    pub fn req<T: Deserialize>(&mut self, key: &str) -> Result<T, Error> {
+        match self.get(key) {
+            Some(v) => T::deserialize(v).map_err(|e| e.at_key(key)),
+            None => Err(Error::new(format!("missing field {key:?}"))),
+        }
+    }
+
+    /// Decode the member `key`, or take `default()` when it is absent.
+    pub fn or<T: Deserialize>(
+        &mut self,
+        key: &str,
+        default: impl FnOnce() -> T,
+    ) -> Result<T, Error> {
+        match self.get(key) {
+            Some(v) => T::deserialize(v).map_err(|e| e.at_key(key)),
+            None => Ok(default()),
+        }
+    }
+
+    /// For a strict type, fail on the first key (in key order) that no
+    /// field read, naming `table()` and every key in `accepted`.
+    pub fn finish(
+        self,
+        strict: bool,
+        table: impl FnOnce() -> String,
+        accepted: &[&[&str]],
+    ) -> Result<(), Error> {
+        if !strict || self.read == self.map.len() {
+            return Ok(());
+        }
+        let mut accepted = accepted.concat();
+        accepted.sort_unstable();
+        accepted.dedup();
+        match self.map.keys().find(|k| !accepted.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(key) => Err(Error::new(format!(
+                "unknown key {key:?} in {} (accepted: {})",
+                table(),
+                accepted.join(", ")
+            ))),
+        }
+    }
+}
+
+/// Define a type and write its [`Serialize`] and [`Deserialize`] from
+/// that one definition: the shim's stand-in for
+/// `#[derive(Serialize, Deserialize)]`.
+///
+/// **Records** are one JSON object with a key per field, named like
+/// the field. The header names the type's key policy: `strict "the
+/// top-level table";` fails a decode on the first key no field reads
+/// (`unknown key "K" in the top-level table (accepted: …)`), `lenient;`
+/// ignores such keys, so lines of other releases still decode.
+///
+/// ```
+/// serde::codec! {
+///     lenient;
+///     /// One lease on the wire.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Lease {
+///         /// Required: a decode fails without it.
+///         pub id: u64,
+///         /// Written always (`null` when `None`); absent decodes as the default.
+///         pub owner: Option<String> = None,
+///         /// Left out when it equals its default, which absence decodes to.
+///         #[serde(omit_default)]
+///         pub cells: Vec<usize> = Vec::new(),
+///     }
+/// }
+/// let lease = Lease { id: 3, owner: None, cells: vec![] };
+/// assert_eq!(serde::json::to_string(&lease), r#"{"id":3,"owner":null}"#);
+/// assert_eq!(serde::json::from_str::<Lease>(r#"{"id":3,"x":1}"#).unwrap(), lease);
+/// ```
+///
+/// A field marked `#[serde(with = module)]` is coded by hand: `module`
+/// has `KEYS: &[&str]` (the keys it reads), `decode(&mut Fields) ->
+/// Result<T, Error>` and `encode(&T, &mut Members)`.
+///
+/// **Tagged enums** are one object per variant, whose tag key names
+/// the variant: `strict "request", tag "type";` reads `{"type":
+/// "status", …}` and names the table `a "status" request` in errors.
+/// Each variant is written `Name = "tag"` and is a unit variant (the
+/// tag alone), a newtype `Name = "tag" (Record)` whose record's keys
+/// sit beside the tag (the record decodes them under its own policy,
+/// so it must be lenient), or a struct variant `Name = "tag" { fields }`
+/// with fields as in a record. The last variant may be `Name = _ {
+/// fields }`, taken for every other tag: its `#[serde(tag)]` field (or
+/// a `with` field reading [`Fields::tag`]) holds the tag. Without one,
+/// an unknown tag fails (`unknown request type "x" (accepted: …)`).
+///
+/// **String enums**, `pub enum Mode { Drain = "drain", Now = "now" }`,
+/// encode each unit variant as its string, and gain `as_str` and
+/// `parse` (`None` for any other string).
+///
+/// **Display strings**, `codec!(display Type);`, encode a type defined
+/// elsewhere as its `Display` string and decode it with its `FromStr`,
+/// whose error becomes the decode error.
+#[macro_export]
+macro_rules! codec {
+    (display $name:ty) => {
+        impl $crate::Serialize for $name {
+            fn serialize(&self) -> $crate::Value {
+                $crate::Value::Str(self.to_string())
+            }
+        }
+
+        impl $crate::Deserialize for $name {
+            fn deserialize(v: &$crate::Value) -> ::std::result::Result<Self, $crate::Error> {
+                let s = v.as_str().ok_or_else(|| {
+                    $crate::Error::new(format!("expected string, got {v:?}"))
+                })?;
+                s.parse::<$name>().map_err(|e| $crate::Error::new(e.to_string()))
+            }
+        }
+    };
+    (
+        $policy:ident $($table:literal)?;
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[doc = $doc:literal])*
+                $(#[serde($($opt:tt)*)])?
+                $fvis:vis $field:ident : $ty:ty $(= $default:expr)?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[doc = $doc])* $fvis $field: $ty,)*
+        }
+
+        impl $crate::Serialize for $name {
+            fn serialize(&self) -> $crate::Value {
+                let mut out = $crate::Members::with_capacity(<[&str]>::len(&[$(stringify!($field)),*]));
+                $($crate::__codec_field!(@ser out, "", &self.$field, $field [$($($opt)*)?] $(= $default)?);)*
+                $crate::Value::Obj(out.into_iter().collect())
+            }
+        }
+
+        impl $crate::Deserialize for $name {
+            fn deserialize(v: &$crate::Value) -> ::std::result::Result<Self, $crate::Error> {
+                let mut fields = $crate::Fields::new(v)?;
+                let value = $name {
+                    $($field: $crate::__codec_field!(@de fields, $field: $ty [$($($opt)*)?] $(= $default)?),)*
+                };
+                fields.finish(
+                    $crate::__codec_field!(@strict $policy),
+                    || ::std::string::String::from(concat!($($table)?)),
+                    &[$($crate::__codec_field!(@keys $field [$($($opt)*)?])),*],
+                )?;
+                Ok(value)
+            }
+        }
+    };
+    (
+        $policy:ident $noun:literal, tag $key:literal;
+        $(#[$attr:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vattr:meta])*
+                $variant:ident = $tag:tt $(($inner:ty))? $({
+                    $(
+                        $(#[doc = $doc:literal])*
+                        $(#[serde($($opt:tt)*)])?
+                        $field:ident : $ty:ty $(= $default:expr)?
+                    ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis enum $name {
+            $($(#[$vattr])* $variant $(($inner))? $({$($(#[doc = $doc])* $field: $ty,)*})?,)*
+        }
+
+        impl $crate::Serialize for $name {
+            fn serialize(&self) -> $crate::Value {
+                match self {
+                    $($crate::__codec_variant!(@pat $variant, inner $(, ($inner))? $(, {$($field)*})?) => {
+                        $crate::__codec_variant!(@ser $key, $tag, inner $(, ($inner))? $(, {$(
+                            $field [$($($opt)*)?] $(= $default)?;
+                        )*})?)
+                    })*
+                }
+            }
+        }
+
+        impl $crate::Deserialize for $name {
+            #[allow(unreachable_patterns)]
+            fn deserialize(v: &$crate::Value) -> ::std::result::Result<Self, $crate::Error> {
+                let mut fields = $crate::Fields::new(v)?;
+                let tag = fields.read_tag($key)?;
+                match tag {
+                    $($tag => Ok($crate::__codec_variant!(@de v, fields, tag, $policy $noun $key, $variant $(, ($inner))? $(, {$(
+                        $field: $ty [$($($opt)*)?] $(= $default)?;
+                    )*})?)),)*
+                    _ => {
+                        let tags: &[&str] = &[$($crate::__codec_variant!(@tag $tag)),*];
+                        Err($crate::Error::new(format!(
+                            "unknown {} {} {tag:?} (accepted: {})",
+                            $noun,
+                            $key,
+                            tags.join(", ")
+                        )))
+                    }
+                }
+            }
+        }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vattr:meta])* $variant:ident = $text:literal),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis enum $name {
+            $($(#[$vattr])* $variant,)*
+        }
+
+        impl $name {
+            /// Stable wire name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $text,)*
+                }
+            }
+
+            /// Parse a wire name.
+            pub fn parse(s: &str) -> Option<$name> {
+                match s {
+                    $($text => Some($name::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl $crate::Serialize for $name {
+            fn serialize(&self) -> $crate::Value {
+                $crate::Value::Str(self.as_str().into())
+            }
+        }
+
+        impl $crate::Deserialize for $name {
+            fn deserialize(v: &$crate::Value) -> ::std::result::Result<Self, $crate::Error> {
+                let s = v.as_str().ok_or_else(|| {
+                    $crate::Error::new(format!("expected string, got {v:?}"))
+                })?;
+                $name::parse(s).ok_or_else(|| {
+                    $crate::Error::new(format!(
+                        "unknown value {s:?} (accepted: {})",
+                        [$($text),*].join(", ")
+                    ))
+                })
+            }
+        }
+    };
+}
+
+/// Whether `value` equals `default`: the test of `#[serde(omit_default)]`
+/// (a function, so the default expression takes the field's type).
+#[doc(hidden)]
+pub fn is_default<T: PartialEq>(value: &T, default: T) -> bool {
+    *value == default
+}
+
+/// Write member `key` as `value` encodes: one step of a [`codec!`]
+/// encoder.
+#[doc(hidden)]
+pub fn put<T: Serialize>(out: &mut Members, key: &str, value: &T) {
+    out.push((key.into(), value.serialize()));
+}
+
+/// One field's share of a [`codec!`] impl.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __codec_field {
+    (@strict strict) => {
+        true
+    };
+    (@strict lenient) => {
+        false
+    };
+    (@ser $out:ident, $key:expr, $val:expr, $field:ident [] $(= $default:expr)?) => {
+        $crate::put(&mut $out, stringify!($field), $val)
+    };
+    (@ser $out:ident, $key:expr, $val:expr, $field:ident [omit_default] = $default:expr) => {
+        if !$crate::is_default($val, $default) {
+            $crate::put(&mut $out, stringify!($field), $val)
+        }
+    };
+    (@ser $out:ident, $key:expr, $val:expr, $field:ident [with = $with:ident]) => {
+        $with::encode($val, &mut $out)
+    };
+    (@ser $out:ident, $key:expr, $val:expr, $field:ident [tag]) => {
+        $crate::put(&mut $out, $key, $val)
+    };
+    (@de $fields:ident, $field:ident : $ty:ty []) => {
+        $fields.req::<$ty>(stringify!($field))?
+    };
+    (@de $fields:ident, $field:ident : $ty:ty [$($omit:ident)?] = $default:expr) => {
+        $fields.or::<$ty>(stringify!($field), || $default)?
+    };
+    (@de $fields:ident, $field:ident : $ty:ty [with = $with:ident]) => {
+        $with::decode(&mut $fields)?
+    };
+    (@de $fields:ident, $field:ident : $ty:ty [tag]) => {
+        <$ty as $crate::Deserialize>::deserialize(&$crate::Value::Str($fields.tag().into()))?
+    };
+    (@keys $field:ident [with = $with:ident]) => {
+        $with::KEYS
+    };
+    (@keys $field:ident [tag]) => {
+        &[]
+    };
+    (@keys $field:ident [$($opt:tt)*]) => {
+        &[stringify!($field)]
+    };
+}
+
+/// One variant's share of a tagged-enum [`codec!`] impl.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __codec_variant {
+    (@pat $variant:ident, $inner:ident) => { Self::$variant {} };
+    (@pat $variant:ident, $inner:ident, ($ty:ty)) => { Self::$variant($inner) };
+    (@pat $variant:ident, $inner:ident, {$($field:ident)*}) => { Self::$variant { $($field),* } };
+    (@tag _) => { "" };
+    (@tag $tag:literal) => { $tag };
+    (@ser $key:literal, $tag:literal, $inner:ident) => {
+        $crate::__codec_variant!(@ser $key, $tag, $inner, {})
+    };
+    (@ser $key:literal, $tag:literal, $inner:ident, ($ty:ty)) => {{
+        let mut v = $crate::Serialize::serialize($inner);
+        if let $crate::Value::Obj(m) = &mut v {
+            m.insert($key.into(), $crate::Value::Str($tag.into()));
+        }
+        v
+    }};
+    (@ser $key:literal, $tag:tt, $inner:ident, {$($field:ident [$($opt:tt)*] $(= $default:expr)?;)*}) => {{
+        let mut out = $crate::Members::with_capacity(1 + <[&str]>::len(&[$(stringify!($field)),*]));
+        $crate::__codec_variant!(@ser_tag out, $key, $tag);
+        $($crate::__codec_field!(@ser out, $key, $field, $field [$($opt)*] $(= $default)?);)*
+        $crate::Value::Obj(out.into_iter().collect())
+    }};
+    (@ser_tag $out:ident, $key:literal, _) => {};
+    (@ser_tag $out:ident, $key:literal, $tag:literal) => {
+        $out.push(($key.into(), $crate::Value::Str($tag.into())))
+    };
+    (@de $v:ident, $fields:ident, $tag:ident, $policy:ident $noun:literal $key:literal, $variant:ident) => {
+        $crate::__codec_variant!(@de $v, $fields, $tag, $policy $noun $key, $variant, {})
+    };
+    (@de $v:ident, $fields:ident, $tag:ident, $policy:ident $noun:literal $key:literal, $variant:ident, ($ty:ty)) => {
+        Self::$variant(<$ty as $crate::Deserialize>::deserialize($v)?)
+    };
+    (
+        @de $v:ident, $fields:ident, $tag:ident, $policy:ident $noun:literal $key:literal, $variant:ident,
+        {$($field:ident : $ty:ty [$($opt:tt)*] $(= $default:expr)?;)*}
+    ) => {{
+        let value = Self::$variant {
+            $($field: $crate::__codec_field!(@de $fields, $field: $ty [$($opt)*] $(= $default)?),)*
+        };
+        $fields.finish(
+            $crate::__codec_field!(@strict $policy),
+            || format!("a {:?} {}", $tag, $noun),
+            &[&[$key], $($crate::__codec_field!(@keys $field [$($opt)*])),*],
+        )?;
+        value
+    }};
 }
 
 /// JSON text encoding of the value model.
@@ -342,7 +840,8 @@ pub mod json {
         out.push('"');
     }
 
-    /// Parse JSON text into a [`Value`].
+    /// Parse JSON text into a [`Value`]. Every error carries the byte
+    /// offset where parsing stopped ([`Error::offset`]).
     pub fn parse(s: &str) -> Result<Value, Error> {
         let mut p = Parser {
             text: s,
@@ -353,10 +852,7 @@ pub mod json {
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
-            return Err(Error::new(format!(
-                "trailing input at byte {} of JSON document",
-                p.pos
-            )));
+            return Err(p.error("trailing input after the JSON document"));
         }
         Ok(v)
     }
@@ -368,6 +864,10 @@ pub mod json {
     }
 
     impl Parser<'_> {
+        fn error(&self, message: impl Into<String>) -> Error {
+            Error::at_byte(message, self.pos)
+        }
+
         fn skip_ws(&mut self) {
             while self
                 .bytes
@@ -387,10 +887,7 @@ pub mod json {
                 self.pos += 1;
                 Ok(())
             } else {
-                Err(Error::new(format!(
-                    "expected {:?} at byte {}",
-                    b as char, self.pos
-                )))
+                Err(self.error(format!("expected {:?}", b as char)))
             }
         }
 
@@ -399,7 +896,7 @@ pub mod json {
                 self.pos += lit.len();
                 Ok(v)
             } else {
-                Err(Error::new(format!("bad literal at byte {}", self.pos)))
+                Err(self.error("bad literal"))
             }
         }
 
@@ -412,11 +909,7 @@ pub mod json {
                 Some(b'[') => self.array(),
                 Some(b'{') => self.object(),
                 Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                other => Err(Error::new(format!(
-                    "unexpected {:?} at byte {}",
-                    other.map(|b| b as char),
-                    self.pos
-                ))),
+                other => Err(self.error(format!("unexpected {:?}", other.map(|b| b as char)))),
             }
         }
 
@@ -438,7 +931,7 @@ pub mod json {
                         self.pos += 1;
                         return Ok(Value::Arr(items));
                     }
-                    _ => return Err(Error::new(format!("bad array at byte {}", self.pos))),
+                    _ => return Err(self.error("bad array")),
                 }
             }
         }
@@ -466,9 +959,43 @@ pub mod json {
                         self.pos += 1;
                         return Ok(Value::Obj(map));
                     }
-                    _ => return Err(Error::new(format!("bad object at byte {}", self.pos))),
+                    _ => return Err(self.error("bad object")),
                 }
             }
+        }
+
+        /// The four hex digits of a `\u` escape, `pos` just past the `u`.
+        fn hex4(&mut self) -> Result<u32, Error> {
+            let code = self
+                .bytes
+                .get(self.pos..self.pos + 4)
+                .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                .and_then(|hex| u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok())
+                .ok_or_else(|| self.error("bad \\u escape"))?;
+            self.pos += 4;
+            Ok(code)
+        }
+
+        /// One `\u` escape, `pos` just past the `u`: a BMP character,
+        /// or a UTF-16 surrogate pair written as two escapes.
+        fn unicode_escape(&mut self) -> Result<char, Error> {
+            let start = self.pos;
+            let high = self.hex4()?;
+            let code = if (0xd800..0xdc00).contains(&high) {
+                let low = if self.bytes[self.pos..].starts_with(b"\\u") {
+                    self.pos += 2;
+                    self.hex4()?
+                } else {
+                    0
+                };
+                if !(0xdc00..0xe000).contains(&low) {
+                    return Err(Error::at_byte("unpaired surrogate in \\u escape", start));
+                }
+                0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+            } else {
+                high
+            };
+            char::from_u32(code).ok_or_else(|| Error::at_byte("bad \\u code point", start))
         }
 
         fn string(&mut self) -> Result<String, Error> {
@@ -476,14 +1003,14 @@ pub mod json {
             let mut out = String::new();
             loop {
                 match self.peek() {
-                    None => return Err(Error::new("unterminated string")),
+                    None => return Err(self.error("unterminated string")),
                     Some(b'"') => {
                         self.pos += 1;
                         return Ok(out);
                     }
                     Some(b'\\') => {
                         self.pos += 1;
-                        let esc = self.peek().ok_or_else(|| Error::new("bad escape"))?;
+                        let esc = self.peek().ok_or_else(|| self.error("bad escape"))?;
                         self.pos += 1;
                         match esc {
                             b'"' => out.push('"'),
@@ -494,28 +1021,12 @@ pub mod json {
                             b't' => out.push('\t'),
                             b'b' => out.push('\u{8}'),
                             b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or_else(|| Error::new("bad \\u escape"))?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex)
-                                        .map_err(|_| Error::new("bad \\u escape"))?,
-                                    16,
-                                )
-                                .map_err(|_| Error::new("bad \\u escape"))?;
-                                self.pos += 4;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| Error::new("bad \\u code point"))?,
-                                );
-                            }
+                            b'u' => out.push(self.unicode_escape()?),
                             other => {
-                                return Err(Error::new(format!(
-                                    "unknown escape \\{}",
-                                    other as char
-                                )))
+                                return Err(Error::at_byte(
+                                    format!("unknown escape \\{}", other as char),
+                                    self.pos - 2,
+                                ))
                             }
                         }
                     }
@@ -544,11 +1055,11 @@ pub mod json {
             }) {
                 self.pos += 1;
             }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| Error::new("invalid number"))?;
+            // Only ASCII bytes were consumed, so the slice is valid.
+            let text = &self.text[start..self.pos];
             text.parse::<f64>()
                 .map(Value::Num)
-                .map_err(|_| Error::new(format!("bad number {text:?}")))
+                .map_err(|_| Error::at_byte(format!("bad number {text:?}"), start))
         }
     }
 
@@ -613,6 +1124,47 @@ pub mod json {
         }
 
         #[test]
+        fn surrogate_pairs_decode_and_lone_surrogates_fail() {
+            assert_eq!(
+                parse(r#""a\ud83d\ude00b""#).unwrap(),
+                Value::Str("a😀b".into())
+            );
+            assert_eq!(from_str::<String>(r#""\uD834\uDD1E""#).unwrap(), "𝄞");
+            for lone in [
+                r#""\ud83d""#,
+                r#""\ud83dx""#,
+                r#""\ud83d\u0041""#,
+                r#""\ude00""#,
+            ] {
+                let err = parse(lone).unwrap_err();
+                assert_eq!(err.offset(), Some(3), "{lone}: {err}");
+            }
+        }
+
+        #[test]
+        fn every_parse_error_carries_its_byte_offset() {
+            for (text, offset) in [
+                ("{", 1),
+                ("[1,]", 3),
+                ("nul", 0),
+                ("1 2", 2),
+                ("{\"a\" 1}", 5),
+                ("[1.5e]", 1),
+                ("\"open", 5),
+                ("\"\\q\"", 1),
+                ("\"\\u12\"", 3),
+                ("{\"a\":1 \"b\"}", 7),
+            ] {
+                let err = parse(text).unwrap_err();
+                assert_eq!(err.offset(), Some(offset), "{text}: {err}");
+                assert!(
+                    err.to_string().ends_with(&format!(" at byte {offset}")),
+                    "{err}"
+                );
+            }
+        }
+
+        #[test]
         fn long_strings_parse_in_linear_time() {
             let s = "ab€d\\\"".repeat(1 << 17); // 1 MiB of text
             let mut text = String::new();
@@ -627,5 +1179,211 @@ pub mod json {
                 .unwrap();
             assert_eq!(back.get("s").and_then(Value::as_str), Some(s.as_str()));
         }
+    }
+}
+
+#[cfg(test)]
+mod codec_tests {
+    use super::{json, Deserialize, Error, Fields, Members, Value};
+
+    crate::codec! {
+        strict "the test table";
+        #[derive(Clone, Debug, PartialEq)]
+        struct Strict {
+            name: String,
+            count: u64 = 3,
+            #[serde(omit_default)]
+            tags: Vec<String> = Vec::new(),
+            note: Option<String> = None,
+        }
+    }
+
+    crate::codec! {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Mode {
+            Drain = "drain",
+            Now = "now",
+        }
+    }
+
+    crate::codec! {
+        lenient;
+        #[derive(Clone, Debug, PartialEq)]
+        struct Inner {
+            id: u64,
+        }
+    }
+
+    /// `lo`/`hi` keys for one `(f64, f64)` field.
+    mod range {
+        use super::{Error, Fields, Members, Value};
+
+        pub const KEYS: &[&str] = &["hi", "lo"];
+
+        pub fn decode(f: &mut Fields) -> Result<(f64, f64), Error> {
+            Ok((f.or("lo", || 0.0)?, f.or("hi", || 1.0)?))
+        }
+
+        pub fn encode(&(lo, hi): &(f64, f64), out: &mut Members) {
+            out.push(("lo".into(), Value::Num(lo)));
+            out.push(("hi".into(), Value::Num(hi)));
+        }
+    }
+
+    crate::codec! {
+        strict "thing", tag "kind";
+        #[derive(Clone, Debug, PartialEq)]
+        enum Thing {
+            Unit = "unit",
+            Wrapped = "wrapped" (Inner),
+            Fields = "fields" {
+                mode: Mode,
+                #[serde(with = range)]
+                range: (f64, f64),
+                #[serde(omit_default)]
+                extra: Option<u64> = None,
+            },
+        }
+    }
+
+    crate::codec! {
+        lenient "event", tag "event";
+        #[derive(Clone, Debug, PartialEq)]
+        enum Event {
+            Ping = "ping" { seq: u64 },
+            Other = _ {
+                #[serde(tag)]
+                tag: String,
+            },
+        }
+    }
+
+    fn round_trip<T: super::Serialize + Deserialize + PartialEq + std::fmt::Debug>(
+        v: &T,
+        line: &str,
+    ) {
+        assert_eq!(json::to_string(v), line);
+        assert_eq!(&json::from_str::<T>(line).unwrap(), v, "{line}");
+    }
+
+    #[test]
+    fn records_write_defaults_nulls_and_omissions() {
+        let mut s = Strict {
+            name: "a".into(),
+            count: 3,
+            tags: vec![],
+            note: None,
+        };
+        round_trip(&s, r#"{"count":3,"name":"a","note":null}"#);
+        assert_eq!(json::from_str::<Strict>(r#"{"name":"a"}"#).unwrap(), s);
+        s.tags = vec!["x".into()];
+        s.note = Some("n".into());
+        round_trip(&s, r#"{"count":3,"name":"a","note":"n","tags":["x"]}"#);
+        let err = json::from_str::<Strict>(r#"{"count":1}"#).unwrap_err();
+        assert_eq!(err.to_string(), "missing field \"name\"");
+    }
+
+    #[test]
+    fn strict_types_name_the_unknown_key_and_lenient_ones_skip_it() {
+        let err = json::from_str::<Strict>(r#"{"name":"a","nmae":"b","zz":1}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown key \"nmae\" in the test table (accepted: count, name, note, tags)"
+        );
+        let err = json::from_str::<Thing>(r#"{"kind":"unit","spare":1}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown key \"spare\" in a \"unit\" thing (accepted: kind)"
+        );
+        let err = json::from_str::<Thing>(r#"{"kind":"fields","mode":"now","low":0}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown key \"low\" in a \"fields\" thing (accepted: extra, hi, kind, lo, mode)"
+        );
+        assert_eq!(
+            json::from_str::<Event>(r#"{"event":"ping","seq":2,"later":[1]}"#).unwrap(),
+            Event::Ping { seq: 2 }
+        );
+    }
+
+    #[test]
+    fn tagged_enums_cover_unit_newtype_struct_and_catch_all_variants() {
+        round_trip(&Thing::Unit, r#"{"kind":"unit"}"#);
+        round_trip(
+            &Thing::Wrapped(Inner { id: 9 }),
+            r#"{"id":9,"kind":"wrapped"}"#,
+        );
+        round_trip(
+            &Thing::Fields {
+                mode: Mode::Drain,
+                range: (0.5, 2.0),
+                extra: None,
+            },
+            r#"{"hi":2,"kind":"fields","lo":0.5,"mode":"drain"}"#,
+        );
+        round_trip(
+            &Thing::Fields {
+                mode: Mode::Now,
+                range: (0.0, 1.0),
+                extra: Some(4),
+            },
+            r#"{"extra":4,"hi":1,"kind":"fields","lo":0,"mode":"now"}"#,
+        );
+        let err = json::from_str::<Thing>(r#"{"kind":"warp"}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown thing kind \"warp\" (accepted: unit, wrapped, fields)"
+        );
+        round_trip(&Event::Other { tag: "warp".into() }, r#"{"event":"warp"}"#);
+        assert_eq!(
+            json::from_str::<Event>(r#"{"event":"warp","x":1}"#).unwrap(),
+            Event::Other { tag: "warp".into() }
+        );
+        assert!(json::from_str::<Event>(r#"{"seq":1}"#).is_err(), "no tag");
+        assert!(
+            json::from_str::<Event>(r#"{"event":3}"#).is_err(),
+            "tag not a string"
+        );
+        assert!(json::from_str::<Event>("[1]").is_err(), "not an object");
+    }
+
+    #[test]
+    fn string_enums_round_trip_and_list_their_values() {
+        for mode in [Mode::Drain, Mode::Now] {
+            assert_eq!(Mode::parse(mode.as_str()), Some(mode));
+        }
+        round_trip(&Mode::Now, "\"now\"");
+        assert_eq!(Mode::parse("later"), None);
+        let err = json::from_str::<Mode>("\"later\"").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown value \"later\" (accepted: drain, now)"
+        );
+    }
+
+    #[test]
+    fn decode_errors_name_their_key_path() {
+        let err = json::from_str::<Vec<Strict>>(r#"[{"name":"a"},{"name":"b","tags":["x",2]}]"#)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "[1].tags[1]: expected string, got Num(2.0)"
+        );
+        let err = json::from_str::<Thing>(r#"{"kind":"fields","mode":"later"}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "mode: unknown value \"later\" (accepted: drain, now)"
+        );
+        let map = json::from_str::<std::collections::BTreeMap<String, Vec<u64>>>(r#"{"a":[1,-1]}"#)
+            .unwrap_err();
+        assert_eq!(map.to_string(), "a[1]: integer -1 out of range for u64");
+        assert_eq!(
+            Error::new("x")
+                .at_key("b")
+                .at_index(2)
+                .at_key("a")
+                .to_string(),
+            "a[2].b: x"
+        );
     }
 }

@@ -236,21 +236,7 @@ fn parse_field<T: FromStr>(raw: &str, spec: &str, what: &str) -> Result<T, Workl
     })
 }
 
-impl serde::Serialize for ScenarioSpec {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl serde::Deserialize for ScenarioSpec {
-    fn deserialize(v: &serde::Value) -> Result<ScenarioSpec, serde::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| serde::Error::new(format!("expected a scenario string, got {v:?}")))?;
-        s.parse()
-            .map_err(|e: WorkloadError| serde::Error::new(e.to_string()))
-    }
-}
+serde::codec!(display ScenarioSpec);
 
 #[cfg(test)]
 mod tests {

@@ -219,18 +219,10 @@ pub fn load_trace_json(path: &std::path::Path) -> Result<IngestedTrace, Workload
     Ok(trace)
 }
 
-/// Turn the JSON parser's `… at byte N` errors into located parse
-/// errors by mapping the byte offset back to a line/column.
+/// Locate a JSON syntax error: map the parser's byte offset back to a
+/// line and column.
 fn locate_json_error(src: &str, e: &serde::Error) -> WorkloadError {
-    let msg = e.to_string();
-    let byte = msg
-        .rsplit("at byte ")
-        .next()
-        .and_then(|tail| {
-            let digits: String = tail.chars().take_while(|c| c.is_ascii_digit()).collect();
-            digits.parse::<usize>().ok()
-        })
-        .unwrap_or(0);
+    let byte = e.offset().unwrap_or(0);
     let (mut line, mut col) = (1usize, 1usize);
     for b in src.as_bytes().iter().take(byte) {
         if *b == b'\n' {
@@ -240,7 +232,7 @@ fn locate_json_error(src: &str, e: &serde::Error) -> WorkloadError {
             col += 1;
         }
     }
-    WorkloadError::parse(line, col, format!("invalid JSON: {msg}"))
+    WorkloadError::parse(line, col, format!("invalid JSON: {e}"))
 }
 
 #[cfg(test)]
@@ -339,6 +331,20 @@ mod tests {
             }
             other => panic!("expected a located parse error, got {other:?}"),
         }
+        // A malformed number deep in the file is located where it starts.
+        let bad_number = SAMPLE.replace("\"runtime\": 1.0", "\"runtime\": 1.5e");
+        match parse_trace_json(&bad_number).unwrap_err() {
+            WorkloadError::Parse { line, column, .. } => assert_eq!((line, column), (6, 39)),
+            other => panic!("expected a located parse error, got {other:?}"),
+        }
+        // Python's json.dump writes characters outside the BMP as
+        // surrogate-pair escapes; they decode to the one character.
+        let emoji = SAMPLE.replace("\"merge\"", "\"a\\ud83d\\ude00\"");
+        let t = parse_trace_json(&emoji).unwrap();
+        assert!(
+            t.dag.nodes().any(|v| t.dag.display_name(v) == "a😀"),
+            "{emoji}"
+        );
     }
 
     #[test]
